@@ -63,10 +63,11 @@ class ProtocolParams:
             raise ValueError("payload_len must be >= 1")
         if self.pool_size < 2:
             raise ValueError("pool_size must be >= 2")
-        if self.feedback_len < 0:
-            raise ValueError("feedback_len must be >= 0")
-        if self.arrival_rate < 0:
-            raise ValueError("arrival_rate must be >= 0")
+        # NaN compares False with everything, so test finiteness first
+        if not math.isfinite(self.feedback_len) or self.feedback_len < 0:
+            raise ValueError("feedback_len must be finite and >= 0")
+        if not math.isfinite(self.arrival_rate) or self.arrival_rate < 0:
+            raise ValueError("arrival_rate must be finite and >= 0")
         if not 0.0 <= self.p_md <= 1.0:
             raise ValueError("p_md must be in [0, 1]")
         if not 0.0 <= self.p_fa <= 1.0:
@@ -198,23 +199,20 @@ def mean_active_cra2(params):
     return params.pool_size * (c1 + lambert_w0(arg))
 
 
+def _detected_at_load(params, x):
+    """Mean detected preambles per CRA-2 session at mean load x = K / L."""
+    one_m_md = 1.0 - params.p_md
+    return params.pool_size * (one_m_md
+                               - math.exp(-x) * (one_m_md - params.p_fa))
+
+
 def mean_detected_cra2(params):
     """Fixed-point mean number of detected preambles (slots) per CRA-2 session.
 
     Like ``mean_active_cra2``, this assumes a Poisson active count and is an
     upper bound on the session chain's exact stationary mean.
     """
-    c1, c2 = _fixed_point_coeffs(params)
-    L = params.pool_size
-    one_m_md = 1.0 - params.p_md
-    via_w = L * (one_m_md
-                 + lambert_w0(-c2 * math.exp(-c1))
-                 / (params.arrival_rate * params.payload_len))
-    x = mean_active_cra2(params) / L
-    direct = L * (one_m_md - math.exp(-x) * (one_m_md - params.p_fa))
-    assert math.isclose(via_w, direct, rel_tol=1e-9, abs_tol=1e-12), \
-        "Lambert-form and direct-form detected-slot means disagree"
-    return direct
+    return _detected_at_load(params, mean_active_cra2(params) / params.pool_size)
 
 
 def steady_state_cra2(params):
@@ -225,8 +223,8 @@ def steady_state_cra2(params):
     exact stationary means.
     """
     mean_active = mean_active_cra2(params)
-    mean_detected = mean_detected_cra2(params)
     x = mean_active / params.pool_size
+    mean_detected = _detected_at_load(params, x)
     mean_singleton = (1.0 - params.p_md) * mean_active * math.exp(-x)
     mean_len = params.overhead_len + params.payload_len * mean_detected
     throughput = params.arrival_rate * (1.0 - params.p_md) * math.exp(-x)

@@ -394,11 +394,13 @@ def _load_sweep_spec(path, args):
 def _cmd_sweep(args):
     if (args.preset is None) == (args.spec is None):
         raise ConfigError("sweep: give exactly one of --preset or --spec")
+    if not args.seeds:
+        raise ConfigError("seeds: give at least one replicate seed")
     if args.preset:
         spec = build_preset(args.preset, args)
     else:
         spec = _load_sweep_spec(args.spec, args)
-    rows = run_sweep(spec, workers=args.workers)
+    rows = run_sweep(spec, workers=_workers(args))
     emit_results(rows, args.output)
     write_provenance(args.output, {
         **params_to_dict(spec.base.params),
@@ -491,8 +493,16 @@ def _float_list(text):
     return [float(v) for v in text.split(",") if v != ""]
 
 
-def _default_workers():
-    return int(os.environ.get("CRA_WORKERS", "1"))
+def _workers(args):
+    """Worker count: --workers, else the CRA_WORKERS environment variable,
+    else 1."""
+    if args.workers is not None:
+        return args.workers
+    text = os.environ.get("CRA_WORKERS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"CRA_WORKERS: not an integer: {text!r}") from None
 
 
 def build_parser():
@@ -526,7 +536,8 @@ def build_parser():
     p.add_argument("--warmup", type=int, default=1_000)
     p.add_argument("--seeds", type=_int_list, default=[0],
                    help="comma-separated replicate seeds")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int,
+                   help="worker processes (default: CRA_WORKERS or 1)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("signal", help="pairwise ML error and spark checks")

@@ -118,6 +118,8 @@ def received_stage2(pool, scene, rng):
 def _pairwise_rate(base, alt, noise_var, rng, n_trials, chunk=100_000):
     """Fraction of noise draws for which the true hypothesis ``base`` loses
     the ML residual comparison against ``alt`` on y = base + noise."""
+    if n_trials < 1:
+        raise ValueError(f"trials must be >= 1, got {n_trials}")
     losses = 0.0
     left = n_trials
     while left > 0:

@@ -7,6 +7,14 @@ singleton preambles.  Two operating modes: ``drop`` (unsuccessful users
 leave) and ``fast_retrial`` (they re-enter the next session with a fresh
 preamble draw).
 
+CRA-1 and multichannel ALOHA sessions in drop mode are i.i.d.: their length
+is fixed, so every session's active count is Poisson with the same mean and
+nothing carries over.  ``estimate_throughput`` draws those sessions in
+blocks of vector operations.  CRA-2 (whose arrivals depend on the previous
+session's length) and every scheme in fast retrial (whose backlog carries
+over) walk the sequential ``SessionChain``, which is also the per-session
+reference path the tests pin down.
+
 Randomness comes from numpy's default PCG64 bit generator seeded through
 ``numpy.random.SeedSequence``; replicas parallelize by spawning child seeds,
 and a fixed (seed, config) pair reproduces the trace stream bit-exactly.
@@ -19,6 +27,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import ProtocolParams
+
+# Sessions per block of the i.i.d. path are chosen so that a block's
+# (session, preamble) occupancy array holds about this many counts, which
+# bounds its memory whatever n_sessions is.
+_BLOCK_CELLS = 1 << 20
 
 __all__ = [
     "Scheme",
@@ -108,21 +121,14 @@ def stage1_outcome(n_active, params, rng, picks=None):
     """
     L = params.pool_size
     if picks is None:
-        if n_active > 0:
-            picks = rng.integers(0, L, size=n_active)
-        else:
-            picks = np.empty(0, dtype=np.int64)
+        picks = rng.integers(0, L, size=n_active)
     else:
-        picks = np.asarray(picks)
+        picks = np.asarray(picks, dtype=np.int64)
         if picks.size != n_active:
             raise ValueError("picks must have one entry per active user")
-    if picks.size:
-        _, counts = np.unique(picks, return_counts=True)
-        occupied = counts.size
-        singleton = int(np.count_nonzero(counts == 1))
-    else:
-        occupied = 0
-        singleton = 0
+    counts = np.bincount(picks, minlength=L)
+    occupied = int(np.count_nonzero(counts))
+    singleton = int(np.count_nonzero(counts == 1))
     collided = occupied - singleton
 
     p_det = 1.0 - params.p_md
@@ -131,6 +137,19 @@ def stage1_outcome(n_active, params, rng, picks=None):
     free = L - occupied
     d3 = rng.binomial(free, params.p_fa) if (free and params.p_fa > 0.0) else 0
     return singleton, collided, int(d1), int(d2), int(d3)
+
+
+def _capped_successes(scheme, n_active, detected_singleton, params):
+    """Successes of a fixed-length CRA-1 / multichannel-ALOHA session.
+
+    CRA-1's multiuser detection of the spread packets fails outright once the
+    active count reaches the spreading gain (K <= N - 1 succeeds); ALOHA's
+    orthogonal channels decode at most N packets (K <= N).  Works on scalars
+    and on arrays of sessions alike.
+    """
+    cap = params.preamble_len - 1 if scheme is Scheme.CRA1 \
+        else params.preamble_len
+    return detected_singleton * (n_active <= cap)
 
 
 def run_session(cfg, rng, index, prev_len, backlog=0, forced_active=None,
@@ -153,15 +172,9 @@ def run_session(cfg, rng, index, prev_len, backlog=0, forced_active=None,
     if cfg.scheme is Scheme.CRA2:
         session_len = p.overhead_len + p.payload_len * detected
         successes = d1
-    elif cfg.scheme is Scheme.CRA1:
+    else:
         session_len = p.fixed_session_len
-        # multiuser detection of the spread packets fails outright once the
-        # active count reaches the spreading gain
-        successes = d1 if n_active <= p.preamble_len - 1 else 0
-    else:  # MC_ALOHA
-        session_len = p.fixed_session_len
-        # orthogonal channels decode at most preamble_len packets
-        successes = d1 if n_active <= p.preamble_len else 0
+        successes = _capped_successes(cfg.scheme, n_active, d1, p)
 
     new_backlog = n_active - d1 if cfg.mode is Mode.FAST_RETRIAL else 0
     return SessionTrace(
@@ -208,50 +221,95 @@ class SessionChain:
         return trace
 
 
-def estimate_throughput(cfg, min_batches=30):
-    """Warm up, then measure: ratio estimator over the measured sessions
-    with a batch-means standard error (>= min_batches batches)."""
+def _chain_sessions(cfg):
+    """(successes, length, active, detected) of each measured session of the
+    sequential session chain, after its warm-up."""
     chain = SessionChain(cfg)
     for _ in range(cfg.warmup_sessions):
         chain.next_session()
-
     n = cfg.n_sessions
-    n_batches = min(min_batches, n)
-    batch_edges = [round(i * n / n_batches) for i in range(n_batches + 1)]
-
-    tot_succ = 0
-    tot_time = 0.0
-    tot_active = 0
-    tot_detected = 0
-    batch_rates = []
-    b_succ = 0
-    b_time = 0.0
-    edge = 1
+    succ = np.empty(n, dtype=np.int64)
+    lengths = np.empty(n)
+    active = np.empty(n, dtype=np.int64)
+    detected = np.empty(n, dtype=np.int64)
     for i in range(n):
         tr = chain.next_session()
-        tot_succ += tr.successes
-        tot_time += tr.session_len
-        tot_active += tr.active
-        tot_detected += tr.detected_total
-        b_succ += tr.successes
-        b_time += tr.session_len
-        if i + 1 == batch_edges[edge]:
-            batch_rates.append(b_succ / b_time)
-            b_succ = 0
-            b_time = 0.0
-            edge += 1
+        succ[i] = tr.successes
+        lengths[i] = tr.session_len
+        active[i] = tr.active
+        detected[i] = tr.detected_total
+    return succ, lengths, active, detected
 
-    rates = np.asarray(batch_rates)
+
+def _iid_sessions(cfg):
+    """(successes, length, active, detected) of each measured session of an
+    i.i.d. fixed-length scheme (CRA-1, ALOHA) in drop mode.
+
+    The warm-up and measured sessions are drawn in blocks: one Poisson draw
+    of every session's active count, one draw of all picks, and one
+    ``bincount`` over (session, preamble) cells that yields each session's
+    singleton and occupied counts; the detection coin flips are three vector
+    binomial draws.
+    """
+    p = cfg.params
+    L = p.pool_size
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    total = cfg.warmup_sessions + cfg.n_sessions
+    block = max(1, _BLOCK_CELLS // L)
+    keep = 1.0 - p.p_md
+    parts = []
+    for start in range(0, total, block):
+        b = min(block, total - start)
+        active = rng.poisson(p.arrival_rate * p.fixed_session_len, size=b)
+        cells = rng.integers(0, L, size=int(active.sum()))
+        cells += np.repeat(np.arange(0, b * L, L), active)
+        counts = np.bincount(cells, minlength=b * L).reshape(b, L)
+        singleton = np.count_nonzero(counts == 1, axis=1)
+        occupied = np.count_nonzero(counts, axis=1)
+        d1 = rng.binomial(singleton, keep)
+        d2 = rng.binomial(occupied - singleton, keep)
+        d3 = rng.binomial(L - occupied, p.p_fa)
+        parts.append((_capped_successes(cfg.scheme, active, d1, p), active,
+                      d1 + d2 + d3))
+    succ, active, detected = (np.concatenate(x)[cfg.warmup_sessions:]
+                              for x in zip(*parts))
+    lengths = np.full(cfg.n_sessions, p.fixed_session_len)
+    return succ, lengths, active, detected
+
+
+def _ratio_estimate(succ, lengths, active, detected, min_batches):
+    """Ratio estimator sum(succ)/sum(lengths) over the measured sessions,
+    with the standard error of the means of min(min_batches, n) contiguous
+    batch ratios."""
+    n = succ.size
+    n_batches = min(min_batches, n)
+    edges = [round(i * n / n_batches) for i in range(n_batches)]
+    rates = np.add.reduceat(succ, edges) / np.add.reduceat(lengths, edges)
     se = float(rates.std(ddof=1) / math.sqrt(rates.size)) if rates.size > 1 else 0.0
+    tot_time = float(lengths.sum())
     return ThroughputEstimate(
-        mean_throughput=tot_succ / tot_time,
+        mean_throughput=int(succ.sum()) / tot_time,
         std_error=se,
         sessions_run=n,
         total_time=tot_time,
-        mean_active=tot_active / n,
-        mean_detected=tot_detected / n,
+        mean_active=int(active.sum()) / n,
+        mean_detected=int(detected.sum()) / n,
         mean_session_len=tot_time / n,
     )
+
+
+def estimate_throughput(cfg, min_batches=30):
+    """Warm up, then measure: ratio estimator over the measured sessions
+    with a batch-means standard error (>= min_batches batches).
+
+    CRA-1 and ALOHA in drop mode take the block path for i.i.d. sessions;
+    the other configurations walk the session chain.
+    """
+    if cfg.mode is Mode.DROP and cfg.scheme is not Scheme.CRA2:
+        sessions = _iid_sessions(cfg)
+    else:
+        sessions = _chain_sessions(cfg)
+    return _ratio_estimate(*sessions, min_batches)
 
 
 def simulate_stability(cfg, horizon, initial_backlog=0, stop_backlog=None):

@@ -117,3 +117,27 @@ def exact_chain_means(params):
     rhs[-1] = 1.0
     pi = np.linalg.solve(system, rhs)
     return float(pi @ mu), float(pi @ states)
+
+
+def capped_success_moments(mean_active, pool_size, cap, p_md):
+    """Mean and second moment of one CRA-1 / multichannel-ALOHA session's
+    successes, by direct summation over the Poisson active count.
+
+    K ~ Poisson(mean_active) users pick among ``pool_size`` preambles, and a
+    session with K <= ``cap`` books each singleton with probability
+    1 - p_md, otherwise nothing.  Sessions are i.i.d., so n sessions of fixed
+    length T give a throughput estimate with standard error
+    sqrt((m2 - m1**2) / n) / T.
+    """
+    q = 1.0 - p_md
+    L = pool_size
+    m1 = m2 = 0.0
+    for k in range(1, cap + 1):
+        pk = math.exp(k * math.log(mean_active) - mean_active
+                      - math.lgamma(k + 1))
+        singles = k * (1.0 - 1.0 / L) ** (k - 1)
+        # E[B1 (B1 - 1)]: ordered pairs of preambles both picked exactly once
+        pairs = (L - 1) / L * k * (k - 1) * (1.0 - 2.0 / L) ** max(k - 2, 0)
+        m1 += pk * q * singles
+        m2 += pk * (q * singles + q * q * pairs)
+    return m1, m2

@@ -20,8 +20,9 @@ from cra.analytic import (
     support_error_prob,
     throughput_cra1,
     throughput_maloha,
+    _fixed_point_coeffs,
 )
-from cra.specfun import INV_E, poisson_cdf, qfunc
+from cra.specfun import INV_E, lambert_w0, poisson_cdf, qfunc
 
 from helpers import exact_occupancy_means, fixed_point_mean_load
 
@@ -178,13 +179,19 @@ class TestMeanDetectedCra2:
         assert mean_detected_cra2(p) == pytest.approx(expected, rel=1e-12)
 
     def test_two_forms_agree_random(self):
-        # the Lambert form is asserted against the direct exponential form
-        # inside mean_detected_cra2; exercise it broadly
+        # mean_detected_cra2 uses the direct exponential form at the fixed
+        # point; the Lambert form L*(1 - p_md + W(-c2 exp(-c1)) / (lambda M))
+        # must give the same value
         rng = np.random.default_rng(4)
         for _ in range(500):
             p = random_valid_params(rng)
             d = mean_detected_cra2(p)
             assert 0.0 <= d <= p.pool_size
+            c1, c2 = _fixed_point_coeffs(p)
+            via_w = p.pool_size * (
+                1.0 - p.p_md + lambert_w0(-c2 * math.exp(-c1))
+                / (p.arrival_rate * p.payload_len))
+            assert math.isclose(d, via_w, rel_tol=1e-9, abs_tol=1e-12)
 
 
 class TestThroughputCra2:

@@ -135,6 +135,35 @@ class TestCommands:
         assert main(["analytic", "--p-md", "0.7", "--p-fa", "0.7"]) == 1
         assert "p_md" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--traffic", "nan", "arrival_rate"),
+        ("--traffic", "inf", "arrival_rate"),
+        ("--feedback-len", "nan", "feedback_len"),
+    ])
+    def test_analytic_non_finite_params(self, capsys, flag, value, field):
+        assert main(["analytic", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert field in err
+
+    @pytest.mark.parametrize("argv, env, what", [
+        (["signal", "--trials", "0"], None, "trials"),
+        (["sweep", "--preset", "fig3", "--seeds", ","], None, "seeds"),
+        (["sweep", "--preset", "fig3"], "abc", "CRA_WORKERS"),
+    ])
+    def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                      argv, env, what):
+        if env is not None:
+            monkeypatch.setenv("CRA_WORKERS", env)
+        if argv[0] == "sweep":
+            argv = argv + ["--output", str(tmp_path / "o.csv"),
+                           "--n-sessions", "20", "--warmup", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1 and what in captured.err
+
     def test_simulate_runs(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         rc = main(["simulate", "--preamble-len", "8", "--payload-len", "16",

@@ -6,8 +6,9 @@ import pytest
 from scipy import stats
 
 from cra.analytic import ProtocolParams, backlog_drift, mean_detected_split, \
-    prob_singleton
+    prob_singleton, throughput_cra1, throughput_maloha
 from cra.sim import (
+    _BLOCK_CELLS,
     Mode,
     Scheme,
     SessionChain,
@@ -18,7 +19,7 @@ from cra.sim import (
     stage1_outcome,
 )
 
-from helpers import exact_chain_means
+from helpers import capped_success_moments, exact_chain_means
 
 
 def perfect_params(**over):
@@ -153,8 +154,9 @@ class TestSimConfig:
 
 
 class TestEstimateThroughput:
-    def test_zero_arrivals(self):
-        cfg = SimConfig(params=perfect_params(arrival_rate=0.0),
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_zero_arrivals(self, scheme):
+        cfg = SimConfig(params=perfect_params(arrival_rate=0.0), scheme=scheme,
                         n_sessions=200, warmup_sessions=10, seed=3)
         est = estimate_throughput(cfg)
         assert est.mean_throughput == 0.0
@@ -188,6 +190,58 @@ class TestEstimateThroughput:
         assert est.mean_throughput == pytest.approx(succ / time, rel=1e-12)
         assert est.total_time == pytest.approx(time, rel=1e-12)
         assert est.std_error >= 0.0
+
+    def test_fast_retrial_cra1_is_chain_ratio(self, fig_params):
+        # fast retrial carries the backlog over, so CRA-1 walks the session
+        # chain there rather than the i.i.d. block path
+        cfg = SimConfig(params=fig_params, scheme=Scheme.CRA1,
+                        mode=Mode.FAST_RETRIAL, n_sessions=300,
+                        warmup_sessions=20, seed=6)
+        chain = SessionChain(cfg)
+        traces = [chain.next_session() for _ in range(320)][20:]
+        est = estimate_throughput(cfg)
+        assert est.mean_throughput == pytest.approx(
+            sum(t.successes for t in traces)
+            / sum(t.session_len for t in traces), rel=1e-12)
+        assert est.mean_active == pytest.approx(
+            sum(t.active for t in traces) / 300, rel=1e-12)
+        assert est.mean_detected == pytest.approx(
+            sum(t.detected_total for t in traces) / 300, rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", [Scheme.CRA1, Scheme.MC_ALOHA],
+                             ids=lambda s: s.value)
+    def test_iid_blocks_replay_and_mean_active(self, fig_params, scheme):
+        # 3 full blocks of 3382 sessions (L = 310) and a partial fourth
+        block = _BLOCK_CELLS // fig_params.pool_size
+        cfg = SimConfig(params=fig_params, scheme=scheme, n_sessions=10_000,
+                        warmup_sessions=500, seed=21)
+        total = cfg.warmup_sessions + cfg.n_sessions
+        assert total > 3 * block and total % block
+        est = estimate_throughput(cfg)
+        assert est == estimate_throughput(cfg)
+        mean = fig_params.arrival_rate * fig_params.fixed_session_len
+        se = math.sqrt(mean / cfg.n_sessions)  # Poisson variance = mean
+        assert abs(est.mean_active - mean) <= 4 * se
+
+    @pytest.mark.parametrize("load", [0.4, 1.0, 1.6])
+    @pytest.mark.parametrize("scheme", [Scheme.CRA1, Scheme.MC_ALOHA],
+                             ids=lambda s: s.value)
+    def test_iid_matches_closed_form(self, fig_params, scheme, load):
+        # closed forms are exact for i.i.d. sessions; the SE is exact too
+        p = fig_params.with_traffic(load)
+        cfg = SimConfig(params=p, scheme=scheme, n_sessions=20_000,
+                        warmup_sessions=100, seed=31)
+        n = p.preamble_len
+        if scheme is Scheme.CRA1:
+            exact, pool, cap = throughput_cra1(p), p.pool_size, n - 1
+        else:
+            exact, pool, cap = throughput_maloha(p), n, n
+        m1, m2 = capped_success_moments(
+            p.arrival_rate * p.fixed_session_len, pool, cap, p.p_md)
+        assert m1 / p.fixed_session_len == pytest.approx(exact, rel=1e-9)
+        se = math.sqrt((m2 - m1 * m1) / cfg.n_sessions) / p.fixed_session_len
+        est = estimate_throughput(cfg)
+        assert abs(est.mean_throughput - exact) <= 4 * se
 
     def test_matches_exact_chain_at_reference_point(self, fig_params):
         # validates the engine against the exact stationary distribution
