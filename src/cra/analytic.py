@@ -191,12 +191,11 @@ def mean_active_cra2(params):
 
     Solves x = c1 - c2*exp(-x) for x = mean_active / pool_size through the
     principal Lambert W branch.  Valid parameters guarantee c1 >= c2 >= 0,
-    so the W argument -c2*exp(-c1) lies in [-1/e, 0].
+    so the W argument -c2*exp(-c1) lies in [-1/e, 0]; ``lambert_w0`` raises
+    ValueError below it or on NaN (coefficients that overflowed).
     """
     c1, c2 = _fixed_point_coeffs(params)
-    arg = -c2 * math.exp(-c1)
-    assert arg >= -1.0 / math.e - 1e-12, "Lambert argument left [-1/e, 0]"
-    return params.pool_size * (c1 + lambert_w0(arg))
+    return params.pool_size * (c1 + lambert_w0(-c2 * math.exp(-c1)))
 
 
 def _detected_at_load(params, x):

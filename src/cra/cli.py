@@ -99,6 +99,13 @@ def _fmt(value):
     return str(value)
 
 
+def _row(sweep_var, value, metric, source, estimate, std_error=0.0,
+         sessions=0, seed=None):
+    """One result row; the defaults are those of an analytic row."""
+    return dict(zip(RESULT_FIELDS, (sweep_var, float(value), metric, source,
+                                    estimate, std_error, sessions, seed)))
+
+
 def emit_results(rows, path):
     """Write result rows (dicts with RESULT_FIELDS keys) as long-format CSV."""
     try:
@@ -133,78 +140,111 @@ def write_provenance(path, config):
 
 
 # ---------------------------------------------------------------------------
-# parameter handling
+# settings: defaults, then the --config/--spec file or the sweep preset,
+# then the flags given
 
 _PARAM_FIELDS = ("preamble_len", "payload_len", "pool_size", "feedback_len",
                  "arrival_rate", "p_md", "p_fa")
-_SIM_FIELDS = ("scheme", "mode", "n_sessions", "warmup_sessions", "seed")
 
-_DEFAULTS = {
-    "preamble_len": 31,
-    "payload_len": 256,
-    "pool_size": 310,
-    "feedback_len": 4.0,
-    "arrival_rate": None,   # derived from traffic when absent
-    "traffic": 1.0,
-    "p_md": 0.01,
-    "p_fa": 0.01,
+# Every setting a file or a flag can give: its default and its type.  A list
+# type means a nonempty list of its one element type; float accepts integers
+# too, and no type accepts a bool.  Allowed values are checked where the
+# settings are used (ProtocolParams, Scheme, Mode, SweepSpec).
+_SETTINGS = {
+    "preamble_len": (31, int), "payload_len": (256, int),
+    "pool_size": (310, int), "feedback_len": (4.0, float),
+    "arrival_rate": (None, float),   # derived from traffic when absent
+    "traffic": (1.0, float), "p_md": (0.01, float), "p_fa": (0.01, float),
+    "scheme": ("cra2", str), "mode": ("drop", str), "seed": (0, int),
+    "n_sessions": (100_000, int), "warmup_sessions": (1_000, int),
+    "swept_variable": ("lambda_T", str), "grid": ((), [float]),
+    "outputs": (METRICS, [str]), "replicate_seeds": ((0,), [int]),
+}
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+_SIM_KEYS = ("scheme", "mode", "n_sessions", "warmup_sessions", "seed")
+_SWEEP_KEYS = ("swept_variable", "grid", "outputs", "replicate_seeds",
+               "n_sessions", "warmup_sessions")
+# keys each settings file may hold
+_FILE_KEYS = {"config": (*_PARAM_FIELDS, "traffic", *_SIM_KEYS),
+              "spec": (*_PARAM_FIELDS, "traffic", *_SWEEP_KEYS)}
+
+# Figure-reproduction sweeps: overrides of the defaults, whose protocol
+# point (N=31, M=256, L=310, tau=4, p_md=p_fa=0.01, load 1) they share.
+_PRESETS = {
+    "fig3": {"swept_variable": "lambda_T",
+             "grid": tuple(round(0.1 * i, 10) for i in range(1, 21))},
+    "fig4": {"swept_variable": "L", "grid": tuple(31 * i for i in range(1, 21))},
+    "fig5": {"arrival_rate": 1.0 / 200.0, "swept_variable": "M",
+             "grid": tuple(32 * i for i in range(1, 21))},
+    "fig6": {"swept_variable": "p_err",
+             "grid": tuple(round(0.005 * i, 10) for i in range(1, 21))},
 }
 
 
-def _add_param_flags(parser):
-    g = parser.add_argument_group("protocol parameters")
-    g.add_argument("--config", help="JSON file with flat key-value settings; "
-                                    "flags override file values")
-    g.add_argument("--preamble-len", type=int)
-    g.add_argument("--payload-len", type=int)
-    g.add_argument("--pool-size", type=int)
-    g.add_argument("--feedback-len", type=float)
-    g.add_argument("--arrival-rate", type=float,
-                   help="new users per symbol (overrides --traffic)")
-    g.add_argument("--traffic", type=float,
-                   help="normalized load: arrivals per (N + M) symbols")
-    g.add_argument("--p-md", type=float)
-    g.add_argument("--p-fa", type=float)
+def _fits(value, kind):
+    if isinstance(kind, list):
+        return (isinstance(value, list) and len(value) > 0
+                and all(_fits(v, kind[0]) for v in value))
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and not isinstance(value, bool))
 
 
-def _effective_settings(args):
-    """Merge defaults, config file and CLI flags (flags win)."""
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+def _checked(where, given):
+    """The given settings, if each value is of its key's type."""
+    for key, value in given.items():
+        default, kind = _SETTINGS[key]
+        if not (value is None and default is None or _fits(value, kind)):
+            what = ("a nonempty list, each " + _TYPE_NAMES[kind[0]]
+                    if isinstance(kind, list) else _TYPE_NAMES[kind])
+            raise ConfigError(f"{where}{key} must be {what}, got {value!r}")
+    return given
+
+
+def _settings(args):
+    """Effective settings: defaults, then the --config/--spec file or the
+    sweep preset, then the flags given (flags hold None when not given)."""
+    settings = {key: default for key, (default, _) in _SETTINGS.items()}
+    settings.update(_PRESETS.get(getattr(args, "preset", None), {}))
+    for option, keys in _FILE_KEYS.items():
+        path = getattr(args, option, None)
+        if path is None:
+            continue
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config: cannot read {args.config}: {exc}")
-        unknown = set(loaded) - set(_DEFAULTS) - set(_SIM_FIELDS)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{option}: cannot read {path}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{option}: {path} must hold a JSON object")
+        unknown = set(loaded) - set(keys)
         if unknown:
-            raise ConfigError(f"config: unknown key(s) {sorted(unknown)}")
-        settings.update(loaded)
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
+            raise ConfigError(f"{option}: unknown key(s) {sorted(unknown)}")
+        settings.update(_checked(f"{option}: ", loaded))
+    settings.update(_checked("", {k: v for k, v in vars(args).items()
+                                  if k in _SETTINGS and v is not None}))
     return settings
 
 
-def params_from_args(args):
-    s = _effective_settings(args)
-    rate = s["arrival_rate"]
-    if rate is None:
-        rate = s["traffic"] / (s["preamble_len"] + s["payload_len"])
+def _params(s):
+    """ProtocolParams from settings; without an arrival_rate the rate is
+    traffic per N + M symbols."""
+    fields = {k: s[k] for k in _PARAM_FIELDS}
     try:
-        params = ProtocolParams(
-            preamble_len=s["preamble_len"],
-            payload_len=s["payload_len"],
-            pool_size=s["pool_size"],
-            feedback_len=s["feedback_len"],
-            arrival_rate=rate,
-            p_md=s["p_md"],
-            p_fa=s["p_fa"],
-        )
-    except ValueError as exc:
+        if fields["arrival_rate"] is not None:
+            return ProtocolParams(**fields)
+        # validate N and M before dividing by N + M
+        return ProtocolParams(**{**fields, "arrival_rate": 0.0}) \
+            .with_traffic(s["traffic"])
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    return params
+
+
+def _sim_config(s):
+    return SimConfig(params=_params(s), scheme=Scheme(s["scheme"]),
+                     mode=Mode(s["mode"]), n_sessions=s["n_sessions"],
+                     warmup_sessions=s["warmup_sessions"], seed=s["seed"])
 
 
 def params_to_dict(params):
@@ -229,39 +269,6 @@ def analytic_point(params):
 # ---------------------------------------------------------------------------
 # sweep execution
 
-def build_preset(name, args):
-    """Figure-reproduction sweep presets."""
-    base_params = ProtocolParams(preamble_len=31, payload_len=256,
-                                 pool_size=310, feedback_len=4.0,
-                                 arrival_rate=1.0 / 287.0,
-                                 p_md=0.01, p_fa=0.01)
-    if name == "fig3":
-        swept, grid = "lambda_T", tuple(round(0.1 * i, 10) for i in range(1, 21))
-    elif name == "fig4":
-        swept, grid = "L", tuple(31 * i for i in range(1, 21))
-    elif name == "fig5":
-        base_params = replace(base_params, arrival_rate=1.0 / 200.0)
-        swept, grid = "M", tuple(32 * i for i in range(1, 21))
-    elif name == "fig6":
-        swept, grid = "p_err", tuple(round(0.005 * i, 10) for i in range(1, 21))
-    else:
-        raise ConfigError(f"preset: unknown preset {name!r}")
-    base = SimConfig(params=base_params,
-                     n_sessions=args.n_sessions,
-                     warmup_sessions=args.warmup,
-                     seed=args.seeds[0])
-    return SweepSpec(base=base, swept_variable=swept, grid=grid,
-                     replicate_seeds=tuple(args.seeds))
-
-
-def _run_sim_task(task):
-    """One (grid point, scheme, seed) simulation; top level for pickling."""
-    cfg_params, scheme, mode, n_sessions, warmup, seed = task
-    cfg = SimConfig(params=cfg_params, scheme=scheme, mode=mode,
-                    n_sessions=n_sessions, warmup_sessions=warmup, seed=seed)
-    return estimate_throughput(cfg)
-
-
 def run_sweep(spec, workers=1):
     """Evaluate a sweep: analytic values plus simulated estimates.
 
@@ -273,47 +280,33 @@ def run_sweep(spec, workers=1):
 
     schemes = sorted({_SCHEME_FOR_METRIC[m] for m in spec.outputs},
                      key=lambda s: s.value)
-    tasks = []
-    keys = []
-    for gi, params in enumerate(point_params):
-        for scheme in schemes:
-            for si, seed in enumerate(spec.replicate_seeds):
-                tasks.append((params, scheme, spec.base.mode,
-                              spec.base.n_sessions, spec.base.warmup_sessions,
-                              derive_seed(seed, gi, schemes.index(scheme))))
-                keys.append((gi, scheme, si))
+    tasks = {(gi, scheme, si): replace(spec.base, params=params, scheme=scheme,
+                                       seed=derive_seed(seed, gi, k))
+             for gi, params in enumerate(point_params)
+             for k, scheme in enumerate(schemes)
+             for si, seed in enumerate(spec.replicate_seeds)}
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(_run_sim_task, tasks))
+            estimates = list(pool.map(estimate_throughput, tasks.values()))
     else:
-        estimates = [_run_sim_task(t) for t in tasks]
-    by_key = dict(zip(keys, estimates))
+        estimates = [estimate_throughput(t) for t in tasks.values()]
+    by_key = dict(zip(tasks, estimates))
 
     rows = []
     for gi, (value, params) in enumerate(zip(spec.grid, point_params)):
         point = analytic_point(params)
         t = params.txn_len
         for metric in spec.outputs:
-            rows.append({
-                "sweep_var": spec.swept_variable, "value": float(value),
-                "metric": metric, "source": "analytic",
-                "estimate": point[metric], "std_error": 0.0,
-                "sessions": 0, "seed": None,
-            })
+            rows.append(_row(spec.swept_variable, value, metric, "analytic",
+                             point[metric]))
             for si, seed in enumerate(spec.replicate_seeds):
                 est = by_key[(gi, _SCHEME_FOR_METRIC[metric], si)]
+                val, se = t * est.mean_throughput, t * est.std_error
                 if metric == "d_bar_ratio":
                     val, se = est.mean_detected / params.preamble_len, None
-                else:
-                    val = t * est.mean_throughput
-                    se = t * est.std_error
-                rows.append({
-                    "sweep_var": spec.swept_variable, "value": float(value),
-                    "metric": metric, "source": "sim",
-                    "estimate": val, "std_error": se,
-                    "sessions": est.sessions_run, "seed": seed,
-                })
+                rows.append(_row(spec.swept_variable, value, metric, "sim",
+                                 val, se, est.sessions_run, seed))
     return rows
 
 
@@ -321,105 +314,62 @@ def run_sweep(spec, workers=1):
 # subcommands
 
 def _cmd_analytic(args):
-    params = params_from_args(args)
+    params = _params(_settings(args))
     point = analytic_point(params)
     for key, val in point.items():
         print(f"{key} = {val:.10g}")
     if args.output:
-        rows = [{"sweep_var": "lambda_T", "value": params.traffic_intensity,
-                 "metric": m, "source": "analytic", "estimate": point[m],
-                 "std_error": 0.0, "sessions": 0, "seed": None}
-                for m in METRICS]
+        rows = [_row("lambda_T", params.traffic_intensity, m, "analytic",
+                     point[m]) for m in METRICS]
         emit_results(rows, args.output)
         write_provenance(args.output, params_to_dict(params))
     return 0
 
 
 def _cmd_simulate(args):
-    params = params_from_args(args)
-    cfg = SimConfig(params=params, scheme=Scheme(args.scheme),
-                    mode=Mode(args.mode), n_sessions=args.n_sessions,
-                    warmup_sessions=args.warmup, seed=args.seed)
+    s = _settings(args)
+    cfg = _sim_config(s)
     est = estimate_throughput(cfg)
-    t = params.txn_len
+    t = cfg.params.txn_len
     print(f"normalized_throughput = {t * est.mean_throughput:.6g} "
           f"+/- {t * est.std_error:.3g}")
     print(f"mean_active = {est.mean_active:.6g}")
     print(f"mean_detected = {est.mean_detected:.6g}")
     print(f"mean_session_len = {est.mean_session_len:.6g}")
     if args.output:
-        metric = {"cra1": "eta1", "cra2": "eta2", "maloha": "eta_ma"}[args.scheme]
-        rows = [{"sweep_var": "lambda_T", "value": params.traffic_intensity,
-                 "metric": metric, "source": "sim",
-                 "estimate": t * est.mean_throughput,
-                 "std_error": t * est.std_error,
-                 "sessions": est.sessions_run, "seed": args.seed}]
+        metric = {"cra1": "eta1", "cra2": "eta2",
+                  "maloha": "eta_ma"}[cfg.scheme.value]
+        rows = [_row("lambda_T", cfg.params.traffic_intensity, metric, "sim",
+                     t * est.mean_throughput, t * est.std_error,
+                     est.sessions_run, cfg.seed)]
         emit_results(rows, args.output)
-        write_provenance(args.output, {**params_to_dict(params),
-                                       "scheme": args.scheme,
-                                       "mode": args.mode,
-                                       "n_sessions": args.n_sessions,
-                                       "warmup_sessions": args.warmup,
-                                       "seed": args.seed})
+        # cfg.params, not the settings: MC-ALOHA runs with L = N
+        write_provenance(args.output, {**params_to_dict(cfg.params),
+                                       **{k: s[k] for k in _SIM_KEYS}})
     return 0
-
-
-def _load_sweep_spec(path, args):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"spec: cannot read {path}: {exc}")
-    s = {k: _DEFAULTS[k] for k in _PARAM_FIELDS}
-    s.update({k: raw[k] for k in _PARAM_FIELDS if k in raw})
-    if s["arrival_rate"] is None:
-        s["arrival_rate"] = (raw.get("traffic", _DEFAULTS["traffic"])
-                             / (s["preamble_len"] + s["payload_len"]))
-    try:
-        params = ProtocolParams(**s)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"spec: {exc}") from exc
-    base = SimConfig(params=params,
-                     n_sessions=raw.get("n_sessions", args.n_sessions),
-                     warmup_sessions=raw.get("warmup_sessions", args.warmup),
-                     seed=raw.get("seed", args.seeds[0]))
-    return SweepSpec(base=base,
-                     swept_variable=raw.get("swept_variable", "lambda_T"),
-                     grid=tuple(raw.get("grid", ())),
-                     outputs=tuple(raw.get("outputs", METRICS)),
-                     replicate_seeds=tuple(raw.get("replicate_seeds",
-                                                   args.seeds)))
 
 
 def _cmd_sweep(args):
     if (args.preset is None) == (args.spec is None):
         raise ConfigError("sweep: give exactly one of --preset or --spec")
-    if not args.seeds:
-        raise ConfigError("seeds: give at least one replicate seed")
-    if args.preset:
-        spec = build_preset(args.preset, args)
-    else:
-        spec = _load_sweep_spec(args.spec, args)
+    s = _settings(args)
+    spec = SweepSpec(base=_sim_config(s), swept_variable=s["swept_variable"],
+                     grid=tuple(s["grid"]), outputs=tuple(s["outputs"]),
+                     replicate_seeds=tuple(s["replicate_seeds"]))
     rows = run_sweep(spec, workers=_workers(args))
     emit_results(rows, args.output)
-    write_provenance(args.output, {
-        **params_to_dict(spec.base.params),
-        "swept_variable": spec.swept_variable,
-        "grid": list(spec.grid),
-        "outputs": list(spec.outputs),
-        "replicate_seeds": list(spec.replicate_seeds),
-        "n_sessions": spec.base.n_sessions,
-        "warmup_sessions": spec.base.warmup_sessions,
-    })
+    write_provenance(args.output, {**params_to_dict(spec.base.params),
+                                   **{k: s[k] for k in _SWEEP_KEYS}})
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
 
 def _cmd_signal(args):
-    snrs = args.snr
+    if not args.snr:
+        raise ConfigError("snr: give at least one SNR value")
     pool = signals.gen_pool(args.pool_symbols, args.pool_size, args.seed)
     rows = []
-    for i, snr in enumerate(snrs):
+    for i, snr in enumerate(args.snr):
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, i]))
         scene = signals.SparseScene(support=(0,),
                                     coefficients=np.array([math.sqrt(snr)],
@@ -429,18 +379,12 @@ def _cmd_signal(args):
         fa = signals.ml_fa_trial(pool, scene, 1, snr, rng, args.trials)
         ref = analytic.detection_error_bounds(
             analytic.ErrorBoundInputs.power_controlled(snr, 1, args.pool_size))[0]
-        se_md = math.sqrt(max(md * (1 - md), 1e-12) / args.trials)
-        se_fa = math.sqrt(max(fa * (1 - fa), 1e-12) / args.trials)
         print(f"snr={snr:g}: md={md:.6g} fa={fa:.6g} q_ref={ref:.6g}")
-        rows.append({"sweep_var": "snr", "value": float(snr), "metric": "ml_md",
-                     "source": "sim", "estimate": md, "std_error": se_md,
-                     "sessions": args.trials, "seed": args.seed})
-        rows.append({"sweep_var": "snr", "value": float(snr), "metric": "ml_fa",
-                     "source": "sim", "estimate": fa, "std_error": se_fa,
-                     "sessions": args.trials, "seed": args.seed})
-        rows.append({"sweep_var": "snr", "value": float(snr), "metric": "ml_md",
-                     "source": "analytic", "estimate": ref, "std_error": 0.0,
-                     "sessions": 0, "seed": None})
+        rows += [_row("snr", snr, m, "sim", p,
+                      math.sqrt(max(p * (1 - p), 1e-12) / args.trials),
+                      args.trials, args.seed)
+                 for m, p in (("ml_md", md), ("ml_fa", fa))]
+        rows.append(_row("snr", snr, "ml_md", "analytic", ref))
     if args.spark_checks:
         small = [signals.spark_bruteforce(signals.gen_pool(4, 8, args.seed + j))
                  for j in range(args.spark_checks)]
@@ -448,19 +392,17 @@ def _cmd_signal(args):
               f"min={min(small)} max={max(small)}")
     if args.output:
         emit_results(rows, args.output)
-        write_provenance(args.output, {"snr": list(snrs),
-                                       "trials": args.trials,
-                                       "pool_symbols": args.pool_symbols,
-                                       "pool_size": args.pool_size,
-                                       "seed": args.seed,
-                                       "spark_checks": args.spark_checks})
+        write_provenance(args.output, {k: getattr(args, k) for k in (
+            "snr", "trials", "pool_symbols", "pool_size", "seed",
+            "spark_checks")})
     return 0
 
 
 def _cmd_stability(args):
-    params = params_from_args(args)
+    s = _settings(args)
+    params = _params(s)
     rows = []
-    for seed in args.seeds:
+    for seed in s["replicate_seeds"]:
         cfg = SimConfig(params=params, scheme=Scheme.CRA2,
                         mode=Mode.FAST_RETRIAL, n_sessions=args.horizon,
                         warmup_sessions=0, seed=seed)
@@ -468,44 +410,58 @@ def _cmd_stability(args):
                                   initial_backlog=args.initial_backlog,
                                   stop_backlog=args.stop_backlog)
         print(f"seed {seed}: {traj.size} sessions, final backlog {traj[-1]}")
-        rows.extend({"sweep_var": "session", "value": float(t),
-                     "metric": "backlog", "source": "sim",
-                     "estimate": float(z), "std_error": None,
-                     "sessions": traj.size, "seed": seed}
-                    for t, z in enumerate(traj))
+        rows.extend(_row("session", t, "backlog", "sim", float(z), None,
+                         traj.size, seed) for t, z in enumerate(traj))
     if args.output:
         emit_results(rows, args.output)
-        write_provenance(args.output, {**params_to_dict(params),
-                                       "horizon": args.horizon,
-                                       "initial_backlog": args.initial_backlog,
-                                       "stop_backlog": args.stop_backlog,
-                                       "seeds": list(args.seeds)})
+        write_provenance(args.output, {
+            **params_to_dict(params), "seeds": s["replicate_seeds"],
+            **{k: getattr(args, k)
+               for k in ("horizon", "initial_backlog", "stop_backlog")}})
     return 0
 
 
 # ---------------------------------------------------------------------------
 
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v != ""]
-
-
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v != ""]
+def _list_of(kind):
+    """Argparse type: comma-separated values of one kind, "" skipped."""
+    def parse(text):
+        return [kind(v) for v in text.split(",") if v != ""]
+    parse.__name__ = f"{kind.__name__} list"   # named in argparse errors
+    return parse
 
 
 def _workers(args):
     """Worker count: --workers, else the CRA_WORKERS environment variable,
     else 1."""
-    if args.workers is not None:
-        return args.workers
-    text = os.environ.get("CRA_WORKERS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"CRA_WORKERS: not an integer: {text!r}") from None
+    workers = args.workers
+    if workers is None:
+        text = os.environ.get("CRA_WORKERS", "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ConfigError(f"CRA_WORKERS: not an integer: {text!r}") from None
+    if workers < 1:
+        raise ConfigError(f"workers: must be >= 1, got {workers}")
+    return workers
+
+
+_PARAM_HELP = {"arrival_rate": "new users per symbol (overrides --traffic)",
+               "traffic": "normalized load: arrivals per (N + M) symbols"}
+
+
+def _add_param_flags(parser):
+    g = parser.add_argument_group("protocol parameters")
+    g.add_argument("--config", help="JSON file with flat key-value settings; "
+                                    "flags override file values")
+    for key in (*_PARAM_FIELDS, "traffic"):
+        g.add_argument("--" + key.replace("_", "-"), type=_SETTINGS[key][1],
+                       help=_PARAM_HELP.get(key))
 
 
 def build_parser():
+    # Flags that set a _SETTINGS key have no argparse default, so a flag
+    # not given leaves the file, preset or default value in force.
     parser = argparse.ArgumentParser(
         prog="cra",
         description="Throughput models and Monte Carlo simulation for "
@@ -519,29 +475,28 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="Monte Carlo run for one scheme")
     _add_param_flags(p)
-    p.add_argument("--scheme", choices=["cra1", "cra2", "maloha"],
-                   default="cra2")
-    p.add_argument("--mode", choices=["drop", "fast_retrial"], default="drop")
-    p.add_argument("--n-sessions", type=int, default=100_000)
-    p.add_argument("--warmup", type=int, default=1_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--scheme", choices=[s.value for s in Scheme])
+    p.add_argument("--mode", choices=[m.value for m in Mode])
+    p.add_argument("--n-sessions", type=int)
+    p.add_argument("--warmup", type=int, dest="warmup_sessions")
+    p.add_argument("--seed", type=int)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="figure presets or custom sweeps")
-    p.add_argument("--preset", choices=["fig3", "fig4", "fig5", "fig6"])
+    p.add_argument("--preset", choices=list(_PRESETS))
     p.add_argument("--spec", help="JSON sweep specification")
     p.add_argument("--output", required=True)
-    p.add_argument("--n-sessions", type=int, default=100_000)
-    p.add_argument("--warmup", type=int, default=1_000)
-    p.add_argument("--seeds", type=_int_list, default=[0],
+    p.add_argument("--n-sessions", type=int)
+    p.add_argument("--warmup", type=int, dest="warmup_sessions")
+    p.add_argument("--seeds", type=_list_of(int), dest="replicate_seeds",
                    help="comma-separated replicate seeds")
     p.add_argument("--workers", type=int,
                    help="worker processes (default: CRA_WORKERS or 1)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("signal", help="pairwise ML error and spark checks")
-    p.add_argument("--snr", type=_float_list, default=[0.0, 1.0, 4.0, 16.0])
+    p.add_argument("--snr", type=_list_of(float), default=[0.0, 1.0, 4.0, 16.0])
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--pool-symbols", type=int, default=31)
     p.add_argument("--pool-size", type=int, default=310)
@@ -555,21 +510,18 @@ def build_parser():
     p.add_argument("--horizon", type=int, default=10_000)
     p.add_argument("--initial-backlog", type=int, default=0)
     p.add_argument("--stop-backlog", type=int, default=None)
-    p.add_argument("--seeds", type=_int_list, default=[0])
+    p.add_argument("--seeds", type=_list_of(int), dest="replicate_seeds")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_stability)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    # ConfigError is a ValueError; JSON integers beyond float range overflow
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,15 +22,15 @@ def lambert_w0(y):
     """Principal branch W0 of the Lambert W function for real y >= -1/e.
 
     Solves w * exp(w) = y with w >= -1.  Arguments slightly below -1/e
-    (within 1e-12) are clamped to the branch point; anything lower raises
-    ValueError, which callers use as the signal that no real steady state
-    exists.
+    (within 1e-12) are clamped to the branch point; anything lower, and NaN,
+    raises ValueError, which callers use as the signal that no real steady
+    state exists.
 
     Uses Halley's iteration seeded by a series approximation near the
     branch point and a log-based guess for large arguments.
     """
-    if y < -INV_E - _DOMAIN_SLACK:
-        raise ValueError(f"lambert_w0: argument {y} below branch point -1/e")
+    if not y >= -INV_E - _DOMAIN_SLACK:   # also true for NaN
+        raise ValueError(f"lambert_w0: argument {y} outside [-1/e, inf)")
     y = max(y, -INV_E)
 
     if y == 0.0:

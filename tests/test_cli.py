@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cra import cli
 from cra.cli import (
     ConfigError,
     METRICS,
     SweepSpec,
     apply_sweep_value,
-    build_preset,
     derive_seed,
     emit_results,
     main,
@@ -16,6 +19,11 @@ from cra.cli import (
 )
 from cra.analytic import ProtocolParams
 from cra.sim import SimConfig
+
+TINY_PARAMS = {"preamble_len": 8, "payload_len": 16, "pool_size": 24}
+CONFIG_KEYS = ("preamble_len", "payload_len", "pool_size", "feedback_len",
+               "arrival_rate", "traffic", "p_md", "p_fa", "scheme", "mode",
+               "n_sessions", "warmup_sessions", "seed")
 
 
 def tiny_spec_file(tmp_path, **over):
@@ -139,6 +147,8 @@ class TestCommands:
         ("--traffic", "nan", "arrival_rate"),
         ("--traffic", "inf", "arrival_rate"),
         ("--feedback-len", "nan", "feedback_len"),
+        # finite, but the closed forms overflow to a NaN Lambert argument
+        ("--arrival-rate", "1e308", "lambert_w0"),
     ])
     def test_analytic_non_finite_params(self, capsys, flag, value, field):
         assert main(["analytic", flag, value]) == 1
@@ -150,11 +160,25 @@ class TestCommands:
         (["signal", "--trials", "0"], None, "trials"),
         (["sweep", "--preset", "fig3", "--seeds", ","], None, "seeds"),
         (["sweep", "--preset", "fig3"], "abc", "CRA_WORKERS"),
+        # a dict after --spec updates the tiny spec; a list is the whole file
+        (["sweep", "--spec", {"grid": ["a", "b"]}], None, "grid"),
+        (["sweep", "--spec", {"n_sessions": "abc"}], None, "n_sessions"),
+        (["sweep", "--spec", [1, 2]], None, "JSON object"),
+        (["sweep", "--spec", {"n_sesions": 400}], None, "n_sesions"),
+        (["sweep", "--preset", "fig3", "--workers", "0"], None, "workers"),
+        (["stability", "--seeds", ",", "--horizon", "10"], None, "seeds"),
+        (["signal", "--snr", ","], None, "snr"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
                                       argv, env, what):
         if env is not None:
             monkeypatch.setenv("CRA_WORKERS", env)
+        if isinstance(argv[-1], dict):
+            argv = argv[:-1] + [str(tiny_spec_file(tmp_path, **argv[-1]))]
+        elif isinstance(argv[-1], list):
+            path = tmp_path / "list.json"
+            path.write_text(json.dumps(argv[-1]))
+            argv = argv[:-1] + [str(path)]
         if argv[0] == "sweep":
             argv = argv + ["--output", str(tmp_path / "o.csv"),
                            "--n-sessions", "20", "--warmup", "2"]
@@ -180,6 +204,34 @@ class TestCommands:
                      "--traffic", "1.0"]) == 0
         # flag wins over file: load 1.0 at these sizes
         assert "mean_active" in capsys.readouterr().out
+
+    def test_config_sets_scheme_and_sessions(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_PARAMS, "scheme": "cra1",
+                                   "n_sessions": 7, "warmup_sessions": 1}))
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(cfg),
+                     "--output", str(out)]) == 0
+        [row] = read_results(str(out))
+        assert row["metric"] == "eta1" and row["sessions"] == 7
+        prov = json.loads((tmp_path / "sim.csv.provenance.json").read_text())
+        assert prov["scheme"] == "cra1" and prov["n_sessions"] == 7
+
+    def test_flag_overrides_spec_sessions(self, tmp_path, capsys):
+        spec = tiny_spec_file(tmp_path)   # n_sessions 400
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--spec", str(spec), "--output", str(out),
+                     "--n-sessions", "120", "--warmup", "10"]) == 0
+        sim = [r for r in read_results(str(out)) if r["source"] == "sim"]
+        assert sim and all(r["sessions"] == 120 for r in sim)
+
+    def test_maloha_provenance_records_pool_that_ran(self, tmp_path, capsys):
+        out = tmp_path / "ma.csv"
+        assert main(["simulate", "--scheme", "maloha", "--pool-size", "500",
+                     "--n-sessions", "200", "--warmup", "10",
+                     "--output", str(out)]) == 0
+        prov = json.loads((tmp_path / "ma.csv.provenance.json").read_text())
+        assert prov["pool_size"] == prov["preamble_len"] == 31
 
     def test_config_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -243,3 +295,34 @@ class TestCommands:
         main(["analytic", "--traffic", "1.0", "--output", str(out1)])
         main(["analytic", "--traffic", "1.0", "--output", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+JSON_VALUES = st.none() | st.booleans() | st.integers() | st.floats() \
+    | st.just(10 ** 400) \
+    | st.sampled_from(["cra1", "maloha", "drop", "fast_retrial", "x", ""]) \
+    | st.lists(st.integers() | st.floats(), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(CONFIG_KEYS + ("bogus",)),
+                       JSON_VALUES))
+def test_config_file_fuzz(tmp_path_factory, loaded):
+    """Any JSON object over the config keys resolves to a valid config or a
+    ConfigError, and `analytic` exits 0 or 1 with one error line."""
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(loaded))
+    args = cli.build_parser().parse_args(["analytic", "--config", str(path)])
+    try:
+        valid = isinstance(cli._params(cli._settings(args)), ProtocolParams)
+    except ConfigError:
+        valid = False
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["analytic", "--config", str(path)])
+    if rc == 0:
+        assert valid and err.getvalue() == ""
+    else:
+        assert rc == 1
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1

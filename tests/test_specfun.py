@@ -48,6 +48,10 @@ class TestLambertW0:
         with pytest.raises(ValueError):
             lambert_w0(-INV_E - 1e-9)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            lambert_w0(math.nan)
+
     def test_clamp_just_below_branch(self):
         assert lambert_w0(-INV_E - 1e-13) == pytest.approx(-1.0, abs=1e-6)
 
