@@ -404,8 +404,7 @@ def _cmd_stability(args):
     rows = []
     for seed in s["replicate_seeds"]:
         cfg = SimConfig(params=params, scheme=Scheme.CRA2,
-                        mode=Mode.FAST_RETRIAL, n_sessions=args.horizon,
-                        warmup_sessions=0, seed=seed)
+                        mode=Mode.FAST_RETRIAL, warmup_sessions=0, seed=seed)
         traj = simulate_stability(cfg, args.horizon,
                                   initial_backlog=args.initial_backlog,
                                   stop_backlog=args.stop_backlog)

@@ -7,6 +7,11 @@ singleton preambles.  Two operating modes: ``drop`` (unsuccessful users
 leave) and ``fast_retrial`` (they re-enter the next session with a fresh
 preamble draw).
 
+A session with fewer than 30 active users per preamble draws one pick per
+user and counts them; a heavier one (a deep fast-retrial backlog) draws its
+per-preamble counts as one multinomial, which has the same law and costs
+O(L) instead of O(K).
+
 CRA-1 and multichannel ALOHA sessions in drop mode are i.i.d.: their length
 is fixed, so every session's active count is Poisson with the same mean and
 nothing carries over.  ``estimate_throughput`` draws those sessions in
@@ -32,6 +37,14 @@ from .analytic import ProtocolParams
 # (session, preamble) occupancy array holds about this many counts, which
 # bounds its memory whatever n_sessions is.
 _BLOCK_CELLS = 1 << 20
+
+# A session with at least this many active users per preamble draws its
+# occupancy counts with one multinomial instead of one pick per user.  Each
+# of the multinomial's binomial steps then has n*p >= 30, where numpy
+# switches to the BTPE sampler, whose cost does not grow with n: the draw
+# costs O(L) whatever K is.  Lighter sessions keep one pick per user, so
+# their random stream (every drop-mode sweep) is unchanged.
+_HEAVY_USERS_PER_PREAMBLE = 30
 
 __all__ = [
     "Scheme",
@@ -118,15 +131,23 @@ def stage1_outcome(n_active, params, rng, picks=None):
     Returns (singleton, collided, detected_singleton, detected_collided,
     false_slots).  ``picks`` overrides the uniform preamble choices (used by
     tests to force collision patterns).
+
+    The per-preamble counts are drawn one of two ways, with the same law.  A
+    session with fewer than ``_HEAVY_USERS_PER_PREAMBLE`` (30) users per
+    preamble draws one uniform pick per user and counts them with
+    ``bincount``; a heavier one draws the counts directly as one
+    Multinomial(K; 1/L, ..., 1/L), whose cost does not grow with K.
     """
     L = params.pool_size
-    if picks is None:
-        picks = rng.integers(0, L, size=n_active)
-    else:
+    if picks is not None:
         picks = np.asarray(picks, dtype=np.int64)
         if picks.size != n_active:
             raise ValueError("picks must have one entry per active user")
-    counts = np.bincount(picks, minlength=L)
+        counts = np.bincount(picks, minlength=L)
+    elif n_active >= _HEAVY_USERS_PER_PREAMBLE * L:
+        counts = rng.multinomial(n_active, np.full(L, 1.0 / L))
+    else:
+        counts = np.bincount(rng.integers(0, L, size=n_active), minlength=L)
     occupied = int(np.count_nonzero(counts))
     singleton = int(np.count_nonzero(counts == 1))
     collided = occupied - singleton
@@ -317,10 +338,17 @@ def simulate_stability(cfg, horizon, initial_backlog=0, stop_backlog=None):
     fast retrial; no packets are dropped.
 
     Stops early once the backlog exceeds ``stop_backlog`` (trajectory is
-    truncated there), which keeps diverging runs cheap.
+    truncated there), which keeps diverging runs cheap.  ``horizon`` sets the
+    number of sessions; ``cfg.n_sessions`` is not used.
     """
     if cfg.mode is not Mode.FAST_RETRIAL:
         raise ValueError("simulate_stability requires fast_retrial mode")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if initial_backlog < 0:
+        raise ValueError("initial_backlog must be >= 0")
+    if stop_backlog is not None and stop_backlog < 0:
+        raise ValueError("stop_backlog must be >= 0 or None")
     chain = SessionChain(cfg, initial_backlog=initial_backlog)
     traj = []
     for _ in range(horizon):

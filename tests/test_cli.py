@@ -168,6 +168,13 @@ class TestCommands:
         (["sweep", "--preset", "fig3", "--workers", "0"], None, "workers"),
         (["stability", "--seeds", ",", "--horizon", "10"], None, "seeds"),
         (["signal", "--snr", ","], None, "snr"),
+        (["stability", "--initial-backlog", "-1", "--traffic", "1",
+          "--horizon", "3", "--seeds", "0"], None, "initial_backlog"),
+        (["stability", "--initial-backlog", "-5", "--horizon", "3",
+          "--seeds", "0"], None, "initial_backlog"),
+        (["stability", "--stop-backlog", "-1", "--horizon", "3",
+          "--seeds", "0"], None, "stop_backlog"),
+        (["stability", "--horizon", "0", "--seeds", "0"], None, "horizon"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
                                       argv, env, what):

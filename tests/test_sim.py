@@ -9,6 +9,7 @@ from cra.analytic import ProtocolParams, backlog_drift, mean_detected_split, \
     prob_singleton, throughput_cra1, throughput_maloha
 from cra.sim import (
     _BLOCK_CELLS,
+    _HEAVY_USERS_PER_PREAMBLE,
     Mode,
     Scheme,
     SessionChain,
@@ -47,6 +48,14 @@ class TestStage1Outcome:
         s, c, d1, d2, d3 = stage1_outcome(0, p, rng)
         assert (s, c, d1, d2, d3) == (0, 0, 0, 0, p.pool_size)
 
+    def test_forced_picks_honoured_when_heavy(self):
+        # K >= 30 L would take the multinomial draw; given picks win
+        p = perfect_params()
+        k = _HEAVY_USERS_PER_PREAMBLE * p.pool_size
+        rng = np.random.default_rng(0)
+        s, c, d1, d2, d3 = stage1_outcome(k, p, rng, picks=[2] * k)
+        assert (s, c, d1, d2, d3) == (0, 1, 0, 1, 0)
+
     def test_pick_length_mismatch(self):
         with pytest.raises(ValueError):
             stage1_outcome(2, perfect_params(), np.random.default_rng(0),
@@ -64,8 +73,16 @@ class TestStage1Outcome:
             # a singleton preamble holds 1 user, a collided one >= 2
             assert s + 2 * c <= k
 
-    @pytest.mark.parametrize("k", [1, 5, 20, 100])
-    def test_conditional_means_match_lemma(self, fig_params, k):
+    @pytest.mark.parametrize(
+        "k, heavy", [(1, False), (5, False), (20, False), (100, False),
+                     (5, True), (100, True)],
+        ids=["1", "5", "20", "100", "multinomial-5", "multinomial-100"])
+    def test_conditional_means_match_lemma(self, fig_params, monkeypatch, k,
+                                           heavy):
+        if heavy:
+            # every K takes the multinomial draw, also where singletons
+            # are common enough for their mean to be tested
+            monkeypatch.setattr("cra.sim._HEAVY_USERS_PER_PREAMBLE", 0)
         rng = np.random.default_rng(100 + k)
         n = 100_000
         sums = np.zeros(3)
@@ -318,15 +335,16 @@ class TestStability:
 
     def test_overload_slope_matches_drift(self, fig_params):
         # deep in the saturated regime the trajectory climbs at the
-        # analytic drift rate
+        # analytic drift rate; from 50 000 (> 30 L) every session takes the
+        # multinomial occupancy draw
         p = fig_params.with_traffic(3.0)
         cfg = self.fast_cfg(p, seed=17)
-        start = 5_000
         horizon = 200
-        traj = simulate_stability(cfg, horizon, initial_backlog=start)
-        slope = (traj[-1] - traj[0]) / (horizon - 1)
-        drift = backlog_drift(start, p)
-        assert slope == pytest.approx(drift, rel=0.05)
+        for start in (5_000, 50_000):
+            traj = simulate_stability(cfg, horizon, initial_backlog=start)
+            slope = (traj[-1] - traj[0]) / (horizon - 1)
+            drift = backlog_drift(start, p)
+            assert slope == pytest.approx(drift, rel=0.05), start
 
     def test_stop_backlog_truncates(self, fig_params):
         p = fig_params.with_traffic(3.0)
