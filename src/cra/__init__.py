@@ -1,84 +1,15 @@
 """Throughput models and Monte Carlo simulation for two-stage compressive
 random access (CRA-1, CRA-2 and the multichannel ALOHA baseline)."""
 
-from .analytic import (
-    ErrorBoundInputs,
-    ProtocolParams,
-    SteadyState,
-    backlog_drift,
-    detection_error_bounds,
-    instability_threshold,
-    mean_active_cra2,
-    mean_detected_cra2,
-    mean_detected_split,
-    prob_singleton,
-    prob_unused,
-    steady_state_cra2,
-    support_error_prob,
-    throughput_cra1,
-    throughput_maloha,
-)
-from .signals import (
-    PreamblePool,
-    SparseScene,
-    gen_pool,
-    ml_fa_trial,
-    ml_md_trial,
-    ml_support_search,
-    mmv_identifiable,
-    received_stage1,
-    received_stage2,
-    spark_bruteforce,
-)
-from .sim import (
-    Mode,
-    Scheme,
-    SessionChain,
-    SessionTrace,
-    SimConfig,
-    ThroughputEstimate,
-    estimate_throughput,
-    simulate_stability,
-)
-from .specfun import lambert_w0, poisson_cdf, qfunc
+from . import analytic, signals, sim, specfun
 
-__all__ = [
-    "ErrorBoundInputs",
-    "ProtocolParams",
-    "SteadyState",
-    "backlog_drift",
-    "detection_error_bounds",
-    "instability_threshold",
-    "mean_active_cra2",
-    "mean_detected_cra2",
-    "mean_detected_split",
-    "prob_singleton",
-    "prob_unused",
-    "steady_state_cra2",
-    "support_error_prob",
-    "throughput_cra1",
-    "throughput_maloha",
-    "PreamblePool",
-    "SparseScene",
-    "gen_pool",
-    "ml_fa_trial",
-    "ml_md_trial",
-    "ml_support_search",
-    "mmv_identifiable",
-    "received_stage1",
-    "received_stage2",
-    "spark_bruteforce",
-    "Mode",
-    "Scheme",
-    "SessionChain",
-    "SessionTrace",
-    "SimConfig",
-    "ThroughputEstimate",
-    "estimate_throughput",
-    "simulate_stability",
-    "lambert_w0",
-    "poisson_cdf",
-    "qfunc",
-]
+# The package re-exports every module's public names except the session
+# internals, kept in sim.__all__ for tracing, and the branch-point constant.
+_exports = {name: getattr(module, name)
+            for module in (analytic, signals, sim, specfun)
+            for name in module.__all__
+            if name not in {"stage1_outcome", "run_session", "INV_E"}}
+globals().update(_exports)
+__all__ = list(_exports)
 
 __version__ = "0.1.0"

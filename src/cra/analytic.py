@@ -9,11 +9,15 @@ Covers the three schemes:
   length).
 
 All functions are pure; rates are in users (or packets) per unit symbol
-duration.
+duration.  The per-K forms (``prob_singleton``, ``prob_unused``,
+``mean_detected_split``, ``backlog_drift``) take a numpy array of active
+counts as well as a scalar.
 """
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .specfun import lambert_w0, poisson_cdf, qfunc
 
@@ -131,8 +135,10 @@ class ErrorBoundInputs:
             raise ValueError("need 1 <= len(active_snrs) < pool_size")
         if not self.virtual_snrs:
             raise ValueError("virtual_snrs must be nonempty")
-        if any(s < 0 for s in self.active_snrs + self.virtual_snrs):
-            raise ValueError("SNR values must be nonnegative")
+        # NaN compares False with everything, so test finiteness first
+        if not all(math.isfinite(s) and s >= 0
+                   for s in self.active_snrs + self.virtual_snrs):
+            raise ValueError("SNR values must be finite and nonnegative")
 
     @classmethod
     def power_controlled(cls, snr, active_count, pool_size):
@@ -146,9 +152,9 @@ class ErrorBoundInputs:
 
 def prob_singleton(n_active, pool_size):
     """Probability a given preamble is chosen by exactly one of K users."""
-    if n_active == 0:
-        return 0.0
-    return n_active / pool_size * (1.0 - 1.0 / pool_size) ** (n_active - 1)
+    # |K - 1| is K - 1 wherever the factor K is nonzero; at K = 0 it keeps
+    # a one-preamble pool from raising 0 ** -1
+    return n_active / pool_size * (1.0 - 1.0 / pool_size) ** abs(n_active - 1)
 
 
 def prob_unused(n_active, pool_size):
@@ -275,21 +281,20 @@ def backlog_drift(n_active, params):
 def instability_threshold(params, k_max=None):
     """Smallest K0 such that backlog_drift(K) > 0 for all K in [K0, k_max].
 
+    Evaluates the drift once over the array K = 0..k_max (default
+    10 * pool_size): K0 is one past the last K whose drift is nonpositive.
     Returns None if the drift is still nonpositive at k_max (no threshold
-    found in range).  The drift limit for large K is
-    arrival_rate * (overhead_len + payload_len * (1 - p_md) * pool_size) > 0,
-    so a finite threshold always exists for arrival_rate > 0.
+    found in range); k_max < 0 raises ValueError.  The drift limit for large
+    K is arrival_rate * (overhead_len + payload_len * (1 - p_md) * pool_size)
+    > 0, so a finite threshold always exists for arrival_rate > 0.
     """
     if k_max is None:
         k_max = 10 * params.pool_size
-    k0 = None
-    for k in range(0, k_max + 1):
-        if backlog_drift(k, params) > 0:
-            if k0 is None:
-                k0 = k
-        else:
-            k0 = None
-    return k0
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    stable = np.flatnonzero(backlog_drift(np.arange(k_max + 1), params) <= 0)
+    last = stable[-1] if stable.size else -1
+    return None if last == k_max else int(last) + 1
 
 
 def detection_error_bounds(inputs):

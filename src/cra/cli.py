@@ -367,6 +367,11 @@ def _cmd_sweep(args):
 def _cmd_signal(args):
     if not args.snr:
         raise ConfigError("snr: give at least one SNR value")
+    # NaN compares False with everything, so test finiteness first
+    if not all(math.isfinite(snr) and snr >= 0 for snr in args.snr):
+        raise ConfigError(f"snr: values must be finite and >= 0: {args.snr}")
+    if args.spark_checks < 0:
+        raise ConfigError(f"spark_checks: must be >= 0: {args.spark_checks}")
     pool = signals.gen_pool(args.pool_symbols, args.pool_size, args.seed)
     rows = []
     for i, snr in enumerate(args.snr):

@@ -1,7 +1,8 @@
 """Scalar special functions used by the closed-form throughput model.
 
-All functions are pure and operate on Python floats; they are safe to call
-from any number of threads.
+All functions are pure scalar wrappers of scipy and the math module: they
+take and return Python floats and are safe to call from any number of
+threads.
 """
 
 import math
@@ -14,8 +15,6 @@ __all__ = ["lambert_w0", "poisson_cdf", "qfunc", "INV_E"]
 INV_E = 1.0 / math.e
 
 _DOMAIN_SLACK = 1e-12
-_MAX_ITER = 50
-_REL_STEP_TOL = 1e-14
 
 
 def lambert_w0(y):
@@ -26,44 +25,15 @@ def lambert_w0(y):
     raises ValueError, which callers use as the signal that no real steady
     state exists.
 
-    Uses Halley's iteration seeded by a series approximation near the
-    branch point and a log-based guess for large arguments.
+    Evaluates scipy's principal branch (Corless et al., "On the Lambert W
+    function", 1996).  The branch point itself is answered here: scipy
+    returns NaN at exactly -1/e.
     """
     if not y >= -INV_E - _DOMAIN_SLACK:   # also true for NaN
         raise ValueError(f"lambert_w0: argument {y} outside [-1/e, inf)")
-    y = max(y, -INV_E)
-
-    if y == 0.0:
-        return 0.0
-
-    # 1 + e*y -> 0 at the branch point; the series in p = sqrt(2(1 + e*y))
-    # is both the seed and the answer very close to it, where Halley's
-    # correction degenerates (dw/dy -> inf).
-    p2 = 2.0 * (1.0 + math.e * y)
-    if p2 <= 0.0:
+    if y <= -INV_E:
         return -1.0
-    if p2 < 1e-4:
-        p = math.sqrt(p2)
-        return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p * p2
-
-    if y < 1.0:
-        p = math.sqrt(p2)
-        w = -1.0 + p - p * p / 3.0
-    else:
-        w = math.log(y)
-        if w > 1.0:
-            w -= math.log(w)
-
-    for _ in range(_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - y
-        wp1 = w + 1.0
-        # Halley step
-        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= step
-        if abs(step) <= _REL_STEP_TOL * max(1.0, abs(w)):
-            break
-    return w
+    return float(special.lambertw(y).real)
 
 
 def poisson_cdf(n, mu):

@@ -1,10 +1,11 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's own code paths: bisection instead of
-Halley, direct log-space summation instead of incomplete-gamma, exhaustive
-enumeration instead of closed forms, damped fixed-point iteration instead of
-Lambert W, a stationary solve of the session Markov chain instead of the
-simulator.
+scipy's Lambert W, direct log-space summation instead of incomplete-gamma,
+exhaustive enumeration instead of closed forms, damped fixed-point iteration
+instead of Lambert W, a stationary solve of the session Markov chain instead
+of the simulator, a per-K scan of scalar drift calls instead of the array
+threshold scan.
 """
 
 import itertools
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 from scipy import stats
+
+from cra.analytic import backlog_drift
 
 # largest Poisson tail mass exact_chain_means may cut off above K_max
 CHAIN_TAIL_TOL = 1e-12
@@ -71,8 +74,8 @@ def exact_occupancy_means(n_active, pool_size):
     return sum_b1 / total, sum_b / total
 
 
-def exact_chain_means(params):
-    """(E[K], E[D]) of the stationary CRA-2 drop-mode session chain.
+def _stationary_chain(params):
+    """Stationary law of the CRA-2 drop-mode session chain.
 
     The state is D, the detected-slot count of the previous session.  Given
     D, the active count is K ~ Poisson(lambda * (N + tau + M*D)); the K users
@@ -81,6 +84,10 @@ def exact_chain_means(params):
     D' = Bin(B, 1 - p_md) + Bin(L - B, p_fa).  K is truncated at K_max, the
     largest count whose Poisson upper tail at the largest mean is still at
     least ``CHAIN_TAIL_TOL``; the cut-off mass is asserted to be below it.
+
+    Returns (states, mu, p_k, pi): the states D = 0..L, the Poisson mean of
+    K in each state, the truncated law P(K | D) as rows over K = 0..K_max,
+    and the stationary law pi of D.
     """
     L = params.pool_size
     states = np.arange(L + 1)
@@ -116,7 +123,43 @@ def exact_chain_means(params):
     rhs = np.zeros(L + 1)
     rhs[-1] = 1.0
     pi = np.linalg.solve(system, rhs)
+    return states, mu, p_k, pi
+
+
+def exact_chain_means(params):
+    """(E[K], E[D]) of the stationary CRA-2 drop-mode session chain
+    (see ``_stationary_chain``)."""
+    states, mu, _, pi = _stationary_chain(params)
     return float(pi @ mu), float(pi @ states)
+
+
+def exact_chain_throughput(params):
+    """Long-run throughput E[successes] / E[session length] of the
+    stationary CRA-2 drop-mode session chain (see ``_stationary_chain``).
+
+    The next session's K has law pi . P(K | D), and a session with K users
+    books E[successes | K] = (1 - p_md) K (1 - 1/L)^(K-1) detected
+    singletons; a session with D detected slots lasts N + tau + M*D.
+    """
+    states, _, p_k, pi = _stationary_chain(params)
+    k = np.arange(p_k.shape[1])
+    successes = (1.0 - params.p_md) * k \
+        * (1.0 - 1.0 / params.pool_size) ** (k - 1)
+    mean_len = params.overhead_len + params.payload_len * float(pi @ states)
+    return float(pi @ p_k @ successes) / mean_len
+
+
+def threshold_scan(params, k_max):
+    """Smallest K0 with backlog_drift(K) > 0 on all of [K0, k_max], or None,
+    by one scalar drift call per K."""
+    k0 = None
+    for k in range(0, k_max + 1):
+        if backlog_drift(k, params) > 0:
+            if k0 is None:
+                k0 = k
+        else:
+            k0 = None
+    return k0
 
 
 def capped_success_moments(mean_active, pool_size, cap, p_md):

@@ -24,7 +24,8 @@ from cra.analytic import (
 )
 from cra.specfun import INV_E, lambert_w0, poisson_cdf, qfunc
 
-from helpers import exact_occupancy_means, fixed_point_mean_load
+from helpers import exact_occupancy_means, fixed_point_mean_load, \
+    threshold_scan
 
 
 def random_valid_params(rng):
@@ -76,6 +77,16 @@ class TestOccupancyProbs:
         assert prob_singleton(2, 2) == pytest.approx(0.5)
         # K=3, L=4: 27 of 64 assignments avoid a given preamble
         assert prob_unused(3, 4) == pytest.approx(27.0 / 64.0)
+
+    def test_array_of_k_matches_scalar_calls(self):
+        # numpy's pow may differ from Python's in the last bit
+        ks = np.arange(6)
+        for pool in range(1, 6):
+            assert prob_singleton(ks, pool).tolist() == pytest.approx(
+                [prob_singleton(k, pool) for k in range(6)], rel=1e-15)
+            assert prob_unused(ks, pool).tolist() == pytest.approx(
+                [prob_unused(k, pool) for k in range(6)], rel=1e-15)
+        assert prob_singleton(ks, 1).tolist() == [0, 1, 0, 0, 0, 0]
 
     def test_exact_means_all_small_instances(self):
         # E[B1] = L*alpha1 and E[B] = L*(1 - alpha2) hold exactly
@@ -302,6 +313,49 @@ class TestBacklogDrift:
         # at load 1 the drift is already positive everywhere
         assert instability_threshold(fig_params) == 0
 
+    def test_threshold_matches_reference_scan(self, fig_params):
+        rng = np.random.default_rng(7)
+        found = []
+        for _ in range(40):
+            p = replace(random_valid_params(rng),
+                        pool_size=int(rng.integers(2, 400)),
+                        payload_len=int(rng.integers(1, 512)))
+            p = p.with_traffic(float(rng.uniform(0.0, 1.2)))
+            k_max = int(rng.integers(0, 10 * p.pool_size + 1))
+            k0 = instability_threshold(p, k_max)
+            assert k0 == threshold_scan(p, k_max)
+            found.append(k0)
+        idle = replace(fig_params, arrival_rate=0.0)
+        assert instability_threshold(idle) is None
+        assert threshold_scan(idle, 10 * idle.pool_size) is None
+        assert None in found and 0 in found
+        assert any(type(k0) is int and k0 > 0 for k0 in found)
+
+    def test_negative_k_max_rejected(self, fig_params):
+        with pytest.raises(ValueError, match="k_max"):
+            instability_threshold(fig_params, k_max=-1)
+
+    def test_array_matches_scalar_calls(self):
+        # The terms are L times a probability, and the collided share
+        # L * (1 - a1 - a2) cancels at small K, so a one-ulp difference
+        # between numpy's and Python's pow shows there on the scale of L.
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            p = random_valid_params(rng)
+            L = p.pool_size
+            ks = np.concatenate([np.arange(4),
+                                 rng.integers(4, 10 * L + 1, 200)])
+            lam, M = p.arrival_rate, p.payload_len
+            drift_scale = lam * (p.overhead_len + M * L) + L
+            drifts = backlog_drift(ks, p)
+            splits = mean_detected_split(ks, p)
+            for i, k in enumerate(ks.tolist()):
+                assert drifts[i] == pytest.approx(
+                    backlog_drift(k, p), rel=1e-12, abs=1e-12 * drift_scale)
+                for arr, one in zip(splits, mean_detected_split(k, p)):
+                    assert arr[i] == pytest.approx(one, rel=1e-12,
+                                                   abs=1e-12 * L)
+
 
 class TestDetectionErrorBounds:
     def test_zero_snr(self):
@@ -338,6 +392,10 @@ class TestDetectionErrorBounds:
         with pytest.raises(ValueError):
             ErrorBoundInputs(active_snrs=(-1.0,), virtual_snrs=(1.0,),
                              pool_size=4)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ErrorBoundInputs(active_snrs=(1.0,), virtual_snrs=(bad,),
+                                 pool_size=4)
 
 
 class TestSupportErrorProb:

@@ -175,6 +175,11 @@ class TestCommands:
         (["stability", "--stop-backlog", "-1", "--horizon", "3",
           "--seeds", "0"], None, "stop_backlog"),
         (["stability", "--horizon", "0", "--seeds", "0"], None, "horizon"),
+        (["signal", "--snr", "nan", "--trials", "10"], None, "snr"),
+        (["signal", "--snr", "4,-1", "--trials", "10"], None, "snr"),
+        (["signal", "--snr", "inf", "--trials", "10"], None, "snr"),
+        (["signal", "--snr", "4", "--trials", "10", "--spark-checks", "-1"],
+         None, "spark_checks"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
                                       argv, env, what):
