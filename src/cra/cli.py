@@ -192,13 +192,18 @@ def _fits(value, kind):
 
 
 def _checked(where, given):
-    """The given settings, if each value is of its key's type."""
+    """The given settings, if each value is of its key's type and seeds are
+    not negative."""
     for key, value in given.items():
         default, kind = _SETTINGS[key]
         if not (value is None and default is None or _fits(value, kind)):
             what = ("a nonempty list, each " + _TYPE_NAMES[kind[0]]
                     if isinstance(kind, list) else _TYPE_NAMES[kind])
             raise ConfigError(f"{where}{key} must be {what}, got {value!r}")
+        # numpy's SeedSequence takes no negative seed
+        if key in ("seed", "replicate_seeds") \
+                and min(value if isinstance(value, list) else [value]) < 0:
+            raise ConfigError(f"{where}{key} must be >= 0, got {value!r}")
     return given
 
 
@@ -304,7 +309,8 @@ def run_sweep(spec, workers=1):
                 est = by_key[(gi, _SCHEME_FOR_METRIC[metric], si)]
                 val, se = t * est.mean_throughput, t * est.std_error
                 if metric == "d_bar_ratio":
-                    val, se = est.mean_detected / params.preamble_len, None
+                    n = params.preamble_len
+                    val, se = est.mean_detected / n, est.detected_std_error / n
                 rows.append(_row(spec.swept_variable, value, metric, "sim",
                                  val, se, est.sessions_run, seed))
     return rows
@@ -365,6 +371,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_signal(args):
+    _checked("", {"seed": args.seed})
     if not args.snr:
         raise ConfigError("snr: give at least one SNR value")
     # NaN compares False with everything, so test finiteness first

@@ -17,8 +17,13 @@ is fixed, so every session's active count is Poisson with the same mean and
 nothing carries over.  ``estimate_throughput`` draws those sessions in
 blocks of vector operations.  CRA-2 (whose arrivals depend on the previous
 session's length) and every scheme in fast retrial (whose backlog carries
-over) walk the sequential ``SessionChain``, which is also the per-session
-reference path the tests pin down.
+over) walk the session chain in one loop, ``_walk``, which
+``simulate_stability`` also runs.  Per session it makes one scalar Poisson
+draw and one ``stage1_outcome`` call; a light session's picks are a slice of
+a buffer of uniform preamble indices that one bulk draw refills when it runs
+out.  There is no separate per-session reference path: the tests pin the
+walk down through ``stage1_outcome`` with given picks and through
+degenerate runs that force the active count.
 
 Randomness comes from numpy's default PCG64 bit generator seeded through
 ``numpy.random.SeedSequence``; replicas parallelize by spawning child seeds,
@@ -46,15 +51,17 @@ _BLOCK_CELLS = 1 << 20
 # their random stream (every drop-mode sweep) is unchanged.
 _HEAVY_USERS_PER_PREAMBLE = 30
 
+# Picks drawn per refill of the session chain's pick buffer.  One bulk
+# ``integers`` call costs far less per pick than one call per session, and
+# 2^16 int64 entries (512 KiB) serve a few thousand light sessions.
+_PICK_BUFFER = 1 << 16
+
 __all__ = [
     "Scheme",
     "Mode",
     "SimConfig",
-    "SessionTrace",
     "ThroughputEstimate",
     "stage1_outcome",
-    "run_session",
-    "SessionChain",
     "estimate_throughput",
     "simulate_stability",
 ]
@@ -93,28 +100,11 @@ class SimConfig:
                 replace(self.params, pool_size=self.params.preamble_len))
 
 
-@dataclass
-class SessionTrace:
-    """Realized random outcome of one session."""
-
-    index: int
-    active: int            # K
-    occupied: int          # preambles chosen by >= 1 user
-    singleton: int         # preambles chosen by exactly 1 user
-    collided: int          # preambles chosen by >= 2 users
-    detected_singleton: int
-    detected_collided: int
-    false_slots: int
-    detected_total: int
-    session_len: float
-    successes: int
-    backlog: int = 0       # fast-retrial mode only
-
-
 @dataclass(frozen=True)
 class ThroughputEstimate:
     """Ratio estimator sum(successes)/sum(session length) with batch-means
-    standard error."""
+    standard error; ``detected_std_error`` is the batch-means standard error
+    of ``mean_detected``."""
 
     mean_throughput: float
     std_error: float
@@ -123,14 +113,16 @@ class ThroughputEstimate:
     mean_active: float
     mean_detected: float
     mean_session_len: float
+    detected_std_error: float
 
 
 def stage1_outcome(n_active, params, rng, picks=None):
     """One preamble round: occupancy counts and detection outcome given K.
 
     Returns (singleton, collided, detected_singleton, detected_collided,
-    false_slots).  ``picks`` overrides the uniform preamble choices (used by
-    tests to force collision patterns).
+    false_slots).  ``picks`` gives the users' preamble choices: the session
+    chain passes a slice of its pick buffer, and tests force collision
+    patterns with it.  Without ``picks`` the choices are drawn here.
 
     The per-preamble counts are drawn one of two ways, with the same law.  A
     session with fewer than ``_HEAVY_USERS_PER_PREAMBLE`` (30) users per
@@ -148,8 +140,8 @@ def stage1_outcome(n_active, params, rng, picks=None):
         counts = rng.multinomial(n_active, np.full(L, 1.0 / L))
     else:
         counts = np.bincount(rng.integers(0, L, size=n_active), minlength=L)
-    occupied = int(np.count_nonzero(counts))
-    singleton = int(np.count_nonzero(counts == 1))
+    free, singleton = np.bincount(counts, minlength=2)[:2].tolist()
+    occupied = L - free
     collided = occupied - singleton
 
     p_det = 1.0 - params.p_md
@@ -173,92 +165,83 @@ def _capped_successes(scheme, n_active, detected_singleton, params):
     return detected_singleton * (n_active <= cap)
 
 
-def run_session(cfg, rng, index, prev_len, backlog=0, forced_active=None,
-                picks=None):
-    """Run one session and return its trace.
+def _walk(cfg, horizon, backlog=0, stop_backlog=None):
+    """Walk the sequential session chain for up to ``horizon`` sessions.
 
-    ``prev_len`` is the previous session length (sets the Poisson arrival
-    mean); ``backlog`` holds fast-retrial re-entries.  ``forced_active`` and
-    ``picks`` pin the randomness down for unit tests.
+    Session t+1's arrival mean is the arrival rate times session t's length
+    (variable for CRA-2), and in fast retrial its active count adds the
+    users session t left unserved.  ``backlog`` holds the users waiting
+    before the first session.  The walk stops early once the backlog after
+    a session exceeds ``stop_backlog``.
+
+    Returns the (successes, active, detected, backlog) arrays of the
+    sessions run.  A light session takes its K picks as a slice of a buffer
+    of uniform preamble indices, drawn about 2^16 at a time and only when a
+    light session needs more than the buffer holds; a heavy one
+    (K >= 30 L) passes no picks and gets its multinomial draw.
     """
     p = cfg.params
-    if forced_active is not None:
-        n_active = forced_active
+    L = p.pool_size
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    poisson = rng.poisson
+    rate = p.arrival_rate
+    heavy = _HEAVY_USERS_PER_PREAMBLE * L
+    overhead, payload = p.overhead_len, p.payload_len
+    cra2 = cfg.scheme is Scheme.CRA2
+    retrial = cfg.mode is Mode.FAST_RETRIAL
+    if cra2:
+        # neutral bootstrap; warmup makes the choice immaterial
+        detected = round(L * (1.0 - math.exp(-rate * p.txn_len / L)))
+        length = overhead + payload * detected
     else:
-        n_active = int(rng.poisson(p.arrival_rate * prev_len)) + backlog
-
-    singleton, collided, d1, d2, d3 = stage1_outcome(n_active, p, rng, picks)
-    detected = d1 + d2 + d3
-
-    if cfg.scheme is Scheme.CRA2:
-        session_len = p.overhead_len + p.payload_len * detected
-        successes = d1
-    else:
-        session_len = p.fixed_session_len
-        successes = _capped_successes(cfg.scheme, n_active, d1, p)
-
-    new_backlog = n_active - d1 if cfg.mode is Mode.FAST_RETRIAL else 0
-    return SessionTrace(
-        index=index,
-        active=n_active,
-        occupied=singleton + collided,
-        singleton=singleton,
-        collided=collided,
-        detected_singleton=d1,
-        detected_collided=d2,
-        false_slots=d3,
-        detected_total=detected,
-        session_len=session_len,
-        successes=successes,
-        backlog=new_backlog,
-    )
-
-
-class SessionChain:
-    """Sequential session iterator; session t+1's arrivals depend on the
-    length of session t (CRA-2) and on the backlog (fast retrial)."""
-
-    def __init__(self, cfg, initial_backlog=0):
-        self.cfg = cfg
-        self.rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        p = cfg.params
-        if cfg.scheme is Scheme.CRA2:
-            # neutral bootstrap; warmup makes the choice immaterial
-            expected_slots = round(
-                p.pool_size
-                * (1.0 - math.exp(-p.arrival_rate * p.txn_len / p.pool_size)))
-            self.prev_len = p.overhead_len + p.payload_len * expected_slots
+        length = p.fixed_session_len
+    succ_out = np.empty(horizon, dtype=np.int64)
+    active_out = np.empty(horizon, dtype=np.int64)
+    detected_out = np.empty(horizon, dtype=np.int64)
+    backlog_out = np.empty(horizon, dtype=np.int64)
+    buf = np.empty(0, dtype=np.int64)
+    used = 0
+    run = horizon
+    for t in range(horizon):
+        k = int(poisson(rate * length)) + backlog
+        if k < heavy:
+            if used + k > buf.size:
+                buf = rng.integers(0, L, size=max(_PICK_BUFFER, k))
+                used = 0
+            picks = buf[used:used + k]
+            used += k
         else:
-            self.prev_len = p.fixed_session_len
-        self.backlog = initial_backlog
-        self.index = 0
-
-    def next_session(self):
-        trace = run_session(self.cfg, self.rng, self.index, self.prev_len,
-                            self.backlog)
-        self.prev_len = trace.session_len
-        self.backlog = trace.backlog
-        self.index += 1
-        return trace
+            picks = None
+        _, _, d1, d2, d3 = stage1_outcome(k, p, rng, picks)
+        detected = d1 + d2 + d3
+        if cra2:
+            length = overhead + payload * detected
+            successes = d1
+        else:
+            successes = _capped_successes(cfg.scheme, k, d1, p)
+        backlog = k - d1 if retrial else 0
+        succ_out[t] = successes
+        active_out[t] = k
+        detected_out[t] = detected
+        backlog_out[t] = backlog
+        if stop_backlog is not None and backlog > stop_backlog:
+            run = t + 1
+            break
+    return (succ_out[:run], active_out[:run], detected_out[:run],
+            backlog_out[:run])
 
 
 def _chain_sessions(cfg):
     """(successes, length, active, detected) of each measured session of the
     sequential session chain, after its warm-up."""
-    chain = SessionChain(cfg)
-    for _ in range(cfg.warmup_sessions):
-        chain.next_session()
-    n = cfg.n_sessions
-    succ = np.empty(n, dtype=np.int64)
-    lengths = np.empty(n)
-    active = np.empty(n, dtype=np.int64)
-    detected = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        tr = chain.next_session()
-        succ[i] = tr.successes
-        lengths[i] = tr.session_len
-        active[i] = tr.active
-        detected[i] = tr.detected_total
+    p = cfg.params
+    succ, active, detected, _ = (
+        x[cfg.warmup_sessions:]
+        for x in _walk(cfg, cfg.warmup_sessions + cfg.n_sessions))
+    if cfg.scheme is Scheme.CRA2:
+        lengths = p.overhead_len + p.payload_len * detected
+    else:
+        lengths = np.full(cfg.n_sessions, p.fixed_session_len)
     return succ, lengths, active, detected
 
 
@@ -301,21 +284,29 @@ def _iid_sessions(cfg):
 def _ratio_estimate(succ, lengths, active, detected, min_batches):
     """Ratio estimator sum(succ)/sum(lengths) over the measured sessions,
     with the standard error of the means of min(min_batches, n) contiguous
-    batch ratios."""
+    batch ratios; the mean detected count gets the standard error of its
+    means over the same batches."""
     n = succ.size
     n_batches = min(min_batches, n)
     edges = [round(i * n / n_batches) for i in range(n_batches)]
+    sizes = np.diff([*edges, n])
     rates = np.add.reduceat(succ, edges) / np.add.reduceat(lengths, edges)
-    se = float(rates.std(ddof=1) / math.sqrt(rates.size)) if rates.size > 1 else 0.0
+    det_means = np.add.reduceat(detected, edges) / sizes
+
+    def batch_se(means):
+        return float(means.std(ddof=1) / math.sqrt(n_batches)) \
+            if n_batches > 1 else 0.0
+
     tot_time = float(lengths.sum())
     return ThroughputEstimate(
         mean_throughput=int(succ.sum()) / tot_time,
-        std_error=se,
+        std_error=batch_se(rates),
         sessions_run=n,
         total_time=tot_time,
         mean_active=int(active.sum()) / n,
         mean_detected=int(detected.sum()) / n,
         mean_session_len=tot_time / n,
+        detected_std_error=batch_se(det_means),
     )
 
 
@@ -349,11 +340,4 @@ def simulate_stability(cfg, horizon, initial_backlog=0, stop_backlog=None):
         raise ValueError("initial_backlog must be >= 0")
     if stop_backlog is not None and stop_backlog < 0:
         raise ValueError("stop_backlog must be >= 0 or None")
-    chain = SessionChain(cfg, initial_backlog=initial_backlog)
-    traj = []
-    for _ in range(horizon):
-        tr = chain.next_session()
-        traj.append(tr.backlog)
-        if stop_backlog is not None and tr.backlog > stop_backlog:
-            break
-    return np.asarray(traj, dtype=np.int64)
+    return _walk(cfg, horizon, initial_backlog, stop_backlog)[3]

@@ -27,7 +27,7 @@ from cra.analytic import (
     throughput_maloha,
     _fixed_point_coeffs,
 )
-from cra.cli import main
+from cra.cli import derive_seed, main
 from cra.signals import gen_pool, ml_fa_trial, ml_md_trial, mmv_identifiable, \
     spark_bruteforce, SparseScene
 from cra.sim import Mode, Scheme, SimConfig, estimate_throughput, \
@@ -63,7 +63,8 @@ def analytic_norm(scheme, params):
 @pytest.fixture(scope="module")
 def grid_estimates():
     """Simulated vs closed-form normalized throughput on the load grid,
-    all three schemes, 1e5 drop-mode sessions each."""
+    all three schemes, 1e5 drop-mode sessions each; the estimate itself
+    comes last."""
     out = {}
     for si, scheme in enumerate((Scheme.CRA1, Scheme.CRA2, Scheme.MC_ALOHA)):
         for li, lt in enumerate(LOAD_GRID):
@@ -73,13 +74,13 @@ def grid_estimates():
             est = estimate_throughput(cfg)
             t = p.txn_len
             out[(scheme, lt)] = (t * est.mean_throughput, t * est.std_error,
-                                 analytic_norm(scheme, p))
+                                 analytic_norm(scheme, p), est)
     return out
 
 
 def _throughput_failures(results, schemes):
     failures = []
-    for (scheme, lt), (sim, se, ana) in results.items():
+    for (scheme, lt), (sim, se, ana, _) in results.items():
         if scheme not in schemes:
             continue
         tol = max(3 * se, 0.02 * ana)
@@ -313,10 +314,50 @@ def test_criterion_11_cra2_throughput_matches_exact_chain(grid_estimates):
     failures = []
     for lt in LOAD_GRID:
         p = REF.with_traffic(lt)
-        sim, se, _ = grid_estimates[(Scheme.CRA2, lt)]
+        sim, se, _, _ = grid_estimates[(Scheme.CRA2, lt)]
         exact = p.txn_len * exact_chain_throughput(p)
         if abs(sim - exact) > 4 * se:
             failures.append(f"load={lt}: sim={sim:.5f} vs exact chain "
                             f"{exact:.5f} (z {(sim - exact) / se:+.2f})")
     report(11, "simulated CRA-2 throughput matches the exact session chain",
+           failures)
+
+
+def test_criterion_12_short_cra2_runs_match_exact_chain():
+    # Runs of the fig3 benchmark's size (500 + 100 sessions), 40 seeds
+    # at each load of criterion 1: the z-scores of eta2 against the exact
+    # chain must centre on 0 with a spread near 1.  The batch-means SE of so
+    # short a run is noisy, so the spread may reach 1.4.
+    z = []
+    for lt in LOAD_GRID:
+        p = REF.with_traffic(lt)
+        exact = exact_chain_throughput(p)
+        for s in range(40):
+            est = estimate_throughput(SimConfig(
+                params=p, scheme=Scheme.CRA2, n_sessions=500,
+                warmup_sessions=100, seed=derive_seed(900 + s, 1)))
+            z.append((est.mean_throughput - exact) / est.std_error)
+    mean, sd = float(np.mean(z)), float(np.std(z, ddof=1))
+    failures = []
+    if abs(mean) > 0.35 or sd > 1.4:
+        failures.append(f"z over {len(z)} runs: mean {mean:+.3f} (limit "
+                        f"0.35), SD {sd:.3f} (limit 1.4)")
+    report(12, "short CRA-2 runs agree with the exact chain in z-score",
+           failures)
+
+
+def test_criterion_13_detected_ratio_matches_exact_chain(grid_estimates):
+    # The simulated d_bar_ratio and its standard error, as the sweep writes
+    # them, against the exact chain's E[D] / N.
+    failures = []
+    for lt in LOAD_GRID:
+        p = REF.with_traffic(lt)
+        est = grid_estimates[(Scheme.CRA2, lt)][3]
+        n = p.preamble_len
+        sim, se = est.mean_detected / n, est.detected_std_error / n
+        exact = exact_chain_means(p)[1] / n
+        if not (se > 0 and abs(sim - exact) <= 4 * se):
+            failures.append(f"load={lt}: d_bar_ratio {sim:.5f} +/- {se:.5f} "
+                            f"vs exact chain {exact:.5f}")
+    report(13, "simulated d_bar_ratio within 4 SE of the exact chain",
            failures)

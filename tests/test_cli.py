@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from cra.cli import (
     run_sweep,
 )
 from cra.analytic import ProtocolParams
-from cra.sim import SimConfig
+from cra.sim import SimConfig, estimate_throughput
 
 TINY_PARAMS = {"preamble_len": 8, "payload_len": 16, "pool_size": 24}
 CONFIG_KEYS = ("preamble_len", "payload_len", "pool_size", "feedback_len",
@@ -128,6 +129,19 @@ class TestRunSweep:
                          grid=(0.5, 1.0), replicate_seeds=(3,))
         assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
 
+    def test_d_bar_ratio_std_error(self):
+        # the simulated d_bar_ratio row carries the batch-means SE of the
+        # mean detected count, over N like the estimate
+        params = ProtocolParams(8, 16, 24, 2.0, 0.005, 0.01, 0.01)
+        base = SimConfig(params=params, n_sessions=300, warmup_sessions=30)
+        spec = SweepSpec(base=base, swept_variable="lambda_T", grid=(1.0,),
+                         outputs=("d_bar_ratio",), replicate_seeds=(1,))
+        _, row = run_sweep(spec)
+        est = estimate_throughput(replace(
+            base, params=params.with_traffic(1.0), seed=derive_seed(1, 0, 0)))
+        assert row["estimate"] == est.mean_detected / 8
+        assert row["std_error"] == est.detected_std_error / 8 > 0
+
     def test_derive_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
@@ -180,6 +194,16 @@ class TestCommands:
         (["signal", "--snr", "inf", "--trials", "10"], None, "snr"),
         (["signal", "--snr", "4", "--trials", "10", "--spark-checks", "-1"],
          None, "spark_checks"),
+        (["signal", "--seed", "-1", "--snr", "1", "--trials", "10"], None,
+         "seed must be >= 0"),
+        (["simulate", "--seed", "-1", "--n-sessions", "20", "--warmup", "2"],
+         None, "seed must be >= 0"),
+        (["stability", "--seeds", "0,-1", "--horizon", "3"], None,
+         "replicate_seeds must be >= 0"),
+        (["sweep", "--preset", "fig3", "--seeds", "-1"], None,
+         "replicate_seeds must be >= 0"),
+        (["sweep", "--spec", {"replicate_seeds": [-2]}], None,
+         "replicate_seeds must be >= 0"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
                                       argv, env, what):

@@ -5,8 +5,8 @@ from cra import sim
 def test_public_names_pinned():
     assert sorted(cra.__all__) == [
         "ErrorBoundInputs", "Mode", "PreamblePool", "ProtocolParams",
-        "Scheme", "SessionChain", "SessionTrace", "SimConfig", "SparseScene",
-        "SteadyState", "ThroughputEstimate", "backlog_drift",
+        "Scheme", "SimConfig", "SparseScene", "SteadyState",
+        "ThroughputEstimate", "backlog_drift",
         "detection_error_bounds", "estimate_throughput", "gen_pool",
         "instability_threshold", "lambert_w0", "mean_active_cra2",
         "mean_detected_cra2", "mean_detected_split", "ml_fa_trial",
@@ -17,5 +17,5 @@ def test_public_names_pinned():
         "throughput_cra1", "throughput_maloha",
     ]
     assert all(hasattr(cra, name) for name in cra.__all__)
-    # the benchmark's tracer finds the session internals through sim.__all__
-    assert {"stage1_outcome", "run_session"} <= set(sim.__all__)
+    # the benchmark's tracer finds stage1_outcome through sim.__all__
+    assert "stage1_outcome" in sim.__all__

@@ -10,12 +10,14 @@ from cra.analytic import ProtocolParams, backlog_drift, mean_detected_split, \
 from cra.sim import (
     _BLOCK_CELLS,
     _HEAVY_USERS_PER_PREAMBLE,
+    _PICK_BUFFER,
     Mode,
     Scheme,
-    SessionChain,
     SimConfig,
+    _capped_successes,
+    _chain_sessions,
+    _walk,
     estimate_throughput,
-    run_session,
     simulate_stability,
     stage1_outcome,
 )
@@ -27,6 +29,12 @@ def perfect_params(**over):
     base = dict(preamble_len=4, payload_len=8, pool_size=6, feedback_len=2.0,
                 arrival_rate=0.01, p_md=0.0, p_fa=0.0)
     return ProtocolParams(**{**base, **over})
+
+
+def batch_se(values, n_batches=50):
+    """Batch-means standard error of the mean of a correlated series."""
+    means = [b.mean() for b in np.array_split(values, n_batches)]
+    return float(np.std(means, ddof=1) / math.sqrt(n_batches))
 
 
 class TestStage1Outcome:
@@ -99,65 +107,84 @@ class TestStage1Outcome:
 
 
 class TestRunSession:
-    def cfg(self, scheme, **over):
-        return SimConfig(params=perfect_params(**over), scheme=scheme,
-                         n_sessions=10, warmup_sessions=0, seed=0)
+    """Bookkeeping of one session of the chain walk.  At arrival rate 0 a
+    walk's first session holds exactly its initial backlog, which forces K."""
+
+    def walk(self, scheme, k, mode=Mode.DROP, horizon=1, seed=0, **over):
+        cfg = SimConfig(params=perfect_params(arrival_rate=0.0, **over),
+                        scheme=scheme, mode=mode, n_sessions=10,
+                        warmup_sessions=0, seed=seed)
+        return cfg, _walk(cfg, horizon, backlog=k)
 
     def test_cra2_single_user(self):
-        cfg = self.cfg(Scheme.CRA2)
-        tr = run_session(cfg, np.random.default_rng(0), 0, 100.0,
-                         forced_active=1)
-        assert tr.detected_total == 1
-        assert tr.successes == 1
-        assert tr.session_len == cfg.params.overhead_len + cfg.params.payload_len
+        _, (succ, active, detected, backlog) = self.walk(Scheme.CRA2, 1)
+        assert (succ[0], active[0], detected[0], backlog[0]) == (1, 1, 1, 0)
+
+    def test_cra2_session_len_follows_detected(self, fig_params):
+        cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2, n_sessions=300,
+                        warmup_sessions=20, seed=4)
+        _, lengths, _, detected = _chain_sessions(cfg)
+        p = cfg.params
+        assert np.array_equal(lengths, p.overhead_len + p.payload_len * detected)
 
     def test_cra2_pure_collision(self):
-        cfg = self.cfg(Scheme.CRA2)
-        tr = run_session(cfg, np.random.default_rng(0), 0, 100.0,
-                         forced_active=2, picks=[2, 2])
-        assert tr.detected_total == 1
-        assert tr.detected_collided == 1
-        assert tr.successes == 0
+        # three users on two preambles: one preamble always collides, is
+        # detected (perfect detection) and books no success; with all three
+        # on one preamble the session is a pure collision
+        seen = set()
+        for seed in range(20):
+            _, (succ, active, detected, _) = self.walk(
+                Scheme.CRA2, 3, pool_size=2, seed=seed)
+            assert active[0] == 3 and succ[0] == detected[0] - 1
+            seen.add((int(detected[0]), int(succ[0])))
+        assert seen == {(1, 0), (2, 1)}
 
     def test_cra1_overload_fails(self):
-        cfg = self.cfg(Scheme.CRA1)
-        n = cfg.params.preamble_len
-        tr = run_session(cfg, np.random.default_rng(0), 0, 1.0,
-                         forced_active=n, picks=list(range(n)))
-        assert tr.detected_singleton == n
-        assert tr.successes == 0
-        assert tr.session_len == cfg.params.fixed_session_len
+        n = perfect_params().preamble_len
+        cfg, (succ, _, detected, _) = self.walk(Scheme.CRA1, n)
+        assert detected[0] >= 1 and succ[0] == 0
+        # even n detected singletons book nothing once K reaches N
+        p = cfg.params
+        _, _, d1, _, _ = stage1_outcome(n, p, np.random.default_rng(0),
+                                        picks=range(n))
+        assert d1 == n
+        assert _capped_successes(Scheme.CRA1, n, d1, p) == 0
+        assert _capped_successes(Scheme.CRA1, n - 1, n - 1, p) == n - 1
 
     def test_cra1_single_user(self):
-        cfg = self.cfg(Scheme.CRA1)
-        tr = run_session(cfg, np.random.default_rng(0), 0, 1.0,
-                         forced_active=1)
-        assert tr.successes == 1
+        _, (succ, _, _, _) = self.walk(Scheme.CRA1, 1)
+        assert succ[0] == 1
+
+    def test_fixed_session_len(self, fig_params):
+        cfg = SimConfig(params=fig_params, scheme=Scheme.CRA1,
+                        mode=Mode.FAST_RETRIAL, n_sessions=100,
+                        warmup_sessions=0, seed=4)
+        _, lengths, _, _ = _chain_sessions(cfg)
+        assert np.all(lengths == fig_params.fixed_session_len)
 
     def test_maloha_all_orthogonal(self):
-        cfg = self.cfg(Scheme.MC_ALOHA)
-        n = cfg.params.preamble_len
-        assert cfg.params.pool_size == n  # forced L := N
-        tr = run_session(cfg, np.random.default_rng(0), 0, 1.0,
-                         forced_active=n, picks=list(range(n)))
-        assert tr.successes == n
+        p = SimConfig(params=perfect_params(), scheme=Scheme.MC_ALOHA).params
+        n = p.preamble_len
+        assert p.pool_size == n  # forced L := N
+        _, _, d1, _, _ = stage1_outcome(n, p, np.random.default_rng(0),
+                                        picks=range(n))
+        assert _capped_successes(Scheme.MC_ALOHA, n, d1, p) == n
 
     def test_maloha_above_channel_count_fails(self):
         # the orthogonal receiver decodes at most preamble_len packets;
         # this cap is what produces the Poisson-cdf factor in the closed form
-        cfg = self.cfg(Scheme.MC_ALOHA)
-        n = cfg.params.preamble_len
-        tr = run_session(cfg, np.random.default_rng(0), 0, 1.0,
-                         forced_active=n + 1, picks=list(range(n)) + [0])
-        assert tr.successes == 0
+        n = perfect_params().preamble_len
+        cfg, (succ, _, detected, _) = self.walk(Scheme.MC_ALOHA, n + 1)
+        assert detected[0] >= 1 and succ[0] == 0
+        assert _capped_successes(Scheme.MC_ALOHA, n + 1, n, cfg.params) == 0
 
     def test_fast_retrial_backlog(self):
-        cfg = SimConfig(params=perfect_params(), scheme=Scheme.CRA2,
-                        mode=Mode.FAST_RETRIAL, n_sessions=10,
-                        warmup_sessions=0, seed=0)
-        tr = run_session(cfg, np.random.default_rng(0), 0, 1.0,
-                         forced_active=3, picks=[1, 1, 2])
-        assert tr.backlog == 3 - tr.detected_singleton
+        # the users a session leaves unserved are the next session's K
+        _, (succ, active, _, backlog) = self.walk(
+            Scheme.CRA2, 3, mode=Mode.FAST_RETRIAL, horizon=50, pool_size=2)
+        assert active[0] == 3
+        assert np.array_equal(backlog, active - succ)
+        assert np.array_equal(active[1:], backlog[:-1])
 
 
 class TestSimConfig:
@@ -187,24 +214,18 @@ class TestEstimateThroughput:
     def test_trace_stream_deterministic(self, fig_params):
         cfg = SimConfig(params=fig_params, n_sessions=10, warmup_sessions=0,
                         seed=9)
-        a = [SessionChain(cfg).next_session() for _ in range(50)]
-        b = [SessionChain(cfg).next_session() for _ in range(50)]
-        assert a == b
+        for a, b in zip(_walk(cfg, 50), _walk(cfg, 50)):
+            assert np.array_equal(a, b)
 
     def test_throughput_is_ratio(self, fig_params):
         cfg = SimConfig(params=fig_params, n_sessions=500, warmup_sessions=0,
                         seed=5)
-        chain = SessionChain(cfg)
-        succ = 0
-        time = 0.0
-        for _ in range(500):
-            tr = chain.next_session()
-            succ += tr.successes
-            time += tr.session_len
-        est = estimate_throughput(
-            SimConfig(params=fig_params, n_sessions=500, warmup_sessions=0,
-                      seed=5))
-        assert est.mean_throughput == pytest.approx(succ / time, rel=1e-12)
+        succ, _, detected, _ = _walk(cfg, 500)
+        time = float((fig_params.overhead_len
+                      + fig_params.payload_len * detected).sum())
+        est = estimate_throughput(cfg)
+        assert est.mean_throughput == pytest.approx(succ.sum() / time,
+                                                    rel=1e-12)
         assert est.total_time == pytest.approx(time, rel=1e-12)
         assert est.std_error >= 0.0
 
@@ -214,16 +235,13 @@ class TestEstimateThroughput:
         cfg = SimConfig(params=fig_params, scheme=Scheme.CRA1,
                         mode=Mode.FAST_RETRIAL, n_sessions=300,
                         warmup_sessions=20, seed=6)
-        chain = SessionChain(cfg)
-        traces = [chain.next_session() for _ in range(320)][20:]
+        succ, active, detected, _ = (x[20:] for x in _walk(cfg, 320))
         est = estimate_throughput(cfg)
         assert est.mean_throughput == pytest.approx(
-            sum(t.successes for t in traces)
-            / sum(t.session_len for t in traces), rel=1e-12)
-        assert est.mean_active == pytest.approx(
-            sum(t.active for t in traces) / 300, rel=1e-12)
-        assert est.mean_detected == pytest.approx(
-            sum(t.detected_total for t in traces) / 300, rel=1e-12)
+            succ.sum() / (300 * fig_params.fixed_session_len), rel=1e-12)
+        assert est.mean_active == pytest.approx(active.sum() / 300, rel=1e-12)
+        assert est.mean_detected == pytest.approx(detected.sum() / 300,
+                                                  rel=1e-12)
 
     @pytest.mark.parametrize("scheme", [Scheme.CRA1, Scheme.MC_ALOHA],
                              ids=lambda s: s.value)
@@ -239,6 +257,63 @@ class TestEstimateThroughput:
         mean = fig_params.arrival_rate * fig_params.fixed_session_len
         se = math.sqrt(mean / cfg.n_sessions)  # Poisson variance = mean
         assert abs(est.mean_active - mean) <= 4 * se
+
+    def test_pick_buffer_refills_replay_and_mean_active(self, fig_params,
+                                                        monkeypatch):
+        # CRA-2 at load 1 (K about 19, every session light) draws more than
+        # two buffers of picks, so the buffer is refilled at least twice
+        cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2,
+                        n_sessions=12_000, warmup_sessions=500, seed=23)
+        total = cfg.warmup_sessions + cfg.n_sessions
+        slices = []
+
+        def record(k, params, rng, picks=None):
+            slices.append(picks)
+            return stage1_outcome(k, params, rng, picks)
+
+        monkeypatch.setattr("cra.sim.stage1_outcome", record)
+        first = _walk(cfg, total)
+        monkeypatch.undo()
+        assert int(first[1].sum()) > 2 * _PICK_BUFFER
+        # no pick serves twice: each buffer's slices follow one another
+        # without overlap, and at least three buffers were drawn (an empty
+        # slice holds no pick, and numpy may point it anywhere in the base)
+        buffers = {}
+        for picks in slices:
+            if picks.size:
+                buffers.setdefault(id(picks.base), []).append(picks)
+        assert len(buffers) >= 3
+        for views in buffers.values():
+            starts = [v.__array_interface__["data"][0] for v in views]
+            assert all(start + v.nbytes <= nxt for start, v, nxt
+                       in zip(starts, views, starts[1:]))
+        for a, b in zip(first, _walk(cfg, total)):
+            assert np.array_equal(a, b)
+        active = first[1][cfg.warmup_sessions:]
+        exact_active, _ = exact_chain_means(fig_params)
+        assert abs(active.mean() - exact_active) <= 4 * batch_se(active)
+
+    def test_fast_retrial_crosses_heavy_threshold(self, fig_params,
+                                                  monkeypatch):
+        # At one user per 40 preambles (7.75 users) the heavy threshold sits
+        # at the median K of the stable fast-retrial chain at load 0.8, so
+        # the walk crosses it both ways many times; the multinomial sessions
+        # must leave the law of K as it is at the real threshold.
+        cfg = SimConfig(params=fig_params.with_traffic(0.8),
+                        scheme=Scheme.CRA2, mode=Mode.FAST_RETRIAL,
+                        n_sessions=10, warmup_sessions=0, seed=29)
+        horizon = 20_000
+        light = _walk(replace(cfg, seed=31), horizon)[1]
+        monkeypatch.setattr("cra.sim._HEAVY_USERS_PER_PREAMBLE", 0.025)
+        first = _walk(cfg, horizon)
+        for a, b in zip(first, _walk(cfg, horizon)):
+            assert np.array_equal(a, b)
+        active = first[1]
+        heavy = active >= 0.025 * fig_params.pool_size
+        assert np.any(heavy[:-1] & ~heavy[1:])
+        assert np.any(~heavy[:-1] & heavy[1:])
+        se = math.hypot(batch_se(active), batch_se(light))
+        assert abs(active.mean() - light.mean()) <= 4 * se
 
     @pytest.mark.parametrize("load", [0.4, 1.0, 1.6])
     @pytest.mark.parametrize("scheme", [Scheme.CRA1, Scheme.MC_ALOHA],
