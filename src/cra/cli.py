@@ -377,8 +377,10 @@ def _cmd_signal(args):
     # NaN compares False with everything, so test finiteness first
     if not all(math.isfinite(snr) and snr >= 0 for snr in args.snr):
         raise ConfigError(f"snr: values must be finite and >= 0: {args.snr}")
-    if args.spark_checks < 0:
-        raise ConfigError(f"spark_checks: must be >= 0: {args.spark_checks}")
+    # pool_size >= 2: the false-alarm trial uses preamble 1
+    for key, least in (("spark_checks", 0), ("pool_size", 2)):
+        if getattr(args, key) < least:
+            raise ConfigError(f"{key}: must be >= {least}: {getattr(args, key)}")
     pool = signals.gen_pool(args.pool_symbols, args.pool_size, args.seed)
     rows = []
     for i, snr in enumerate(args.snr):

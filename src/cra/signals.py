@@ -4,6 +4,10 @@ Generates non-orthogonal preamble pools, the sparse Stage-1 / Stage-2
 observations, empirical pairwise ML error rates (missed detection and false
 alarm), and brute-force identifiability checks (spark, MMV support
 condition).
+
+An ML trial on y = base + n scores one real projection of its N-dimensional
+noise, since |y - base|^2 - |y - alt|^2 = -(|d|^2 + 2 Re(d^H n)) exactly for
+d = base - alt.  The spark search takes batched SVDs of the column subsets.
 """
 
 import itertools
@@ -26,6 +30,7 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10
+_SVD_BATCH = 1 << 20  # matrix entries per stacked SVD in spark_bruteforce
 _UNIT_NORM_TOL = 1e-12
 
 
@@ -67,8 +72,10 @@ class SparseScene:
             raise ValueError("support indices must be distinct")
         if len(self.coefficients) != len(self.support):
             raise ValueError("one coefficient per support index")
-        if self.noise_var <= 0:
-            raise ValueError("noise_var must be positive")
+        if not (math.isfinite(self.noise_var) and self.noise_var > 0):
+            raise ValueError("noise_var must be finite and positive")
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValueError("coefficients must be finite")
 
     @property
     def n_active(self):
@@ -86,9 +93,7 @@ def gen_pool(n_symbols, pool_size, seed):
 
 
 def _noiseless_stage1(pool, scene):
-    cols = pool.matrix[:, list(scene.support)]
-    return cols @ scene.coefficients if scene.n_active else \
-        np.zeros(pool.n_symbols, dtype=complex)
+    return pool.matrix[:, list(scene.support)] @ scene.coefficients
 
 
 def _noise(rng, shape, noise_var):
@@ -110,29 +115,26 @@ def received_stage2(pool, scene, rng):
     d = np.asarray(scene.data_symbols)
     if d.shape[1] != scene.n_active:
         raise ValueError("data_symbols must be (M, n_active)")
-    cols = pool.matrix[:, list(scene.support)]
-    clean = (d * scene.coefficients) @ cols.T  # (M, N)
+    clean = (d * scene.coefficients) @ pool.matrix[:, list(scene.support)].T
     return clean + _noise(rng, clean.shape, scene.noise_var)
 
 
 def _pairwise_rate(base, alt, noise_var, rng, n_trials, chunk=100_000):
     """Fraction of noise draws for which the true hypothesis ``base`` loses
-    the ML residual comparison against ``alt`` on y = base + noise."""
-    if n_trials < 1:
-        raise ValueError(f"trials must be >= 1, got {n_trials}")
+    the ML residual comparison against ``alt`` on y = base + noise; the real
+    then imaginary noise parts come from one normal draw, as in ``_noise``."""
+    if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
+        raise ValueError(f"n_trials must be an integer >= 1: {n_trials!r}")
+    d = base - alt
+    d_sq = float(np.vdot(d, d).real)
+    two_s = 2.0 * math.sqrt(noise_var / 2.0)
     losses = 0.0
-    left = n_trials
-    while left > 0:
-        m = min(chunk, left)
-        n = _noise(rng, (m, base.size), noise_var)
-        y = base + n
-        r_true = np.sum(np.abs(y - base) ** 2, axis=1)
-        r_alt = np.sum(np.abs(y - alt) ** 2, axis=1)
-        losses += int(np.count_nonzero(r_true > r_alt))
-        # exact residual ties (identical hypotheses) break by fair coin
-        losses += 0.5 * int(np.count_nonzero(r_true == r_alt))
-        left -= m
-    return losses / n_trials
+    for done in range(0, n_trials, chunk):
+        z = rng.standard_normal((2, min(chunk, n_trials - done), base.size))
+        score = d_sq + two_s * (z[0] @ d.real + z[1] @ d.imag)
+        # a zero score (identical hypotheses) breaks by fair coin
+        losses += np.count_nonzero(score < 0) + 0.5 * np.count_nonzero(score == 0)
+    return float(losses / n_trials)
 
 
 def ml_md_trial(pool, scene, user, rng, n_trials):
@@ -156,6 +158,8 @@ def ml_fa_trial(pool, scene, virtual_index, virtual_snr, rng, n_trials):
     """
     if virtual_index in scene.support:
         raise ValueError("virtual_index must not be in the active support")
+    if not (math.isfinite(virtual_snr) and virtual_snr >= 0):
+        raise ValueError(f"virtual_snr must be finite and >= 0: {virtual_snr}")
     base = _noiseless_stage1(pool, scene)
     amp = math.sqrt(virtual_snr * scene.noise_var)
     alt = base + pool.matrix[:, virtual_index] * amp
@@ -171,30 +175,22 @@ def ml_support_search(pool, y, n_active):
     """
     if pool.pool_size > 16 or n_active > 3:
         raise ValueError("exhaustive search limited to pool_size <= 16, K <= 3")
-    best = None
-    best_res = math.inf
-    for subset in itertools.combinations(range(pool.pool_size), n_active):
+
+    def residual(subset):
         cols = pool.matrix[:, list(subset)]
         coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-        res = float(np.linalg.norm(y - cols @ coef) ** 2)
-        if res < best_res:
-            best_res = res
-            best = subset
-    return best
-
-
-def _numeric_rank(m):
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.count_nonzero(s > _RANK_TOL * s[0]))
+        return float(np.linalg.norm(y - cols @ coef) ** 2)
+    return min(itertools.combinations(range(pool.pool_size), n_active),
+               key=residual, default=None)
 
 
 def spark_bruteforce(pool):
     """Exact spark: smallest number of linearly dependent columns.
 
-    Tests all column subsets in increasing size; any n_symbols + 1 columns
-    are dependent, so the answer is at most n_symbols + 1.  Accepts a
+    Tests all column subsets in increasing size, by batched SVDs; a subset
+    is dependent when fewer of its singular values than its size exceed
+    ``_RANK_TOL`` times its largest.  Any n_symbols + 1 columns are
+    dependent, so the answer is at most n_symbols + 1.  Accepts a
     PreamblePool or a raw matrix (degenerate columns allowed in the latter).
     """
     m = pool.matrix if isinstance(pool, PreamblePool) else np.asarray(pool)
@@ -202,8 +198,12 @@ def spark_bruteforce(pool):
     if L > 24:
         raise ValueError("spark_bruteforce limited to pool_size <= 24")
     for size in range(1, min(L, n + 1) + 1):
-        for subset in itertools.combinations(range(L), size):
-            if _numeric_rank(m[:, list(subset)]) < size:
+        subsets = itertools.combinations(range(L), size)
+        per_stack = _SVD_BATCH // (n * size + 1) + 1  # bounds the memory
+        while idx := list(itertools.islice(subsets, per_stack)):
+            s = np.linalg.svd(m[:, idx].transpose(1, 0, 2), compute_uv=False)
+            tol = _RANK_TOL * s.max(axis=-1, keepdims=True, initial=0.0)
+            if np.any(np.count_nonzero(s > tol, axis=-1) < size):
                 return size
     # all columns independent (only possible when L <= n)
     return L + 1
@@ -215,6 +215,4 @@ def mmv_identifiable(n_active, spark, rank_obs):
     An empty support (K = 0) is always identifiable."""
     if spark < 1 or rank_obs < 0:
         raise ValueError("need spark >= 1 and rank_obs >= 0")
-    if n_active == 0:
-        return True
-    return n_active < (spark - 1 + rank_obs) / 2.0
+    return n_active == 0 or n_active < (spark - 1 + rank_obs) / 2.0

@@ -5,7 +5,8 @@ scipy's Lambert W, direct log-space summation instead of incomplete-gamma,
 exhaustive enumeration instead of closed forms, damped fixed-point iteration
 instead of Lambert W, a stationary solve of the session Markov chain instead
 of the simulator, a per-K scan of scalar drift calls instead of the array
-threshold scan.
+threshold scan, literal ML residual norms instead of the projected noise
+score, and one SVD per column subset instead of batched SVDs.
 """
 
 import itertools
@@ -184,3 +185,37 @@ def capped_success_moments(mean_active, pool_size, cap, p_md):
         m1 += pk * q * singles
         m2 += pk * (q * singles + q * q * pairs)
     return m1, m2
+
+
+def pairwise_rate_residuals(base, alt, noise_var, rng, n_trials,
+                            chunk=100_000):
+    """Fraction of trials in which the true hypothesis ``base`` has the larger
+    residual norm on y = base + noise, exact ties counting one half.  Each
+    chunk of trials draws its (m, N) noise as real then imaginary normals."""
+    scale = math.sqrt(noise_var / 2.0)
+    losses = 0.0
+    left = n_trials
+    while left > 0:
+        m = min(chunk, left)
+        noise = scale * (rng.standard_normal((m, base.size))
+                         + 1j * rng.standard_normal((m, base.size)))
+        y = base + noise
+        r_true = np.sum(np.abs(y - base) ** 2, axis=1)
+        r_alt = np.sum(np.abs(y - alt) ** 2, axis=1)
+        losses += np.count_nonzero(r_true > r_alt)
+        losses += 0.5 * np.count_nonzero(r_true == r_alt)
+        left -= m
+    return losses / n_trials
+
+
+def spark_per_subset(m, rank_tol=1e-10):
+    """Spark of matrix ``m`` by one SVD per column subset, in increasing
+    size; a subset is dependent when fewer than its size of its singular
+    values exceed ``rank_tol`` times its largest."""
+    n, L = m.shape
+    for size in range(1, min(L, n + 1) + 1):
+        for subset in itertools.combinations(range(L), size):
+            s = np.linalg.svd(m[:, list(subset)], compute_uv=False)
+            if np.count_nonzero(s > rank_tol * s.max(initial=0.0)) < size:
+                return size
+    return L + 1

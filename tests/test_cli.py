@@ -204,6 +204,9 @@ class TestCommands:
          "replicate_seeds must be >= 0"),
         (["sweep", "--spec", {"replicate_seeds": [-2]}], None,
          "replicate_seeds must be >= 0"),
+        # the false-alarm trial needs a second preamble
+        (["signal", "--pool-size", "1", "--pool-symbols", "1", "--snr", "1",
+          "--trials", "10"], None, "pool_size"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
                                       argv, env, what):

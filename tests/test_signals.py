@@ -16,6 +16,7 @@ from cra.signals import (
     spark_bruteforce,
 )
 from cra.specfun import qfunc
+from helpers import pairwise_rate_residuals, spark_per_subset
 
 
 def scene_with_snr(snr, support=(0,), noise_var=1.0, **kw):
@@ -160,6 +161,55 @@ class TestPairwiseMlTrials:
                            2_000)
         assert rate == 0.0
 
+    # n_trials below, equal to and across the 100k trial chunk
+    @pytest.mark.parametrize("n_trials", [99_999, 100_000, 250_001])
+    @pytest.mark.parametrize("snr", [0.0, 2.5])
+    def test_equal_to_residual_oracle(self, snr, n_trials):
+        pool = gen_pool(8, 16, seed=12)
+        scene = SparseScene(support=(2, 11),
+                            coefficients=np.array([math.sqrt(2.0 * snr),
+                                                   0.8 - 0.3j]),
+                            noise_var=2.0)
+        base = pool.matrix[:, [2, 11]] @ scene.coefficients
+        md = ml_md_trial(pool, scene, 0, np.random.default_rng(1), n_trials)
+        fa = ml_fa_trial(pool, scene, 5, snr, np.random.default_rng(2),
+                         n_trials)
+        for rate, alt, seed in (
+                (md, base - pool.matrix[:, 2] * scene.coefficients[0], 1),
+                (fa, base + pool.matrix[:, 5] * math.sqrt(snr * 2.0), 2)):
+            assert rate == pairwise_rate_residuals(
+                base, alt, 2.0, np.random.default_rng(seed), n_trials)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"noise_var": math.nan}, "noise_var"),
+        ({"noise_var": math.inf}, "noise_var"),
+        ({"noise_var": 0.0}, "noise_var"),
+        ({"coefficients": np.array([math.nan + 0j])}, "coefficients"),
+        ({"coefficients": np.array([1 + 1j * math.inf])}, "coefficients"),
+    ])
+    def test_scene_rejects_non_finite(self, kwargs, field):
+        given = {"support": (0,), "coefficients": np.array([1.0 + 0j]),
+                 "noise_var": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=field):
+            SparseScene(**given)
+
+    @pytest.mark.parametrize("virtual_snr", [math.nan, math.inf, -1.0])
+    def test_fa_rejects_bad_virtual_snr(self, virtual_snr):
+        pool = gen_pool(8, 16, seed=9)
+        with pytest.raises(ValueError, match="virtual_snr"):
+            ml_fa_trial(pool, scene_with_snr(1.0), 4, virtual_snr,
+                        np.random.default_rng(0), 10)
+
+    @pytest.mark.parametrize("n_trials", [0, 2.5, "10"])
+    def test_rejects_bad_trial_count(self, n_trials):
+        pool = gen_pool(8, 16, seed=9)
+        scene = scene_with_snr(1.0)
+        with pytest.raises(ValueError, match="n_trials"):
+            ml_md_trial(pool, scene, 0, np.random.default_rng(0), n_trials)
+        with pytest.raises(ValueError, match="n_trials"):
+            ml_fa_trial(pool, scene, 4, 1.0, np.random.default_rng(0),
+                        n_trials)
+
     def test_index_validation(self):
         pool = gen_pool(8, 16, seed=9)
         scene = scene_with_snr(1.0, support=(3,))
@@ -206,6 +256,41 @@ class TestSpark:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             spark_bruteforce(np.ones((2, 25)))
+
+    def test_random_pools_match_per_subset_oracle(self):
+        rng = np.random.default_rng(21)
+        mats = [gen_pool(n, L, seed=s).matrix
+                for s, (n, L) in enumerate([(4, 8)] * 20 + [(3, 7), (2, 9)])]
+        mats += [rng.standard_normal((3, 6)) for _ in range(10)]
+        for m in mats:
+            assert spark_bruteforce(m) == spark_per_subset(m)
+
+    @pytest.mark.parametrize("shape, fill, expected", [
+        ((4, 8), "duplicate 0 7", 2),
+        ((4, 8), "duplicate 3 4", 2),
+        ((4, 8), "zero 0", 1),
+        ((4, 8), "zero 7", 1),
+        ((5, 8), "block 2", 3),
+        ((5, 8), "block 3", 4),
+        ((5, 3), "full", 4),
+        ((4, 4), "full", 5),
+        ((3, 7), "zero all", 1),
+    ])
+    def test_degenerate_matrices_match_per_subset_oracle(self, shape, fill,
+                                                         expected):
+        rng = np.random.default_rng(22)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kind, *where = fill.split()
+        if kind == "duplicate":
+            i, j = map(int, where)
+            m[:, j] = m[:, i]
+        elif kind == "zero":
+            m[:, slice(None) if where == ["all"] else int(where[0])] = 0
+        elif kind == "block":
+            # the first 4 columns span a space of the given rank
+            r = int(where[0])
+            m[:, :4] = m[:, :r] @ rng.standard_normal((r, 4))
+        assert spark_bruteforce(m) == spark_per_subset(m) == expected
 
 
 class TestMmvIdentifiable:
