@@ -381,6 +381,9 @@ def _cmd_signal(args):
     for key, least in (("spark_checks", 0), ("pool_size", 2)):
         if getattr(args, key) < least:
             raise ConfigError(f"{key}: must be >= {least}: {getattr(args, key)}")
+    if not 1 <= args.pool_symbols <= args.pool_size:
+        raise ConfigError(f"pool_symbols: must be >= 1 and <= pool_size "
+                          f"{args.pool_size}: {args.pool_symbols}")
     pool = signals.gen_pool(args.pool_symbols, args.pool_size, args.seed)
     rows = []
     for i, snr in enumerate(args.snr):

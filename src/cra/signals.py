@@ -187,17 +187,19 @@ def ml_support_search(pool, y, n_active):
 def spark_bruteforce(pool):
     """Exact spark: smallest number of linearly dependent columns.
 
-    Tests all column subsets in increasing size, by batched SVDs; a subset
-    is dependent when fewer of its singular values than its size exceed
-    ``_RANK_TOL`` times its largest.  Any n_symbols + 1 columns are
-    dependent, so the answer is at most n_symbols + 1.  Accepts a
-    PreamblePool or a raw matrix (degenerate columns allowed in the latter).
+    Tests the column subsets of each size 1..min(pool_size, n_symbols) in
+    increasing order, by batched SVDs; a subset is dependent when fewer of
+    its singular values than its size exceed ``_RANK_TOL`` times its
+    largest.  If none is, the spark is min(pool_size, n_symbols) + 1: any
+    n_symbols + 1 columns are dependent, and an independent pool has spark
+    pool_size + 1.  Accepts a PreamblePool or a raw matrix (degenerate
+    columns allowed in the latter).
     """
     m = pool.matrix if isinstance(pool, PreamblePool) else np.asarray(pool)
     n, L = m.shape
     if L > 24:
         raise ValueError("spark_bruteforce limited to pool_size <= 24")
-    for size in range(1, min(L, n + 1) + 1):
+    for size in range(1, min(L, n) + 1):
         subsets = itertools.combinations(range(L), size)
         per_stack = _SVD_BATCH // (n * size + 1) + 1  # bounds the memory
         while idx := list(itertools.islice(subsets, per_stack)):
@@ -205,8 +207,7 @@ def spark_bruteforce(pool):
             tol = _RANK_TOL * s.max(axis=-1, keepdims=True, initial=0.0)
             if np.any(np.count_nonzero(s > tol, axis=-1) < size):
                 return size
-    # all columns independent (only possible when L <= n)
-    return L + 1
+    return min(L, n) + 1
 
 
 def mmv_identifiable(n_active, spark, rank_obs):

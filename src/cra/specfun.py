@@ -3,11 +3,17 @@
 All functions are pure scalar wrappers of scipy and the math module: they
 take and return Python floats and are safe to call from any number of
 threads.
+
+Only the closed forms need scipy, and importing ``scipy.special`` takes
+about 0.4 s and 18 MB, so it is imported at the first call that needs it,
+not when the package loads: the simulator and the signal lab never pay for
+it.  The first call binds the two scipy functions to module globals, so
+every call after it costs one ``is None`` check.  Concurrent first calls
+are safe: the import system lets one thread run the import while the others
+wait, and each binds the same functions.
 """
 
 import math
-
-from scipy import special
 
 __all__ = ["lambert_w0", "poisson_cdf", "qfunc", "INV_E"]
 
@@ -15,6 +21,17 @@ __all__ = ["lambert_w0", "poisson_cdf", "qfunc", "INV_E"]
 INV_E = 1.0 / math.e
 
 _DOMAIN_SLACK = 1e-12
+
+# scipy.special.lambertw and gammaincc, bound by _load_scipy at first use
+_lambertw = None
+_gammaincc = None
+
+
+def _load_scipy():
+    global _lambertw, _gammaincc
+    from scipy import special
+    _gammaincc = special.gammaincc
+    _lambertw = special.lambertw
 
 
 def lambert_w0(y):
@@ -33,7 +50,9 @@ def lambert_w0(y):
         raise ValueError(f"lambert_w0: argument {y} outside [-1/e, inf)")
     if y <= -INV_E:
         return -1.0
-    return float(special.lambertw(y).real)
+    if _lambertw is None:
+        _load_scipy()
+    return float(_lambertw(y).real)
 
 
 def poisson_cdf(n, mu):
@@ -48,8 +67,10 @@ def poisson_cdf(n, mu):
         raise ValueError("poisson_cdf: mu must be nonnegative")
     if mu == 0.0:
         return 1.0
+    if _gammaincc is None:
+        _load_scipy()
     # Pr(X <= n) = Gamma(n+1, mu) / n! = gammaincc(n+1, mu)
-    return float(special.gammaincc(n + 1, mu))
+    return float(_gammaincc(n + 1, mu))
 
 
 def qfunc(x):

@@ -207,6 +207,11 @@ class TestCommands:
         # the false-alarm trial needs a second preamble
         (["signal", "--pool-size", "1", "--pool-symbols", "1", "--snr", "1",
           "--trials", "10"], None, "pool_size"),
+        (["signal", "--pool-symbols", "0", "--snr", "1", "--trials", "10"],
+         None, "pool_symbols"),
+        # above the default 310-preamble pool
+        (["signal", "--pool-symbols", "400", "--snr", "1", "--trials", "10"],
+         None, "pool_symbols"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
                                       argv, env, what):

@@ -275,6 +275,10 @@ class TestSpark:
         ((5, 3), "full", 4),
         ((4, 4), "full", 5),
         ((3, 7), "zero all", 1),
+        # every 3-column subset independent: spark n + 1 without a 4-column test
+        ((3, 6), "full", 4),
+        # fewer columns than rows, all independent: spark L + 1
+        ((6, 2), "full", 3),
     ])
     def test_degenerate_matrices_match_per_subset_oracle(self, shape, fill,
                                                          expected):
