@@ -242,9 +242,14 @@ def steady_state_cra2(params):
     )
 
 
-def mean_active_cra1(params):
-    """Mean number of active users per fixed-length CRA-1 session."""
-    return params.arrival_rate * params.fixed_session_len
+def _capped_throughput(params, pool, cap):
+    """Throughput of a fixed-length session with b = lambda * length active
+    users: a user succeeds when it is detected, no other user picks its
+    preamble out of ``pool`` and fewer than ``cap`` pick the others."""
+    lam = params.arrival_rate
+    b1 = lam * params.fixed_session_len
+    cap_prob = poisson_cdf(cap - 1, b1 * (1.0 - 1.0 / pool))
+    return lam * (1.0 - params.p_md) * math.exp(-b1 / pool) * cap_prob
 
 
 def throughput_cra1(params):
@@ -252,21 +257,15 @@ def throughput_cra1(params):
     active count reaches the spreading gain (preamble length)."""
     if params.preamble_len < 2:
         raise ValueError("throughput_cra1 needs preamble_len >= 2")
-    lam = params.arrival_rate
-    b1 = mean_active_cra1(params)
-    L = params.pool_size
-    cap_prob = poisson_cdf(params.preamble_len - 2, b1 * (1.0 - 1.0 / L))
-    return lam * (1.0 - params.p_md) * math.exp(-b1 / L) * cap_prob
+    return _capped_throughput(params, params.pool_size,
+                              params.preamble_len - 1)
 
 
 def throughput_maloha(params):
     """Multichannel ALOHA baseline: pool size equals preamble length and the
     receiver decodes at most preamble_len packets per session."""
     n = params.preamble_len
-    lam = params.arrival_rate
-    b1 = mean_active_cra1(params)
-    cap_prob = poisson_cdf(n - 1, b1 * (1.0 - 1.0 / n))
-    return lam * (1.0 - params.p_md) * math.exp(-b1 / n) * cap_prob
+    return _capped_throughput(params, n, n)
 
 
 def backlog_drift(n_active, params):

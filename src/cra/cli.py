@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -58,6 +58,13 @@ class SweepSpec:
                 f"got {self.swept_variable!r}")
         if not self.grid:
             raise ConfigError("grid: must be nonempty")
+        # NaN passes the order check below; L and M are counts
+        whole = self.swept_variable in ("L", "M")
+        if not all(math.isfinite(v) and (not whole or v == int(v))
+                   for v in self.grid):
+            raise ConfigError(f"grid: {self.swept_variable} values must be "
+                              f"finite{' integers' if whole else ''}, "
+                              f"got {list(self.grid)}")
         diffs = [b - a for a, b in zip(self.grid, self.grid[1:])]
         if any(d <= 0 for d in diffs):
             raise ConfigError("grid: values must be strictly increasing")
@@ -108,14 +115,11 @@ def _row(sweep_var, value, metric, source, estimate, std_error=0.0,
 
 def emit_results(rows, path):
     """Write result rows (dicts with RESULT_FIELDS keys) as long-format CSV."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RESULT_FIELDS)
-            for row in rows:
-                writer.writerow([_fmt(row.get(k)) for k in RESULT_FIELDS])
-    except OSError as exc:
-        raise ConfigError(f"cannot write results to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RESULT_FIELDS)
+        for row in rows:
+            writer.writerow([_fmt(row.get(k)) for k in RESULT_FIELDS])
 
 
 def read_results(path):
@@ -143,13 +147,14 @@ def write_provenance(path, config):
 # settings: defaults, then the --config/--spec file or the sweep preset,
 # then the flags given
 
-_PARAM_FIELDS = ("preamble_len", "payload_len", "pool_size", "feedback_len",
-                 "arrival_rate", "p_md", "p_fa")
+_PARAM_FIELDS = tuple(f.name for f in fields(ProtocolParams))
+_PROTOCOL_KEYS = (*_PARAM_FIELDS, "traffic")
 
-# Every setting a file or a flag can give: its default and its type.  A list
-# type means a nonempty list of its one element type; float accepts integers
-# too, and no type accepts a bool.  Allowed values are checked where the
-# settings are used (ProtocolParams, Scheme, Mode, SweepSpec).
+# Every setting: its default and its type.  A list type means a nonempty
+# list of its one element type; float accepts integers too, and no type
+# accepts a bool.  Allowed values are checked where the settings are used
+# (ProtocolParams, Scheme, Mode, SweepSpec, the handlers).  _FILE_KEYS names
+# those a settings file may give; the rest are flags only.
 _SETTINGS = {
     "preamble_len": (31, int), "payload_len": (256, int),
     "pool_size": (310, int), "feedback_len": (4.0, float),
@@ -159,6 +164,10 @@ _SETTINGS = {
     "n_sessions": (100_000, int), "warmup_sessions": (1_000, int),
     "swept_variable": ("lambda_T", str), "grid": ((), [float]),
     "outputs": (METRICS, [str]), "replicate_seeds": ((0,), [int]),
+    "snr": ((0.0, 1.0, 4.0, 16.0), [float]), "trials": (1_000_000, int),
+    "pool_symbols": (31, int), "spark_checks": (0, int),
+    "horizon": (10_000, int), "initial_backlog": (0, int),
+    "stop_backlog": (None, int),   # None: run the whole horizon
 }
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
@@ -166,9 +175,12 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 _SIM_KEYS = ("scheme", "mode", "n_sessions", "warmup_sessions", "seed")
 _SWEEP_KEYS = ("swept_variable", "grid", "outputs", "replicate_seeds",
                "n_sessions", "warmup_sessions")
+_SIGNAL_KEYS = ("snr", "trials", "pool_symbols", "pool_size", "seed",
+                "spark_checks")
+_STABILITY_KEYS = ("horizon", "initial_backlog", "stop_backlog")
 # keys each settings file may hold
-_FILE_KEYS = {"config": (*_PARAM_FIELDS, "traffic", *_SIM_KEYS),
-              "spec": (*_PARAM_FIELDS, "traffic", *_SWEEP_KEYS)}
+_FILE_KEYS = {"config": (*_PROTOCOL_KEYS, *_SIM_KEYS),
+              "spec": (*_PROTOCOL_KEYS, *_SWEEP_KEYS)}
 
 # Figure-reproduction sweeps: overrides of the defaults, whose protocol
 # point (N=31, M=256, L=310, tau=4, p_md=p_fa=0.01, load 1) they share.
@@ -235,12 +247,12 @@ def _settings(args):
 def _params(s):
     """ProtocolParams from settings; without an arrival_rate the rate is
     traffic per N + M symbols."""
-    fields = {k: s[k] for k in _PARAM_FIELDS}
+    values = {k: s[k] for k in _PARAM_FIELDS}
     try:
-        if fields["arrival_rate"] is not None:
-            return ProtocolParams(**fields)
+        if values["arrival_rate"] is not None:
+            return ProtocolParams(**values)
         # validate N and M before dividing by N + M
-        return ProtocolParams(**{**fields, "arrival_rate": 0.0}) \
+        return ProtocolParams(**{**values, "arrival_rate": 0.0}) \
             .with_traffic(s["traffic"])
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -250,10 +262,6 @@ def _sim_config(s):
     return SimConfig(params=_params(s), scheme=Scheme(s["scheme"]),
                      mode=Mode(s["mode"]), n_sessions=s["n_sessions"],
                      warmup_sessions=s["warmup_sessions"], seed=s["seed"])
-
-
-def params_to_dict(params):
-    return {k: getattr(params, k) for k in _PARAM_FIELDS}
 
 
 def analytic_point(params):
@@ -317,124 +325,101 @@ def run_sweep(spec, workers=1):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the settings and the parsed flags, prints its
+# summary and returns its result rows and provenance
 
-def _cmd_analytic(args):
-    params = _params(_settings(args))
+def _cmd_analytic(s, args):
+    params = _params(s)
     point = analytic_point(params)
     for key, val in point.items():
         print(f"{key} = {val:.10g}")
-    if args.output:
-        rows = [_row("lambda_T", params.traffic_intensity, m, "analytic",
-                     point[m]) for m in METRICS]
-        emit_results(rows, args.output)
-        write_provenance(args.output, params_to_dict(params))
-    return 0
+    rows = [_row("lambda_T", params.traffic_intensity, m, "analytic", point[m])
+            for m in METRICS]
+    return rows, asdict(params)
 
 
-def _cmd_simulate(args):
-    s = _settings(args)
+def _cmd_simulate(s, args):
     cfg = _sim_config(s)
     est = estimate_throughput(cfg)
     t = cfg.params.txn_len
     print(f"normalized_throughput = {t * est.mean_throughput:.6g} "
           f"+/- {t * est.std_error:.3g}")
-    print(f"mean_active = {est.mean_active:.6g}")
-    print(f"mean_detected = {est.mean_detected:.6g}")
-    print(f"mean_session_len = {est.mean_session_len:.6g}")
-    if args.output:
-        metric = {"cra1": "eta1", "cra2": "eta2",
-                  "maloha": "eta_ma"}[cfg.scheme.value]
-        rows = [_row("lambda_T", cfg.params.traffic_intensity, metric, "sim",
-                     t * est.mean_throughput, t * est.std_error,
-                     est.sessions_run, cfg.seed)]
-        emit_results(rows, args.output)
-        # cfg.params, not the settings: MC-ALOHA runs with L = N
-        write_provenance(args.output, {**params_to_dict(cfg.params),
-                                       **{k: s[k] for k in _SIM_KEYS}})
-    return 0
+    for key in ("mean_active", "mean_detected", "mean_session_len"):
+        print(f"{key} = {getattr(est, key):.6g}")
+    # the scheme's throughput metric, not CRA-2's d_bar_ratio
+    metric = next(m for m, scheme in _SCHEME_FOR_METRIC.items()
+                  if scheme is cfg.scheme)
+    rows = [_row("lambda_T", cfg.params.traffic_intensity, metric, "sim",
+                 t * est.mean_throughput, t * est.std_error,
+                 est.sessions_run, cfg.seed)]
+    # cfg.params, not the settings: MC-ALOHA runs with L = N
+    return rows, {**asdict(cfg.params), **{k: s[k] for k in _SIM_KEYS}}
 
 
-def _cmd_sweep(args):
+def _cmd_sweep(s, args):
     if (args.preset is None) == (args.spec is None):
         raise ConfigError("sweep: give exactly one of --preset or --spec")
-    s = _settings(args)
     spec = SweepSpec(base=_sim_config(s), swept_variable=s["swept_variable"],
                      grid=tuple(s["grid"]), outputs=tuple(s["outputs"]),
                      replicate_seeds=tuple(s["replicate_seeds"]))
     rows = run_sweep(spec, workers=_workers(args))
-    emit_results(rows, args.output)
-    write_provenance(args.output, {**params_to_dict(spec.base.params),
-                                   **{k: s[k] for k in _SWEEP_KEYS}})
-    print(f"wrote {len(rows)} rows to {args.output}")
-    return 0
+    return rows, {**asdict(spec.base.params),
+                  **{k: s[k] for k in _SWEEP_KEYS}}
 
 
-def _cmd_signal(args):
-    _checked("", {"seed": args.seed})
-    if not args.snr:
-        raise ConfigError("snr: give at least one SNR value")
+def _cmd_signal(s, args):
+    snrs, trials, seed = s["snr"], s["trials"], s["seed"]
+    n_symbols, n_pool = s["pool_symbols"], s["pool_size"]
     # NaN compares False with everything, so test finiteness first
-    if not all(math.isfinite(snr) and snr >= 0 for snr in args.snr):
-        raise ConfigError(f"snr: values must be finite and >= 0: {args.snr}")
+    if not all(math.isfinite(snr) and snr >= 0 for snr in snrs):
+        raise ConfigError(f"snr: values must be finite and >= 0: {snrs}")
     # pool_size >= 2: the false-alarm trial uses preamble 1
     for key, least in (("spark_checks", 0), ("pool_size", 2)):
-        if getattr(args, key) < least:
-            raise ConfigError(f"{key}: must be >= {least}: {getattr(args, key)}")
-    if not 1 <= args.pool_symbols <= args.pool_size:
+        if s[key] < least:
+            raise ConfigError(f"{key}: must be >= {least}: {s[key]}")
+    if not 1 <= n_symbols <= n_pool:
         raise ConfigError(f"pool_symbols: must be >= 1 and <= pool_size "
-                          f"{args.pool_size}: {args.pool_symbols}")
-    pool = signals.gen_pool(args.pool_symbols, args.pool_size, args.seed)
+                          f"{n_pool}: {n_symbols}")
+    pool = signals.gen_pool(n_symbols, n_pool, seed)
     rows = []
-    for i, snr in enumerate(args.snr):
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, i]))
+    for i, snr in enumerate(snrs):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         scene = signals.SparseScene(support=(0,),
                                     coefficients=np.array([math.sqrt(snr)],
                                                           dtype=complex),
                                     noise_var=1.0)
-        md = signals.ml_md_trial(pool, scene, 0, rng, args.trials)
-        fa = signals.ml_fa_trial(pool, scene, 1, snr, rng, args.trials)
+        md = signals.ml_md_trial(pool, scene, 0, rng, trials)
+        fa = signals.ml_fa_trial(pool, scene, 1, snr, rng, trials)
         ref = analytic.detection_error_bounds(
-            analytic.ErrorBoundInputs.power_controlled(snr, 1, args.pool_size))[0]
+            analytic.ErrorBoundInputs.power_controlled(snr, 1, n_pool))[0]
         print(f"snr={snr:g}: md={md:.6g} fa={fa:.6g} q_ref={ref:.6g}")
         rows += [_row("snr", snr, m, "sim", p,
-                      math.sqrt(max(p * (1 - p), 1e-12) / args.trials),
-                      args.trials, args.seed)
+                      math.sqrt(max(p * (1 - p), 1e-12) / trials),
+                      trials, seed)
                  for m, p in (("ml_md", md), ("ml_fa", fa))]
         rows.append(_row("snr", snr, "ml_md", "analytic", ref))
-    if args.spark_checks:
-        small = [signals.spark_bruteforce(signals.gen_pool(4, 8, args.seed + j))
-                 for j in range(args.spark_checks)]
-        print(f"spark of {args.spark_checks} random 4x8 pools: "
+    if s["spark_checks"]:
+        small = [signals.spark_bruteforce(signals.gen_pool(4, 8, seed + j))
+                 for j in range(s["spark_checks"])]
+        print(f"spark of {s['spark_checks']} random 4x8 pools: "
               f"min={min(small)} max={max(small)}")
-    if args.output:
-        emit_results(rows, args.output)
-        write_provenance(args.output, {k: getattr(args, k) for k in (
-            "snr", "trials", "pool_symbols", "pool_size", "seed",
-            "spark_checks")})
-    return 0
+    return rows, {k: s[k] for k in _SIGNAL_KEYS}
 
 
-def _cmd_stability(args):
-    s = _settings(args)
+def _cmd_stability(s, args):
     params = _params(s)
     rows = []
     for seed in s["replicate_seeds"]:
         cfg = SimConfig(params=params, scheme=Scheme.CRA2,
                         mode=Mode.FAST_RETRIAL, warmup_sessions=0, seed=seed)
-        traj = simulate_stability(cfg, args.horizon,
-                                  initial_backlog=args.initial_backlog,
-                                  stop_backlog=args.stop_backlog)
+        traj = simulate_stability(cfg, s["horizon"],
+                                  initial_backlog=s["initial_backlog"],
+                                  stop_backlog=s["stop_backlog"])
         print(f"seed {seed}: {traj.size} sessions, final backlog {traj[-1]}")
         rows.extend(_row("session", t, "backlog", "sim", float(z), None,
                          traj.size, seed) for t, z in enumerate(traj))
-    if args.output:
-        emit_results(rows, args.output)
-        write_provenance(args.output, {
-            **params_to_dict(params), "seeds": s["replicate_seeds"],
-            **{k: getattr(args, k)
-               for k in ("horizon", "initial_backlog", "stop_backlog")}})
-    return 0
+    return rows, {**asdict(params), "seeds": s["replicate_seeds"],
+                  **{k: s[k] for k in _STABILITY_KEYS}}
 
 
 # ---------------------------------------------------------------------------
@@ -462,82 +447,71 @@ def _workers(args):
     return workers
 
 
-_PARAM_HELP = {"arrival_rate": "new users per symbol (overrides --traffic)",
-               "traffic": "normalized load: arrivals per (N + M) symbols"}
+# Each subcommand: its handler, its help line and the settings it takes as
+# flags.  Every subcommand also takes --output, sweep --preset, --spec and
+# --workers, and those with protocol flags a --config file.
+_COMMANDS = {
+    "analytic": (_cmd_analytic, "closed-form values at one point",
+                 _PROTOCOL_KEYS),
+    "simulate": (_cmd_simulate, "Monte Carlo run for one scheme",
+                 (*_PROTOCOL_KEYS, *_SIM_KEYS)),
+    "sweep": (_cmd_sweep, "figure presets or custom sweeps",
+              ("n_sessions", "warmup_sessions", "replicate_seeds")),
+    "signal": (_cmd_signal, "pairwise ML error and spark checks",
+               _SIGNAL_KEYS),
+    "stability": (_cmd_stability, "fast-retrial backlog trajectories",
+                  (*_PROTOCOL_KEYS, *_STABILITY_KEYS, "replicate_seeds")),
+}
 
-
-def _add_param_flags(parser):
-    g = parser.add_argument_group("protocol parameters")
-    g.add_argument("--config", help="JSON file with flat key-value settings; "
-                                    "flags override file values")
-    for key in (*_PARAM_FIELDS, "traffic"):
-        g.add_argument("--" + key.replace("_", "-"), type=_SETTINGS[key][1],
-                       help=_PARAM_HELP.get(key))
+# the flags not named after their key, and the keys with fixed choices
+_FLAG_NAMES = {"warmup_sessions": "--warmup", "replicate_seeds": "--seeds"}
+_CHOICES = {"scheme": [s.value for s in Scheme],
+            "mode": [m.value for m in Mode]}
 
 
 def build_parser():
-    # Flags that set a _SETTINGS key have no argparse default, so a flag
-    # not given leaves the file, preset or default value in force.
     parser = argparse.ArgumentParser(
         prog="cra",
         description="Throughput models and Monte Carlo simulation for "
                     "two-stage compressive random access.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analytic", help="closed-form values at one point")
-    _add_param_flags(p)
-    p.add_argument("--output", help="optional CSV output path")
-    p.set_defaults(func=_cmd_analytic)
-
-    p = sub.add_parser("simulate", help="Monte Carlo run for one scheme")
-    _add_param_flags(p)
-    p.add_argument("--scheme", choices=[s.value for s in Scheme])
-    p.add_argument("--mode", choices=[m.value for m in Mode])
-    p.add_argument("--n-sessions", type=int)
-    p.add_argument("--warmup", type=int, dest="warmup_sessions")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("sweep", help="figure presets or custom sweeps")
-    p.add_argument("--preset", choices=list(_PRESETS))
-    p.add_argument("--spec", help="JSON sweep specification")
-    p.add_argument("--output", required=True)
-    p.add_argument("--n-sessions", type=int)
-    p.add_argument("--warmup", type=int, dest="warmup_sessions")
-    p.add_argument("--seeds", type=_list_of(int), dest="replicate_seeds",
-                   help="comma-separated replicate seeds")
-    p.add_argument("--workers", type=int,
-                   help="worker processes (default: CRA_WORKERS or 1)")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("signal", help="pairwise ML error and spark checks")
-    p.add_argument("--snr", type=_list_of(float), default=[0.0, 1.0, 4.0, 16.0])
-    p.add_argument("--trials", type=int, default=1_000_000)
-    p.add_argument("--pool-symbols", type=int, default=31)
-    p.add_argument("--pool-size", type=int, default=310)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spark-checks", type=int, default=0)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_signal)
-
-    p = sub.add_parser("stability", help="fast-retrial backlog trajectories")
-    _add_param_flags(p)
-    p.add_argument("--horizon", type=int, default=10_000)
-    p.add_argument("--initial-backlog", type=int, default=0)
-    p.add_argument("--stop-backlog", type=int, default=None)
-    p.add_argument("--seeds", type=_list_of(int), dest="replicate_seeds")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_stability)
+    for name, (func, text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if name == "sweep":
+            p.add_argument("--preset", choices=list(_PRESETS))
+            p.add_argument("--spec", help="JSON sweep specification")
+            p.add_argument("--workers", type=int,
+                           help="worker processes (default: CRA_WORKERS or 1)")
+        elif "traffic" in keys:
+            p.add_argument("--config", help="JSON file with flat key-value "
+                                            "settings; flags override it")
+        # No argparse default: a flag not given leaves the file, preset or
+        # default value in force.
+        for key in keys:
+            kind = _SETTINGS[key][1]
+            p.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")),
+                           dest=key, choices=_CHOICES.get(key),
+                           type=_list_of(kind[0]) if isinstance(kind, list)
+                           else kind)
+        p.add_argument("--output", required=name == "sweep",
+                       help="CSV output path")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    # ConfigError is a ValueError; JSON integers beyond float range overflow
-    except (ValueError, OverflowError, OSError) as exc:
+        rows, provenance = args.func(_settings(args), args)
+        if args.output:
+            emit_results(rows, args.output)
+            write_provenance(args.output, provenance)
+        if args.command == "sweep":
+            print(f"wrote {len(rows)} rows to {args.output}")
+        return 0
+    # ConfigError is a ValueError; JSON integers beyond float range overflow;
+    # numpy fails at once on an array beyond the address space
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -212,6 +213,14 @@ class TestCommands:
         # above the default 310-preamble pool
         (["signal", "--pool-symbols", "400", "--snr", "1", "--trials", "10"],
          None, "pool_symbols"),
+        # L and M are counts; a non-finite value never sweeps
+        (["sweep", "--spec", {"swept_variable": "L", "grid": [31.5, 62.9]}],
+         None, "grid"),
+        (["sweep", "--spec", {"swept_variable": "M", "grid": [32, 64.5]}],
+         None, "grid"),
+        (["sweep", "--spec", {"swept_variable": "L", "grid": [float("nan")]}],
+         None, "grid"),
+        (["sweep", "--spec", {"grid": [0.5, float("inf")]}], None, "grid"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
                                       argv, env, what):
@@ -231,6 +240,19 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1 and what in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["stability", "--horizon", "1000000000000000000", "--seeds", "0"],
+        ["simulate", "--scheme", "cra2", "--n-sessions",
+         "1000000000000000000"],
+    ])
+    def test_huge_run_length_one_error_line(self, capsys, argv):
+        # the session arrays cannot be allocated: one error line, no traceback
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
 
     def test_simulate_runs(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
@@ -339,6 +361,94 @@ class TestCommands:
         main(["analytic", "--traffic", "1.0", "--output", str(out1)])
         main(["analytic", "--traffic", "1.0", "--output", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+PROTOCOL_OPTIONS = {
+    "--config": "config", "--preamble-len": "preamble_len",
+    "--payload-len": "payload_len", "--pool-size": "pool_size",
+    "--feedback-len": "feedback_len", "--arrival-rate": "arrival_rate",
+    "--p-md": "p_md", "--p-fa": "p_fa", "--traffic": "traffic",
+}
+
+# every subcommand's option strings, each with its argparse dest
+CLI_OPTIONS = {
+    "analytic": {**PROTOCOL_OPTIONS, "--output": "output"},
+    "simulate": {**PROTOCOL_OPTIONS, "--scheme": "scheme", "--mode": "mode",
+                 "--n-sessions": "n_sessions", "--warmup": "warmup_sessions",
+                 "--seed": "seed", "--output": "output"},
+    "sweep": {"--preset": "preset", "--spec": "spec", "--output": "output",
+              "--n-sessions": "n_sessions", "--warmup": "warmup_sessions",
+              "--seeds": "replicate_seeds", "--workers": "workers"},
+    "signal": {"--snr": "snr", "--trials": "trials",
+               "--pool-symbols": "pool_symbols", "--pool-size": "pool_size",
+               "--seed": "seed", "--spark-checks": "spark_checks",
+               "--output": "output"},
+    "stability": {**PROTOCOL_OPTIONS, "--horizon": "horizon",
+                  "--initial-backlog": "initial_backlog",
+                  "--stop-backlog": "stop_backlog",
+                  "--seeds": "replicate_seeds", "--output": "output"},
+}
+
+
+class TestCliSurface:
+    def subparsers(self):
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def test_options_and_dests_pinned(self):
+        found = {name: {opt: action.dest for action in p._actions
+                        for opt in action.option_strings
+                        if opt not in ("-h", "--help")}
+                 for name, p in self.subparsers().items()}
+        assert found == CLI_OPTIONS
+
+    def test_choices_and_required_pinned(self):
+        choices = {(name, a.dest): (a.choices, a.required)
+                   for name, p in self.subparsers().items()
+                   for a in p._actions if a.choices or a.required}
+        assert choices == {
+            ("simulate", "scheme"): (["cra1", "cra2", "maloha"], False),
+            ("simulate", "mode"): (["drop", "fast_retrial"], False),
+            ("sweep", "preset"): (["fig3", "fig4", "fig5", "fig6"], False),
+            ("sweep", "output"): (None, True),
+        }
+
+    @pytest.mark.parametrize("command", sorted(CLI_OPTIONS))
+    def test_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: cra {command}")
+        assert all(opt in out for opt in CLI_OPTIONS[command])
+
+    @pytest.mark.parametrize("argv, provenance", [
+        (["signal", "--trials", "10"],
+         {"pool_size": 310, "pool_symbols": 31, "seed": 0,
+          "snr": [0.0, 1.0, 4.0, 16.0], "spark_checks": 0, "trials": 10}),
+        (["signal", "--snr", "0,4", "--trials", "100", "--pool-symbols", "4",
+          "--pool-size", "8", "--seed", "3"],
+         {"pool_size": 8, "pool_symbols": 4, "seed": 3, "snr": [0.0, 4.0],
+          "spark_checks": 0, "trials": 100}),
+        (["stability", "--horizon", "5"],
+         {"arrival_rate": 0.003484320557491289, "feedback_len": 4.0,
+          "horizon": 5, "initial_backlog": 0, "p_fa": 0.01, "p_md": 0.01,
+          "payload_len": 256, "pool_size": 310, "preamble_len": 31,
+          "seeds": [0], "stop_backlog": None}),
+        (["stability", "--preamble-len", "8", "--payload-len", "16",
+          "--pool-size", "24", "--traffic", "2", "--horizon", "20",
+          "--initial-backlog", "4", "--stop-backlog", "30", "--seeds", "1,2"],
+         {"arrival_rate": 0.08333333333333333, "feedback_len": 4.0,
+          "horizon": 20, "initial_backlog": 4, "p_fa": 0.01, "p_md": 0.01,
+          "payload_len": 16, "pool_size": 24, "preamble_len": 8,
+          "seeds": [1, 2], "stop_backlog": 30}),
+    ])
+    def test_provenance_pinned(self, tmp_path, capsys, argv, provenance):
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--output", str(out)]) == 0
+        text = (tmp_path / "o.csv.provenance.json").read_text(encoding="utf-8")
+        assert text == json.dumps(provenance, indent=2, sort_keys=True) + "\n"
 
 
 JSON_VALUES = st.none() | st.booleans() | st.integers() | st.floats() \
