@@ -28,8 +28,6 @@ __all__ = [
     "prob_singleton",
     "prob_unused",
     "mean_detected_split",
-    "mean_active_cra2",
-    "mean_detected_cra2",
     "steady_state_cra2",
     "throughput_cra1",
     "throughput_maloha",
@@ -187,13 +185,13 @@ def _fixed_point_coeffs(params):
     return c1, c2
 
 
-def mean_active_cra2(params):
-    """Fixed-point mean number of active users per CRA-2 session.
+def steady_state_cra2(params):
+    """Full CRA-2 operating point: mean active/detected counts and throughput.
 
-    The fixed point holds if each session's active count is exactly Poisson.
-    The session chain's active count is a Poisson mixture over the previous
-    session's length, so by Jensen's inequality this value is an upper bound
-    on the chain's exact stationary mean.
+    The operating point is the fixed point under a Poisson active count.  The
+    session chain's active count is a Poisson mixture over the previous
+    session's length, so by Jensen's inequality its mean active and detected
+    counts are upper bounds on the chain's exact stationary means.
 
     Solves x = c1 - c2*exp(-x) for x = mean_active / pool_size through the
     principal Lambert W branch.  Valid parameters guarantee c1 >= c2 >= 0,
@@ -201,38 +199,14 @@ def mean_active_cra2(params):
     ValueError below it or on NaN (coefficients that overflowed).
     """
     c1, c2 = _fixed_point_coeffs(params)
-    return params.pool_size * (c1 + lambert_w0(-c2 * math.exp(-c1)))
-
-
-def _detected_at_load(params, x):
-    """Mean detected preambles per CRA-2 session at mean load x = K / L."""
+    L = params.pool_size
+    mean_active = L * (c1 + lambert_w0(-c2 * math.exp(-c1)))
+    unused = math.exp(-mean_active / L)   # e^-x at the mean load x = K / L
     one_m_md = 1.0 - params.p_md
-    return params.pool_size * (one_m_md
-                               - math.exp(-x) * (one_m_md - params.p_fa))
-
-
-def mean_detected_cra2(params):
-    """Fixed-point mean number of detected preambles (slots) per CRA-2 session.
-
-    Like ``mean_active_cra2``, this assumes a Poisson active count and is an
-    upper bound on the session chain's exact stationary mean.
-    """
-    return _detected_at_load(params, mean_active_cra2(params) / params.pool_size)
-
-
-def steady_state_cra2(params):
-    """Full CRA-2 operating point: mean active/detected counts and throughput.
-
-    The operating point is the fixed point under a Poisson active count; its
-    mean active and detected counts are upper bounds on the session chain's
-    exact stationary means.
-    """
-    mean_active = mean_active_cra2(params)
-    x = mean_active / params.pool_size
-    mean_detected = _detected_at_load(params, x)
-    mean_singleton = (1.0 - params.p_md) * mean_active * math.exp(-x)
+    mean_detected = L * (one_m_md - unused * (one_m_md - params.p_fa))
+    mean_singleton = one_m_md * mean_active * unused
     mean_len = params.overhead_len + params.payload_len * mean_detected
-    throughput = params.arrival_rate * (1.0 - params.p_md) * math.exp(-x)
+    throughput = params.arrival_rate * one_m_md * unused
     return SteadyState(
         mean_active=mean_active,
         mean_detected=mean_detected,
@@ -277,20 +251,17 @@ def backlog_drift(n_active, params):
             - (1.0 - lam * td) * singleton)
 
 
-def instability_threshold(params, k_max=None):
-    """Smallest K0 such that backlog_drift(K) > 0 for all K in [K0, k_max].
+def instability_threshold(params):
+    """Smallest K0 such that backlog_drift(K) > 0 for all K in [K0, 10 L].
 
-    Evaluates the drift once over the array K = 0..k_max (default
-    10 * pool_size): K0 is one past the last K whose drift is nonpositive.
-    Returns None if the drift is still nonpositive at k_max (no threshold
-    found in range); k_max < 0 raises ValueError.  The drift limit for large
-    K is arrival_rate * (overhead_len + payload_len * (1 - p_md) * pool_size)
-    > 0, so a finite threshold always exists for arrival_rate > 0.
+    Evaluates the drift once over the array K = 0..10 * pool_size: K0 is one
+    past the last K whose drift is nonpositive.  Returns None if the drift is
+    still nonpositive at 10 * pool_size (no threshold found in range).  The
+    drift limit for large K is
+    arrival_rate * (overhead_len + payload_len * (1 - p_md) * pool_size) > 0,
+    so a finite threshold always exists for arrival_rate > 0.
     """
-    if k_max is None:
-        k_max = 10 * params.pool_size
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max = 10 * params.pool_size
     stable = np.flatnonzero(backlog_drift(np.arange(k_max + 1), params) <= 0)
     last = stable[-1] if stable.size else -1
     return None if last == k_max else int(last) + 1

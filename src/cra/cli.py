@@ -122,20 +122,6 @@ def emit_results(rows, path):
             writer.writerow([_fmt(row.get(k)) for k in RESULT_FIELDS])
 
 
-def read_results(path):
-    """Parse a CSV written by emit_results back into row dicts."""
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            row = dict(rec)
-            for key in ("value", "estimate", "std_error"):
-                row[key] = float(row[key]) if row[key] != "" else None
-            for key in ("sessions", "seed"):
-                row[key] = int(row[key]) if row[key] != "" else None
-            rows.append(row)
-    return rows
-
-
 def write_provenance(path, config):
     with open(path + ".provenance.json", "w", encoding="utf-8",
               newline="\n") as fh:
@@ -151,10 +137,10 @@ _PARAM_FIELDS = tuple(f.name for f in fields(ProtocolParams))
 _PROTOCOL_KEYS = (*_PARAM_FIELDS, "traffic")
 
 # Every setting: its default and its type.  A list type means a nonempty
-# list of its one element type; float accepts integers too, and no type
-# accepts a bool.  Allowed values are checked where the settings are used
-# (ProtocolParams, Scheme, Mode, SweepSpec, the handlers).  _FILE_KEYS names
-# those a settings file may give; the rest are flags only.
+# list of its one element type; float accepts integers within float range
+# too, and no type accepts a bool.  Allowed values are checked where the
+# settings are used (ProtocolParams, Scheme, Mode, SweepSpec, the handlers).
+# _FILE_KEYS names those a settings file may give; the rest are flags only.
 _SETTINGS = {
     "preamble_len": (31, int), "payload_len": (256, int),
     "pool_size": (310, int), "feedback_len": (4.0, float),
@@ -170,7 +156,8 @@ _SETTINGS = {
     "stop_backlog": (None, int),   # None: run the whole horizon
 }
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a number within float range",
+               str: "a string"}
 
 _SIM_KEYS = ("scheme", "mode", "n_sessions", "warmup_sessions", "seed")
 _SWEEP_KEYS = ("swept_variable", "grid", "outputs", "replicate_seeds",
@@ -199,8 +186,12 @@ def _fits(value, kind):
     if isinstance(kind, list):
         return (isinstance(value, list) and len(value) > 0
                 and all(_fits(v, kind[0]) for v in value))
-    return (isinstance(value, (int, float) if kind is float else kind)
-            and not isinstance(value, bool))
+    if isinstance(value, bool):
+        return False
+    if kind is float and isinstance(value, int):
+        # a JSON integer beyond float range overflows where it is used
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
 def _checked(where, given):

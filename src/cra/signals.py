@@ -1,9 +1,8 @@
 """Complex-baseband laboratory for the preamble stage.
 
-Generates non-orthogonal preamble pools, the sparse Stage-1 / Stage-2
-observations, empirical pairwise ML error rates (missed detection and false
-alarm), and brute-force identifiability checks (spark, MMV support
-condition).
+Generates non-orthogonal preamble pools, the sparse Stage-1 observation,
+empirical pairwise ML error rates (missed detection and false alarm), and
+brute-force identifiability checks (spark, MMV support condition).
 
 An ML trial on y = base + n scores one real projection of its N-dimensional
 noise, since |y - base|^2 - |y - alt|^2 = -(|d|^2 + 2 Re(d^H n)) exactly for
@@ -12,7 +11,7 @@ d = base - alt.  The spark search takes batched SVDs of the column subsets.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "SparseScene",
     "gen_pool",
     "received_stage1",
-    "received_stage2",
     "ml_md_trial",
     "ml_fa_trial",
     "ml_support_search",
@@ -29,6 +27,7 @@ __all__ = [
     "mmv_identifiable",
 ]
 
+_NOISE_CHUNK = 100_000  # ML trials per noise draw in _pairwise_rate
 _RANK_TOL = 1e-10
 _SVD_BATCH = 1 << 20  # matrix entries per stacked SVD in spark_bruteforce
 _UNIT_NORM_TOL = 1e-12
@@ -59,13 +58,12 @@ class PreamblePool:
 
 @dataclass
 class SparseScene:
-    """One Stage-1 instance: active-user support, complex gains sqrt(P)*h,
-    noise variance, and optionally the M x K data symbols for Stage 2."""
+    """One Stage-1 instance: active-user support, complex gains sqrt(P)*h
+    and noise variance."""
 
     support: tuple
     coefficients: np.ndarray
     noise_var: float
-    data_symbols: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if len(set(self.support)) != len(self.support):
@@ -96,41 +94,28 @@ def _noiseless_stage1(pool, scene):
     return pool.matrix[:, list(scene.support)] @ scene.coefficients
 
 
-def _noise(rng, shape, noise_var):
-    scale = math.sqrt(noise_var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
 def received_stage1(pool, scene, rng):
     """y = (sum of active preambles weighted by sqrt(P)*h) + CSCG noise."""
-    return _noiseless_stage1(pool, scene) + _noise(rng, pool.n_symbols,
-                                                   scene.noise_var)
+    n = pool.n_symbols
+    scale = math.sqrt(scene.noise_var / 2.0)
+    noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return _noiseless_stage1(pool, scene) + noise
 
 
-def received_stage2(pool, scene, rng):
-    """M received vectors r_m sharing the Stage-1 support, each carrying the
-    active users' m-th data symbol.  Returns an (M, N) array."""
-    if scene.data_symbols is None:
-        raise ValueError("scene has no data_symbols")
-    d = np.asarray(scene.data_symbols)
-    if d.shape[1] != scene.n_active:
-        raise ValueError("data_symbols must be (M, n_active)")
-    clean = (d * scene.coefficients) @ pool.matrix[:, list(scene.support)].T
-    return clean + _noise(rng, clean.shape, scene.noise_var)
-
-
-def _pairwise_rate(base, alt, noise_var, rng, n_trials, chunk=100_000):
+def _pairwise_rate(base, alt, noise_var, rng, n_trials):
     """Fraction of noise draws for which the true hypothesis ``base`` loses
-    the ML residual comparison against ``alt`` on y = base + noise; the real
-    then imaginary noise parts come from one normal draw, as in ``_noise``."""
+    the ML residual comparison against ``alt`` on y = base + noise; one normal
+    draw gives the real then the imaginary noise parts, in the order
+    ``received_stage1`` draws them."""
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValueError(f"n_trials must be an integer >= 1: {n_trials!r}")
     d = base - alt
     d_sq = float(np.vdot(d, d).real)
     two_s = 2.0 * math.sqrt(noise_var / 2.0)
     losses = 0.0
-    for done in range(0, n_trials, chunk):
-        z = rng.standard_normal((2, min(chunk, n_trials - done), base.size))
+    for done in range(0, n_trials, _NOISE_CHUNK):
+        z = rng.standard_normal(
+            (2, min(_NOISE_CHUNK, n_trials - done), base.size))
         score = d_sq + two_s * (z[0] @ d.real + z[1] @ d.imag)
         # a zero score (identical hypotheses) breaks by fair coin
         losses += np.count_nonzero(score < 0) + 0.5 * np.count_nonzero(score == 0)

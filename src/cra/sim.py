@@ -56,6 +56,10 @@ _HEAVY_USERS_PER_PREAMBLE = 30
 # 2^16 int64 entries (512 KiB) serve a few thousand light sessions.
 _PICK_BUFFER = 1 << 16
 
+# Contiguous batches of the batch-means standard error; a run that measures
+# fewer sessions takes one batch per session.
+_BATCHES = 30
+
 __all__ = [
     "Scheme",
     "Mode",
@@ -109,7 +113,6 @@ class ThroughputEstimate:
     mean_throughput: float
     std_error: float
     sessions_run: int
-    total_time: float
     mean_active: float
     mean_detected: float
     mean_session_len: float
@@ -120,26 +123,22 @@ def stage1_outcome(n_active, params, rng, picks=None):
     """One preamble round: occupancy counts and detection outcome given K.
 
     Returns (singleton, collided, detected_singleton, detected_collided,
-    false_slots).  ``picks`` gives the users' preamble choices: the session
-    chain passes a slice of its pick buffer, and tests force collision
-    patterns with it.  Without ``picks`` the choices are drawn here.
-
-    The per-preamble counts are drawn one of two ways, with the same law.  A
-    session with fewer than ``_HEAVY_USERS_PER_PREAMBLE`` (30) users per
-    preamble draws one uniform pick per user and counts them with
-    ``bincount``; a heavier one draws the counts directly as one
-    Multinomial(K; 1/L, ..., 1/L), whose cost does not grow with K.
+    false_slots).  ``picks`` gives the users' preamble choices, which are
+    counted with ``bincount``: the session chain passes a slice of its pick
+    buffer for a light session, and tests force collision patterns with it.
+    Without ``picks`` the per-preamble counts are drawn directly as one
+    Multinomial(K; 1/L, ..., 1/L), which has the same law and whose cost does
+    not grow with K; the session chain takes this draw for a session with
+    ``_HEAVY_USERS_PER_PREAMBLE`` (30) or more users per preamble.
     """
     L = params.pool_size
-    if picks is not None:
+    if picks is None:
+        counts = rng.multinomial(n_active, np.full(L, 1.0 / L))
+    else:
         picks = np.asarray(picks, dtype=np.int64)
         if picks.size != n_active:
             raise ValueError("picks must have one entry per active user")
         counts = np.bincount(picks, minlength=L)
-    elif n_active >= _HEAVY_USERS_PER_PREAMBLE * L:
-        counts = rng.multinomial(n_active, np.full(L, 1.0 / L))
-    else:
-        counts = np.bincount(rng.integers(0, L, size=n_active), minlength=L)
     free, singleton = np.bincount(counts, minlength=2)[:2].tolist()
     occupied = L - free
     collided = occupied - singleton
@@ -281,13 +280,13 @@ def _iid_sessions(cfg):
     return succ, lengths, active, detected
 
 
-def _ratio_estimate(succ, lengths, active, detected, min_batches):
+def _ratio_estimate(succ, lengths, active, detected):
     """Ratio estimator sum(succ)/sum(lengths) over the measured sessions,
-    with the standard error of the means of min(min_batches, n) contiguous
+    with the standard error of the means of min(_BATCHES, n) contiguous
     batch ratios; the mean detected count gets the standard error of its
     means over the same batches."""
     n = succ.size
-    n_batches = min(min_batches, n)
+    n_batches = min(_BATCHES, n)
     edges = [round(i * n / n_batches) for i in range(n_batches)]
     sizes = np.diff([*edges, n])
     rates = np.add.reduceat(succ, edges) / np.add.reduceat(lengths, edges)
@@ -302,7 +301,6 @@ def _ratio_estimate(succ, lengths, active, detected, min_batches):
         mean_throughput=int(succ.sum()) / tot_time,
         std_error=batch_se(rates),
         sessions_run=n,
-        total_time=tot_time,
         mean_active=int(active.sum()) / n,
         mean_detected=int(detected.sum()) / n,
         mean_session_len=tot_time / n,
@@ -310,9 +308,9 @@ def _ratio_estimate(succ, lengths, active, detected, min_batches):
     )
 
 
-def estimate_throughput(cfg, min_batches=30):
+def estimate_throughput(cfg):
     """Warm up, then measure: ratio estimator over the measured sessions
-    with a batch-means standard error (>= min_batches batches).
+    with a batch-means standard error over min(30, n) batches.
 
     CRA-1 and ALOHA in drop mode take the block path for i.i.d. sessions;
     the other configurations walk the session chain.
@@ -321,7 +319,7 @@ def estimate_throughput(cfg, min_batches=30):
         sessions = _iid_sessions(cfg)
     else:
         sessions = _chain_sessions(cfg)
-    return _ratio_estimate(*sessions, min_batches)
+    return _ratio_estimate(*sessions)
 
 
 def simulate_stability(cfg, horizon, initial_backlog=0, stop_backlog=None):

@@ -6,9 +6,11 @@ exhaustive enumeration instead of closed forms, damped fixed-point iteration
 instead of Lambert W, a stationary solve of the session Markov chain instead
 of the simulator, a per-K scan of scalar drift calls instead of the array
 threshold scan, literal ML residual norms instead of the projected noise
-score, and one SVD per column subset instead of batched SVDs.
+score, and one SVD per column subset instead of batched SVDs.  It also reads
+the CLI's result CSVs back into rows.
 """
 
+import csv
 import itertools
 import math
 
@@ -219,3 +221,17 @@ def spark_per_subset(m, rank_tol=1e-10):
             if np.count_nonzero(s > rank_tol * s.max(initial=0.0)) < size:
                 return size
     return L + 1
+
+
+def read_results(path):
+    """Parse a CSV written by cli.emit_results back into row dicts."""
+    rows = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        for rec in csv.DictReader(fh):
+            row = dict(rec)
+            for key in ("value", "estimate", "std_error"):
+                row[key] = float(row[key]) if row[key] != "" else None
+            for key in ("sessions", "seed"):
+                row[key] = int(row[key]) if row[key] != "" else None
+            rows.append(row)
+    return rows

@@ -16,8 +16,6 @@ from cra.analytic import (
     ProtocolParams,
     backlog_drift,
     instability_threshold,
-    mean_active_cra2,
-    mean_detected_cra2,
     mean_detected_split,
     prob_singleton,
     prob_unused,
@@ -101,8 +99,8 @@ def test_criterion_01_throughput_agreement(grid_estimates):
 def test_criterion_02_steady_state_fixed_point():
     failures = []
     p = REF.with_traffic(1.0)
-    beta2 = mean_active_cra2(p)
-    d_bar = mean_detected_cra2(p)
+    ss = steady_state_cra2(p)
+    beta2, d_bar = ss.mean_active, ss.mean_detected
     if abs(beta2 - 19.0) > 0.1:
         failures.append(f"mean active {beta2:.4f} not ~19.0")
     if abs(d_bar - 21.2) > 0.1:
@@ -115,8 +113,8 @@ def test_criterion_02_steady_state_fixed_point():
             f"fixed point {beta2!r} vs iteration oracle {oracle_beta2!r}")
 
     for lt in FIG_GRID:
-        if lt <= 1.0 and not mean_detected_cra2(REF.with_traffic(lt)) \
-                < REF.preamble_len:
+        if lt <= 1.0 and not steady_state_cra2(
+                REF.with_traffic(lt)).mean_detected < REF.preamble_len:
             failures.append(f"mean detected >= N at load {lt}")
 
     cfg = SimConfig(params=p, scheme=Scheme.CRA2, n_sessions=1_000_000,

@@ -11,8 +11,6 @@ from cra.analytic import (
     backlog_drift,
     detection_error_bounds,
     instability_threshold,
-    mean_active_cra2,
-    mean_detected_cra2,
     mean_detected_split,
     prob_singleton,
     prob_unused,
@@ -124,14 +122,16 @@ class TestMeanDetectedSplit:
 class TestMeanActiveCra2:
     def test_vanishing_load(self, fig_params):
         p = replace(fig_params, arrival_rate=1e-12)
-        assert mean_active_cra2(p) == pytest.approx(0.0, abs=1e-6)
+        assert steady_state_cra2(p).mean_active == pytest.approx(
+            0.0, abs=1e-6)
 
     def test_degenerate_detection(self, fig_params):
         # p_md + p_fa = 1 makes the exponential term vanish
         p = replace(fig_params, p_md=0.3, p_fa=0.7)
         lam = p.arrival_rate
         expected = lam * (p.overhead_len + p.pool_size * p.payload_len * 0.7)
-        assert mean_active_cra2(p) == pytest.approx(expected, rel=1e-12)
+        assert steady_state_cra2(p).mean_active == pytest.approx(
+            expected, rel=1e-12)
 
     def test_reference_point_vs_fixed_point_oracle(self, fig_params):
         p = fig_params
@@ -139,7 +139,7 @@ class TestMeanActiveCra2:
         c1 = lam * (p.overhead_len / p.pool_size + p.payload_len * 0.99)
         c2 = lam * p.payload_len * 0.98
         oracle = p.pool_size * fixed_point_mean_load(c1, c2)
-        got = mean_active_cra2(p)
+        got = steady_state_cra2(p).mean_active
         assert got == pytest.approx(oracle, rel=1e-9)
         assert got == pytest.approx(19.0, abs=0.05)
 
@@ -147,7 +147,7 @@ class TestMeanActiveCra2:
         rng = np.random.default_rng(2)
         for _ in range(200):
             p = random_valid_params(rng)
-            x = mean_active_cra2(p) / p.pool_size
+            x = steady_state_cra2(p).mean_active / p.pool_size
             lam = p.arrival_rate
             c1 = lam * (p.overhead_len / p.pool_size
                         + p.payload_len * (1 - p.p_md))
@@ -175,28 +175,30 @@ class TestMeanActiveCra2:
 class TestMeanDetectedCra2:
     def test_vanishing_load_no_false_alarms(self, fig_params):
         p = replace(fig_params, arrival_rate=1e-12, p_fa=0.0)
-        assert mean_detected_cra2(p) == pytest.approx(0.0, abs=1e-6)
+        assert steady_state_cra2(p).mean_detected == pytest.approx(
+            0.0, abs=1e-6)
 
     def test_reference_point(self, fig_params):
         # evaluated from the fixed-point oracle mean load
-        assert mean_detected_cra2(fig_params) == pytest.approx(
-            21.14609752006474, rel=1e-9)
-        assert mean_detected_cra2(fig_params) < fig_params.preamble_len
+        d = steady_state_cra2(fig_params).mean_detected
+        assert d == pytest.approx(21.14609752006474, rel=1e-9)
+        assert d < fig_params.preamble_len
 
     def test_mostly_missed_detection(self, fig_params):
         p = replace(fig_params, p_md=0.95, p_fa=0.02)
-        x = mean_active_cra2(p) / p.pool_size
+        ss = steady_state_cra2(p)
+        x = ss.mean_active / p.pool_size
         expected = p.pool_size * (0.05 - math.exp(-x) * 0.03)
-        assert mean_detected_cra2(p) == pytest.approx(expected, rel=1e-12)
+        assert ss.mean_detected == pytest.approx(expected, rel=1e-12)
 
     def test_two_forms_agree_random(self):
-        # mean_detected_cra2 uses the direct exponential form at the fixed
+        # steady_state_cra2 uses the direct exponential form at the fixed
         # point; the Lambert form L*(1 - p_md + W(-c2 exp(-c1)) / (lambda M))
         # must give the same value
         rng = np.random.default_rng(4)
         for _ in range(500):
             p = random_valid_params(rng)
-            d = mean_detected_cra2(p)
+            d = steady_state_cra2(p).mean_detected
             assert 0.0 <= d <= p.pool_size
             c1, c2 = _fixed_point_coeffs(p)
             via_w = p.pool_size * (
@@ -321,19 +323,14 @@ class TestBacklogDrift:
                         pool_size=int(rng.integers(2, 400)),
                         payload_len=int(rng.integers(1, 512)))
             p = p.with_traffic(float(rng.uniform(0.0, 1.2)))
-            k_max = int(rng.integers(0, 10 * p.pool_size + 1))
-            k0 = instability_threshold(p, k_max)
-            assert k0 == threshold_scan(p, k_max)
+            k0 = instability_threshold(p)
+            assert k0 == threshold_scan(p, 10 * p.pool_size)
             found.append(k0)
         idle = replace(fig_params, arrival_rate=0.0)
         assert instability_threshold(idle) is None
         assert threshold_scan(idle, 10 * idle.pool_size) is None
-        assert None in found and 0 in found
+        assert 0 in found
         assert any(type(k0) is int and k0 > 0 for k0 in found)
-
-    def test_negative_k_max_rejected(self, fig_params):
-        with pytest.raises(ValueError, match="k_max"):
-            instability_threshold(fig_params, k_max=-1)
 
     def test_array_matches_scalar_calls(self):
         # The terms are L times a probability, and the collided share

@@ -16,11 +16,12 @@ from cra.cli import (
     derive_seed,
     emit_results,
     main,
-    read_results,
     run_sweep,
 )
 from cra.analytic import ProtocolParams
 from cra.sim import SimConfig, estimate_throughput
+
+from helpers import read_results
 
 TINY_PARAMS = {"preamble_len": 8, "payload_len": 16, "pool_size": 24}
 CONFIG_KEYS = ("preamble_len", "payload_len", "pool_size", "feedback_len",
@@ -221,6 +222,11 @@ class TestCommands:
         (["sweep", "--spec", {"swept_variable": "L", "grid": [float("nan")]}],
          None, "grid"),
         (["sweep", "--spec", {"grid": [0.5, float("inf")]}], None, "grid"),
+        # JSON integers beyond float range
+        (["sweep", "--spec", {"arrival_rate": 10**400}], None, "arrival_rate"),
+        (["sweep", "--spec", {"arrival_rate": None, "traffic": 10**400}],
+         None, "traffic"),
+        (["sweep", "--spec", {"grid": [1, 10**400]}], None, "grid"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
                                       argv, env, what):

@@ -20,11 +20,10 @@ def test_public_names_pinned():
         "Scheme", "SimConfig", "SparseScene", "SteadyState",
         "ThroughputEstimate", "backlog_drift",
         "detection_error_bounds", "estimate_throughput", "gen_pool",
-        "instability_threshold", "lambert_w0", "mean_active_cra2",
-        "mean_detected_cra2", "mean_detected_split", "ml_fa_trial",
-        "ml_md_trial", "ml_support_search", "mmv_identifiable",
-        "poisson_cdf", "prob_singleton", "prob_unused", "qfunc",
-        "received_stage1", "received_stage2", "simulate_stability",
+        "instability_threshold", "lambert_w0", "mean_detected_split",
+        "ml_fa_trial", "ml_md_trial", "ml_support_search",
+        "mmv_identifiable", "poisson_cdf", "prob_singleton", "prob_unused",
+        "qfunc", "received_stage1", "simulate_stability",
         "spark_bruteforce", "steady_state_cra2", "support_error_prob",
         "throughput_cra1", "throughput_maloha",
     ]

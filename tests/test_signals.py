@@ -12,17 +12,16 @@ from cra.signals import (
     ml_support_search,
     mmv_identifiable,
     received_stage1,
-    received_stage2,
     spark_bruteforce,
 )
 from cra.specfun import qfunc
 from helpers import pairwise_rate_residuals, spark_per_subset
 
 
-def scene_with_snr(snr, support=(0,), noise_var=1.0, **kw):
+def scene_with_snr(snr, support=(0,), noise_var=1.0):
     coeffs = np.full(len(support), math.sqrt(snr * noise_var), dtype=complex)
     return SparseScene(support=tuple(support), coefficients=coeffs,
-                       noise_var=noise_var, **kw)
+                       noise_var=noise_var)
 
 
 class TestGenPool:
@@ -79,38 +78,6 @@ class TestReceivedStage1:
         a = received_stage1(pool, scene, np.random.default_rng(11))
         b = received_stage1(pool, scene, np.random.default_rng(11))
         assert np.array_equal(a, b)
-
-
-class TestReceivedStage2:
-    def test_requires_data_symbols(self):
-        pool = gen_pool(4, 8, seed=0)
-        scene = scene_with_snr(1.0)
-        with pytest.raises(ValueError):
-            received_stage2(pool, scene, np.random.default_rng(0))
-
-    def test_unit_symbols_reproduce_stage1(self):
-        pool = gen_pool(5, 10, seed=4)
-        m = 7
-        scene = SparseScene(support=(2, 9),
-                            coefficients=np.array([1.0 + 0j, 0.5j]),
-                            noise_var=1e-30,
-                            data_symbols=np.ones((m, 2), dtype=complex))
-        r = received_stage2(pool, scene, np.random.default_rng(0))
-        clean = pool.matrix[:, [2, 9]] @ scene.coefficients
-        assert r.shape == (m, 5)
-        assert np.allclose(r, np.tile(clean, (m, 1)), atol=1e-12)
-
-    def test_stacked_observation_length(self):
-        pool = gen_pool(5, 10, seed=4)
-        m = 7
-        scene = SparseScene(support=(2,), coefficients=np.array([1.0 + 0j]),
-                            noise_var=1.0,
-                            data_symbols=np.ones((m, 1), dtype=complex))
-        rng = np.random.default_rng(2)
-        y = received_stage1(pool, scene, rng)
-        r = received_stage2(pool, scene, rng)
-        stacked = np.concatenate([y, r.ravel()])
-        assert stacked.size == (1 + m) * pool.n_symbols
 
 
 class TestPairwiseMlTrials:

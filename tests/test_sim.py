@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from cra.analytic import ProtocolParams, backlog_drift, mean_detected_split, \
-    prob_singleton, throughput_cra1, throughput_maloha
+    prob_singleton, steady_state_cra2, throughput_cra1, throughput_maloha
 from cra.sim import (
     _BLOCK_CELLS,
     _HEAVY_USERS_PER_PREAMBLE,
@@ -85,18 +85,17 @@ class TestStage1Outcome:
         "k, heavy", [(1, False), (5, False), (20, False), (100, False),
                      (5, True), (100, True)],
         ids=["1", "5", "20", "100", "multinomial-5", "multinomial-100"])
-    def test_conditional_means_match_lemma(self, fig_params, monkeypatch, k,
-                                           heavy):
-        if heavy:
-            # every K takes the multinomial draw, also where singletons
-            # are common enough for their mean to be tested
-            monkeypatch.setattr("cra.sim._HEAVY_USERS_PER_PREAMBLE", 0)
+    def test_conditional_means_match_lemma(self, fig_params, k, heavy):
+        # without picks every K takes the multinomial draw, also where
+        # singletons are common enough for their mean to be tested
         rng = np.random.default_rng(100 + k)
+        L = fig_params.pool_size
         n = 100_000
         sums = np.zeros(3)
         sq = np.zeros(3)
         for _ in range(n):
-            s, c, d1, d2, d3 = stage1_outcome(k, fig_params, rng)
+            picks = None if heavy else rng.integers(0, L, k)
+            s, c, d1, d2, d3 = stage1_outcome(k, fig_params, rng, picks)
             d = np.array([d1, d2, d3], dtype=float)
             sums += d
             sq += d * d
@@ -226,8 +225,35 @@ class TestEstimateThroughput:
         est = estimate_throughput(cfg)
         assert est.mean_throughput == pytest.approx(succ.sum() / time,
                                                     rel=1e-12)
-        assert est.total_time == pytest.approx(time, rel=1e-12)
+        assert est.mean_session_len * est.sessions_run == pytest.approx(
+            time, rel=1e-12)
         assert est.std_error >= 0.0
+
+    def test_short_run_se_has_one_batch_per_session(self, fig_params):
+        # fewer than 30 measured sessions: each session is its own batch
+        n = 10
+        cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2, n_sessions=n,
+                        warmup_sessions=0, seed=12)
+        succ, _, detected, _ = _walk(cfg, n)
+        lengths = fig_params.overhead_len + fig_params.payload_len * detected
+        est = estimate_throughput(cfg)
+        assert est.std_error == pytest.approx(
+            np.std(succ / lengths, ddof=1) / math.sqrt(n), rel=1e-12)
+        assert est.detected_std_error == pytest.approx(
+            np.std(detected, ddof=1) / math.sqrt(n), rel=1e-12)
+
+    def test_long_run_se_has_30_batches(self, fig_params):
+        # 90 measured sessions make 30 contiguous batches of 3
+        cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2, n_sessions=90,
+                        warmup_sessions=10, seed=13)
+        succ, _, detected, _ = (x[10:].reshape(30, 3) for x in _walk(cfg, 100))
+        lengths = fig_params.overhead_len + fig_params.payload_len * detected
+        rates = succ.sum(axis=1) / lengths.sum(axis=1)
+        est = estimate_throughput(cfg)
+        assert est.std_error == pytest.approx(
+            np.std(rates, ddof=1) / math.sqrt(30), rel=1e-12)
+        assert est.detected_std_error == pytest.approx(
+            np.std(detected.mean(axis=1), ddof=1) / math.sqrt(30), rel=1e-12)
 
     def test_fast_retrial_cra1_is_chain_ratio(self, fig_params):
         # fast retrial carries the backlog over, so CRA-1 walks the session
@@ -350,12 +376,12 @@ class TestEstimateThroughput:
 
     def test_low_load_matches_closed_form(self, fig_params):
         # the Poisson steady-state approximation is tight at low load
-        from cra.analytic import mean_active_cra2
         p = fig_params.with_traffic(0.4)
         cfg = SimConfig(params=p, scheme=Scheme.CRA2, n_sessions=100_000,
                         warmup_sessions=1_000, seed=8)
         est = estimate_throughput(cfg)
-        assert est.mean_active == pytest.approx(mean_active_cra2(p), rel=0.01)
+        assert est.mean_active == pytest.approx(
+            steady_state_cra2(p).mean_active, rel=0.01)
 
 
 class TestBinomialApproximationCalibration:
@@ -368,12 +394,13 @@ class TestBinomialApproximationCalibration:
         rng = np.random.default_rng(11)
         measured_caps = {(16, 8): 0.40, (32, 8): 0.57, (64, 8): 0.69,
                          (64, 16): 0.51}
+        n = 40_000
         for (L, K), cap in measured_caps.items():
-            n = 40_000
-            counts = np.zeros(L + 1)
-            for _ in range(n):
-                _, c = np.unique(rng.integers(0, L, K), return_counts=True)
-                counts[int((c == 1).sum())] += 1
+            # n trials of K picks each, counted in (trial, preamble) cells
+            cells = rng.integers(0, L, (n, K)) + L * np.arange(n)[:, None]
+            occupancy = np.bincount(cells.ravel(), minlength=n * L)
+            singletons = np.count_nonzero(occupancy.reshape(n, L) == 1, axis=1)
+            counts = np.bincount(singletons, minlength=L + 1)
             ref = stats.binom.pmf(np.arange(L + 1), L, prob_singleton(K, L))
             tv = 0.5 * np.abs(counts / n - ref).sum()
             assert tv < cap
