@@ -229,8 +229,6 @@ def _capped_throughput(params, pool, cap):
 def throughput_cra1(params):
     """CRA-1 throughput: multiuser detection fails outright when the
     active count reaches the spreading gain (preamble length)."""
-    if params.preamble_len < 2:
-        raise ValueError("throughput_cra1 needs preamble_len >= 2")
     return _capped_throughput(params, params.pool_size,
                               params.preamble_len - 1)
 

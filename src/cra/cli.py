@@ -39,10 +39,6 @@ _SCHEME_FOR_METRIC = {
 }
 
 
-class ConfigError(ValueError):
-    """Invalid CLI/file configuration; message names the offending field."""
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     base: SimConfig
@@ -53,26 +49,26 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.swept_variable not in SWEEP_VARIABLES:
-            raise ConfigError(
+            raise ValueError(
                 f"swept_variable must be one of {SWEEP_VARIABLES}, "
                 f"got {self.swept_variable!r}")
         if not self.grid:
-            raise ConfigError("grid: must be nonempty")
+            raise ValueError("grid: must be nonempty")
         # NaN passes the order check below; L and M are counts
         whole = self.swept_variable in ("L", "M")
         if not all(math.isfinite(v) and (not whole or v == int(v))
                    for v in self.grid):
-            raise ConfigError(f"grid: {self.swept_variable} values must be "
-                              f"finite{' integers' if whole else ''}, "
-                              f"got {list(self.grid)}")
+            raise ValueError(f"grid: {self.swept_variable} values must be "
+                             f"finite{' integers' if whole else ''}, "
+                             f"got {list(self.grid)}")
         diffs = [b - a for a, b in zip(self.grid, self.grid[1:])]
         if any(d <= 0 for d in diffs):
-            raise ConfigError("grid: values must be strictly increasing")
+            raise ValueError("grid: values must be strictly increasing")
         bad = [m for m in self.outputs if m not in METRICS]
         if bad:
-            raise ConfigError(f"outputs: unknown metric(s) {bad}")
+            raise ValueError(f"outputs: unknown metric(s) {bad}")
         if not self.replicate_seeds:
-            raise ConfigError("replicate_seeds: must be nonempty")
+            raise ValueError("replicate_seeds: must be nonempty")
 
 
 def apply_sweep_value(params, variable, value):
@@ -85,7 +81,7 @@ def apply_sweep_value(params, variable, value):
         return replace(params, payload_len=int(value))
     if variable == "p_err":
         return replace(params, p_md=value, p_fa=value)
-    raise ConfigError(f"swept_variable: unknown variable {variable!r}")
+    raise ValueError(f"swept_variable: unknown variable {variable!r}")
 
 
 def derive_seed(base_seed, *indices):
@@ -137,9 +133,10 @@ _PARAM_FIELDS = tuple(f.name for f in fields(ProtocolParams))
 _PROTOCOL_KEYS = (*_PARAM_FIELDS, "traffic")
 
 # Every setting: its default and its type.  A list type means a nonempty
-# list of its one element type; float accepts integers within float range
-# too, and no type accepts a bool.  Allowed values are checked where the
-# settings are used (ProtocolParams, Scheme, Mode, SweepSpec, the handlers).
+# list of its one element type; int and float accept integers within float
+# range, float accepts floats too, and no type accepts a bool.  Allowed
+# values are checked where the settings are used (ProtocolParams, Scheme,
+# Mode, SweepSpec, the handlers).
 # _FILE_KEYS names those a settings file may give; the rest are flags only.
 _SETTINGS = {
     "preamble_len": (31, int), "payload_len": (256, int),
@@ -188,7 +185,7 @@ def _fits(value, kind):
                 and all(_fits(v, kind[0]) for v in value))
     if isinstance(value, bool):
         return False
-    if kind is float and isinstance(value, int):
+    if kind in (int, float) and isinstance(value, int):
         # a JSON integer beyond float range overflows where it is used
         return abs(value) <= sys.float_info.max
     return isinstance(value, kind)
@@ -202,11 +199,11 @@ def _checked(where, given):
         if not (value is None and default is None or _fits(value, kind)):
             what = ("a nonempty list, each " + _TYPE_NAMES[kind[0]]
                     if isinstance(kind, list) else _TYPE_NAMES[kind])
-            raise ConfigError(f"{where}{key} must be {what}, got {value!r}")
+            raise ValueError(f"{where}{key} must be {what}, got {value!r}")
         # numpy's SeedSequence takes no negative seed
         if key in ("seed", "replicate_seeds") \
                 and min(value if isinstance(value, list) else [value]) < 0:
-            raise ConfigError(f"{where}{key} must be >= 0, got {value!r}")
+            raise ValueError(f"{where}{key} must be >= 0, got {value!r}")
     return given
 
 
@@ -223,12 +220,12 @@ def _settings(args):
             with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"{option}: cannot read {path}: {exc}") from None
+            raise ValueError(f"{option}: cannot read {path}: {exc}") from None
         if not isinstance(loaded, dict):
-            raise ConfigError(f"{option}: {path} must hold a JSON object")
+            raise ValueError(f"{option}: {path} must hold a JSON object")
         unknown = set(loaded) - set(keys)
         if unknown:
-            raise ConfigError(f"{option}: unknown key(s) {sorted(unknown)}")
+            raise ValueError(f"{option}: unknown key(s) {sorted(unknown)}")
         settings.update(_checked(f"{option}: ", loaded))
     settings.update(_checked("", {k: v for k, v in vars(args).items()
                                   if k in _SETTINGS and v is not None}))
@@ -239,14 +236,11 @@ def _params(s):
     """ProtocolParams from settings; without an arrival_rate the rate is
     traffic per N + M symbols."""
     values = {k: s[k] for k in _PARAM_FIELDS}
-    try:
-        if values["arrival_rate"] is not None:
-            return ProtocolParams(**values)
-        # validate N and M before dividing by N + M
-        return ProtocolParams(**{**values, "arrival_rate": 0.0}) \
-            .with_traffic(s["traffic"])
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from exc
+    if values["arrival_rate"] is not None:
+        return ProtocolParams(**values)
+    # validate N and M before dividing by N + M
+    return ProtocolParams(**{**values, "arrival_rate": 0.0}) \
+        .with_traffic(s["traffic"])
 
 
 def _sim_config(s):
@@ -349,7 +343,7 @@ def _cmd_simulate(s, args):
 
 def _cmd_sweep(s, args):
     if (args.preset is None) == (args.spec is None):
-        raise ConfigError("sweep: give exactly one of --preset or --spec")
+        raise ValueError("sweep: give exactly one of --preset or --spec")
     spec = SweepSpec(base=_sim_config(s), swept_variable=s["swept_variable"],
                      grid=tuple(s["grid"]), outputs=tuple(s["outputs"]),
                      replicate_seeds=tuple(s["replicate_seeds"]))
@@ -363,14 +357,14 @@ def _cmd_signal(s, args):
     n_symbols, n_pool = s["pool_symbols"], s["pool_size"]
     # NaN compares False with everything, so test finiteness first
     if not all(math.isfinite(snr) and snr >= 0 for snr in snrs):
-        raise ConfigError(f"snr: values must be finite and >= 0: {snrs}")
+        raise ValueError(f"snr: values must be finite and >= 0: {snrs}")
     # pool_size >= 2: the false-alarm trial uses preamble 1
     for key, least in (("spark_checks", 0), ("pool_size", 2)):
         if s[key] < least:
-            raise ConfigError(f"{key}: must be >= {least}: {s[key]}")
+            raise ValueError(f"{key}: must be >= {least}: {s[key]}")
     if not 1 <= n_symbols <= n_pool:
-        raise ConfigError(f"pool_symbols: must be >= 1 and <= pool_size "
-                          f"{n_pool}: {n_symbols}")
+        raise ValueError(f"pool_symbols: must be >= 1 and <= pool_size "
+                         f"{n_pool}: {n_symbols}")
     pool = signals.gen_pool(n_symbols, n_pool, seed)
     rows = []
     for i, snr in enumerate(snrs):
@@ -432,9 +426,9 @@ def _workers(args):
         try:
             workers = int(text)
         except ValueError:
-            raise ConfigError(f"CRA_WORKERS: not an integer: {text!r}") from None
+            raise ValueError(f"CRA_WORKERS: not an integer: {text!r}") from None
     if workers < 1:
-        raise ConfigError(f"workers: must be >= 1, got {workers}")
+        raise ValueError(f"workers: must be >= 1, got {workers}")
     return workers
 
 
@@ -500,8 +494,8 @@ def main(argv=None):
         if args.command == "sweep":
             print(f"wrote {len(rows)} rows to {args.output}")
         return 0
-    # ConfigError is a ValueError; JSON integers beyond float range overflow;
-    # numpy fails at once on an array beyond the address space
+    # a huge count overflows numpy's C integers; numpy fails at once on an
+    # array beyond the address space
     except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

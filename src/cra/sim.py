@@ -25,6 +25,11 @@ out.  There is no separate per-session reference path: the tests pin the
 walk down through ``stage1_outcome`` with given picks and through
 degenerate runs that force the active count.
 
+Both paths allocate a run's per-session arrays once, before the first draw,
+so a run too long to allocate fails at once (``cra`` prints one ``error:``
+line) instead of growing until memory runs out.  ``estimate_throughput``
+alone drops the warm-up sessions and builds the session lengths.
+
 Randomness comes from numpy's default PCG64 bit generator seeded through
 ``numpy.random.SeedSequence``; replicas parallelize by spawning child seeds,
 and a fixed (seed, config) pair reproduces the trace stream bit-exactly.
@@ -146,7 +151,6 @@ def stage1_outcome(n_active, params, rng, picks=None):
     p_det = 1.0 - params.p_md
     d1 = rng.binomial(singleton, p_det) if singleton else 0
     d2 = rng.binomial(collided, p_det) if collided else 0
-    free = L - occupied
     d3 = rng.binomial(free, params.p_fa) if (free and params.p_fa > 0.0) else 0
     return singleton, collided, int(d1), int(d2), int(d3)
 
@@ -230,37 +234,23 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
             backlog_out[:run])
 
 
-def _chain_sessions(cfg):
-    """(successes, length, active, detected) of each measured session of the
-    sequential session chain, after its warm-up."""
-    p = cfg.params
-    succ, active, detected, _ = (
-        x[cfg.warmup_sessions:]
-        for x in _walk(cfg, cfg.warmup_sessions + cfg.n_sessions))
-    if cfg.scheme is Scheme.CRA2:
-        lengths = p.overhead_len + p.payload_len * detected
-    else:
-        lengths = np.full(cfg.n_sessions, p.fixed_session_len)
-    return succ, lengths, active, detected
+def _iid_sessions(cfg, total):
+    """Run ``total`` i.i.d. sessions of a fixed-length scheme (CRA-1, ALOHA)
+    in drop mode; returns their (successes, active, detected) arrays, as
+    ``_walk`` does.
 
-
-def _iid_sessions(cfg):
-    """(successes, length, active, detected) of each measured session of an
-    i.i.d. fixed-length scheme (CRA-1, ALOHA) in drop mode.
-
-    The warm-up and measured sessions are drawn in blocks: one Poisson draw
-    of every session's active count, one draw of all picks, and one
-    ``bincount`` over (session, preamble) cells that yields each session's
-    singleton and occupied counts; the detection coin flips are three vector
-    binomial draws.
+    The run's arrays are allocated before the first draw, then filled in
+    blocks: one Poisson draw of every session's active count, one draw of
+    all picks, and one ``bincount`` over (session, preamble) cells that
+    yields each session's singleton and occupied counts; the detection coin
+    flips are three vector binomial draws.
     """
     p = cfg.params
     L = p.pool_size
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    total = cfg.warmup_sessions + cfg.n_sessions
+    out = np.empty((3, total), dtype=np.int64)
     block = max(1, _BLOCK_CELLS // L)
     keep = 1.0 - p.p_md
-    parts = []
     for start in range(0, total, block):
         b = min(block, total - start)
         active = rng.poisson(p.arrival_rate * p.fixed_session_len, size=b)
@@ -272,12 +262,9 @@ def _iid_sessions(cfg):
         d1 = rng.binomial(singleton, keep)
         d2 = rng.binomial(occupied - singleton, keep)
         d3 = rng.binomial(L - occupied, p.p_fa)
-        parts.append((_capped_successes(cfg.scheme, active, d1, p), active,
-                      d1 + d2 + d3))
-    succ, active, detected = (np.concatenate(x)[cfg.warmup_sessions:]
-                              for x in zip(*parts))
-    lengths = np.full(cfg.n_sessions, p.fixed_session_len)
-    return succ, lengths, active, detected
+        out[:, start:start + b] = (
+            _capped_successes(cfg.scheme, active, d1, p), active, d1 + d2 + d3)
+    return tuple(out)
 
 
 def _ratio_estimate(succ, lengths, active, detected):
@@ -315,11 +302,18 @@ def estimate_throughput(cfg):
     CRA-1 and ALOHA in drop mode take the block path for i.i.d. sessions;
     the other configurations walk the session chain.
     """
+    total = cfg.warmup_sessions + cfg.n_sessions
     if cfg.mode is Mode.DROP and cfg.scheme is not Scheme.CRA2:
-        sessions = _iid_sessions(cfg)
+        sessions = _iid_sessions(cfg, total)
     else:
-        sessions = _chain_sessions(cfg)
-    return _ratio_estimate(*sessions)
+        sessions = _walk(cfg, total)[:3]
+    succ, active, detected = (x[cfg.warmup_sessions:] for x in sessions)
+    p = cfg.params
+    if cfg.scheme is Scheme.CRA2:
+        lengths = p.overhead_len + p.payload_len * detected
+    else:
+        lengths = np.full(cfg.n_sessions, p.fixed_session_len)
+    return _ratio_estimate(succ, lengths, active, detected)
 
 
 def simulate_stability(cfg, horizon, initial_backlog=0, stop_backlog=None):

@@ -56,15 +56,15 @@ def lambert_w0(y):
 
 
 def poisson_cdf(n, mu):
-    """Pr(X <= n) for X ~ Poisson(mu).
+    """Pr(X <= n) for X ~ Poisson(mu); 0 for n < 0, since X >= 0.
 
     Evaluated through the regularized upper incomplete gamma function,
     which is stable for mu well beyond 1e4 (no term-by-term overflow).
     """
-    if n < 0:
-        raise ValueError("poisson_cdf: n must be a nonnegative integer")
     if mu < 0:
         raise ValueError("poisson_cdf: mu must be nonnegative")
+    if n < 0:
+        return 0.0
     if mu == 0.0:
         return 1.0
     if _gammaincc is None:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from cra import cli
 from cra.cli import (
-    ConfigError,
     METRICS,
     SweepSpec,
     apply_sweep_value,
@@ -50,20 +49,20 @@ class TestSweepSpec:
         return SimConfig(params=params, n_sessions=100, warmup_sessions=10)
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigError, match="grid"):
+        with pytest.raises(ValueError, match="grid"):
             SweepSpec(base=self.base(), swept_variable="lambda_T", grid=())
 
     def test_non_monotone_grid_rejected(self):
-        with pytest.raises(ConfigError, match="grid"):
+        with pytest.raises(ValueError, match="grid"):
             SweepSpec(base=self.base(), swept_variable="lambda_T",
                       grid=(1.0, 0.5))
 
     def test_unknown_variable_rejected(self):
-        with pytest.raises(ConfigError, match="swept_variable"):
+        with pytest.raises(ValueError, match="swept_variable"):
             SweepSpec(base=self.base(), swept_variable="bogus", grid=(1.0,))
 
     def test_unknown_metric_rejected(self):
-        with pytest.raises(ConfigError, match="outputs"):
+        with pytest.raises(ValueError, match="outputs"):
             SweepSpec(base=self.base(), swept_variable="lambda_T",
                       grid=(1.0,), outputs=("eta9",))
 
@@ -227,6 +226,8 @@ class TestCommands:
         (["sweep", "--spec", {"arrival_rate": None, "traffic": 10**400}],
          None, "traffic"),
         (["sweep", "--spec", {"grid": [1, 10**400]}], None, "grid"),
+        (["sweep", "--spec", {"preamble_len": 10**400}], None, "preamble_len"),
+        (["sweep", "--spec", {"n_sessions": 10**400}], None, "n_sessions"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
                                       argv, env, what):
@@ -250,6 +251,10 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["stability", "--horizon", "1000000000000000000", "--seeds", "0"],
         ["simulate", "--scheme", "cra2", "--n-sessions",
+         "1000000000000000000"],
+        ["simulate", "--scheme", "cra1", "--n-sessions",
+         "1000000000000000000"],
+        ["simulate", "--scheme", "maloha", "--n-sessions",
          "1000000000000000000"],
     ])
     def test_huge_run_length_one_error_line(self, capsys, argv):
@@ -468,13 +473,14 @@ JSON_VALUES = st.none() | st.booleans() | st.integers() | st.floats() \
                        JSON_VALUES))
 def test_config_file_fuzz(tmp_path_factory, loaded):
     """Any JSON object over the config keys resolves to a valid config or a
-    ConfigError, and `analytic` exits 0 or 1 with one error line."""
+    ValueError or OverflowError, and `analytic` exits 0 or 1 with one error
+    line."""
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
     path.write_text(json.dumps(loaded))
     args = cli.build_parser().parse_args(["analytic", "--config", str(path)])
     try:
         valid = isinstance(cli._params(cli._settings(args)), ProtocolParams)
-    except ConfigError:
+    except (ValueError, OverflowError):
         valid = False
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \

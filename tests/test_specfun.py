@@ -89,8 +89,8 @@ class TestPoissonCdf:
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            poisson_cdf(-1, 1.0)
+        # Pr(X <= -1) = 0 for X >= 0; a negative mean is no Poisson law
+        assert poisson_cdf(-1, 1.0) == 0.0
         with pytest.raises(ValueError):
             poisson_cdf(3, -0.5)
 
