@@ -7,28 +7,42 @@ singleton preambles.  Two operating modes: ``drop`` (unsuccessful users
 leave) and ``fast_retrial`` (they re-enter the next session with a fresh
 preamble draw).
 
-A session with fewer than 30 active users per preamble draws one pick per
-user and counts them; a heavier one (a deep fast-retrial backlog) draws its
+``estimate_throughput`` takes one of three paths, chosen from the scheme
+and the mode:
+
+- CRA-1 and multichannel ALOHA sessions in drop mode are i.i.d.: their
+  length is fixed, so every session's active count is Poisson with the same
+  mean and nothing carries over.  ``_iid_sessions`` draws them in blocks of
+  vector operations.
+- CRA-2 in drop mode is a chain: a session's arrival mean mu is the arrival
+  rate times the previous session's length.  Its K ~ Poisson(mu) users pick
+  preambles uniformly, so by Poisson splitting each preamble independently
+  holds Poisson(mu / L) users and falls into one of four categories
+  (detected singleton, detected collision, false alarm, nothing detected).
+  ``_cra2_sessions`` draws a session's whole Stage-1 outcome as one
+  multinomial over the L preambles, at a cost that grows with neither K nor
+  L, and records mu in place of K.
+- Every scheme in fast retrial (whose backlog carries over) walks the
+  session chain with per-user picks in one loop, ``_walk``, which
+  ``simulate_stability`` also runs.  Per session it makes one scalar Poisson
+  draw and one ``stage1_outcome`` call; a light session's picks are a slice
+  of a buffer of uniform preamble indices that one bulk draw refills when it
+  runs out.  The tests pin the walk down through ``stage1_outcome`` with
+  given picks and through degenerate runs that force the active count, and
+  run it on CRA-2 drop mode as the per-user reference for
+  ``_cra2_sessions``.
+
+A fast-retrial session with fewer than 30 active users per preamble draws
+one pick per user and counts them; a heavier one (a deep backlog) draws its
 per-preamble counts as one multinomial, which has the same law and costs
 O(L) instead of O(K).
 
-CRA-1 and multichannel ALOHA sessions in drop mode are i.i.d.: their length
-is fixed, so every session's active count is Poisson with the same mean and
-nothing carries over.  ``estimate_throughput`` draws those sessions in
-blocks of vector operations.  CRA-2 (whose arrivals depend on the previous
-session's length) and every scheme in fast retrial (whose backlog carries
-over) walk the session chain in one loop, ``_walk``, which
-``simulate_stability`` also runs.  Per session it makes one scalar Poisson
-draw and one ``stage1_outcome`` call; a light session's picks are a slice of
-a buffer of uniform preamble indices that one bulk draw refills when it runs
-out.  There is no separate per-session reference path: the tests pin the
-walk down through ``stage1_outcome`` with given picks and through
-degenerate runs that force the active count.
-
-Both paths allocate a run's per-session arrays once, before the first draw,
-so a run too long to allocate fails at once (``cra`` prints one ``error:``
-line) instead of growing until memory runs out.  ``estimate_throughput``
-alone drops the warm-up sessions and builds the session lengths.
+Every path allocates a run's per-session arrays once, before the first draw
+(24 bytes per session for ``_iid_sessions`` and ``_cra2_sessions``, 32 for
+``_walk``), so a run too long to allocate fails at once (``cra`` prints one
+``error:`` line) instead of growing until memory runs out.
+``estimate_throughput`` alone drops the warm-up sessions and builds the
+session lengths.
 
 Randomness comes from numpy's default PCG64 bit generator seeded through
 ``numpy.random.SeedSequence``; replicas parallelize by spawning child seeds,
@@ -60,6 +74,17 @@ _HEAVY_USERS_PER_PREAMBLE = 30
 # ``integers`` call costs far less per pick than one call per session, and
 # 2^16 int64 entries (512 KiB) serve a few thousand light sessions.
 _PICK_BUFFER = 1 << 16
+
+# Largest pool and largest mean active count per session that a config may
+# ask for: the samplers take both as int64, and numpy's Poisson sampler
+# refuses means above 2^63 - 1 - 10 * sqrt(2^63 - 1), about 9.2e18.
+_MAX_POOL_SIZE = np.iinfo(np.int64).max
+_MAX_MEAN_ACTIVE = 2.0 ** 62
+
+# Detected counts whose arrival mean and category probabilities a CRA-2
+# drop-mode run keeps (about 0.3 KiB each).  A stationary chain visits a few
+# hundred counts at L = 310; the cap bounds the memory at any pool size.
+_CATEGORY_ROWS = 1 << 12
 
 # Contiguous batches of the batch-means standard error; a run that measures
 # fewer sessions takes one batch per session.
@@ -101,19 +126,32 @@ class SimConfig:
             raise ValueError("n_sessions must be >= 1")
         if not 0 <= self.warmup_sessions < self.n_sessions:
             raise ValueError("need 0 <= warmup_sessions < n_sessions")
-        if self.scheme is Scheme.MC_ALOHA \
-                and self.params.pool_size != self.params.preamble_len:
+        p = self.params
+        if p.pool_size > _MAX_POOL_SIZE:
+            raise ValueError("pool_size must be at most 2**63 - 1")
+        if self.scheme is Scheme.MC_ALOHA and p.pool_size != p.preamble_len:
             # orthogonal baseline: one channel per preamble
-            object.__setattr__(
-                self, "params",
-                replace(self.params, pool_size=self.params.preamble_len))
+            p = replace(p, pool_size=p.preamble_len)
+            object.__setattr__(self, "params", p)
+        # a CRA-2 session is longest when all L preambles are detected
+        longest = p.overhead_len + p.payload_len * float(p.pool_size) \
+            if self.scheme is Scheme.CRA2 else p.fixed_session_len
+        if p.arrival_rate * longest > _MAX_MEAN_ACTIVE:
+            raise ValueError(
+                f"arrival_rate {p.arrival_rate:.3g} (traffic "
+                f"{p.traffic_intensity:.3g}) is too large: a session may "
+                f"average {p.arrival_rate * longest:.3g} active users, "
+                f"above 2**62")
 
 
 @dataclass(frozen=True)
 class ThroughputEstimate:
     """Ratio estimator sum(successes)/sum(session length) with batch-means
     standard error; ``detected_std_error`` is the batch-means standard error
-    of ``mean_detected``."""
+    of ``mean_detected``.  For CRA-2 in drop mode ``mean_active`` is the mean
+    of each session's arrival mean lambda * (previous session length), which
+    is E[K | past]: unbiased for E[K], with a lower variance than the mean of
+    drawn counts."""
 
     mean_throughput: float
     std_error: float
@@ -169,7 +207,10 @@ def _capped_successes(scheme, n_active, detected_singleton, params):
 
 
 def _walk(cfg, horizon, backlog=0, stop_backlog=None):
-    """Walk the sequential session chain for up to ``horizon`` sessions.
+    """Walk the sequential session chain for up to ``horizon`` sessions,
+    drawing each session's K and one preamble pick per user: every scheme in
+    fast retrial, ``simulate_stability``, and the per-user reference that the
+    tests hold ``_cra2_sessions`` to.
 
     Session t+1's arrival mean is the arrival rate times session t's length
     (variable for CRA-2), and in fast retrial its active count adds the
@@ -267,6 +308,55 @@ def _iid_sessions(cfg, total):
     return tuple(out)
 
 
+def _cra2_sessions(cfg, total):
+    """Run ``total`` CRA-2 drop-mode sessions; returns their (successes,
+    active, detected) arrays, as ``_walk`` does, except that ``active`` holds
+    each session's arrival mean mu = lambda * (previous session length).
+
+    With m = mu / L, a preamble holds no user with probability p0 = e^-m, one
+    with p1 = m p0 and more with p2 = 1 - p0 - p1.  Each preamble is a
+    detected singleton (p1 q, q = 1 - p_md), a detected collision (p2 q), a
+    false alarm (p0 p_fa) or undetected, independently of the others, so a
+    session's (d1, d2, d3) is one Multinomial(L; p1 q, p2 q, p0 p_fa, rest)
+    draw.  Both mu and the category probabilities depend on the previous
+    session's detected count alone, so they are computed once per count and
+    kept for up to ``_CATEGORY_ROWS`` counts.  The run's arrays are allocated
+    before the first draw.
+    """
+    p = cfg.params
+    L = p.pool_size
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    multinomial = rng.multinomial
+    rate = p.arrival_rate
+    overhead, payload = p.overhead_len, p.payload_len
+    keep, p_fa = 1.0 - p.p_md, p.p_fa
+    succ_out = np.empty(total, dtype=np.int64)
+    active_out = np.empty(total)
+    detected_out = np.empty(total, dtype=np.int64)
+    rows = {}
+    # the neutral bootstrap of _walk; warmup makes the choice immaterial
+    detected = round(L * (1.0 - math.exp(-rate * p.txn_len / L)))
+    for t in range(total):
+        row = rows.get(detected)
+        if row is None:
+            mu = rate * (overhead + payload * detected)
+            m = mu / L
+            p0 = math.exp(-m)
+            p1 = m * p0
+            p2 = max(-math.expm1(-m) - p1, 0.0)
+            c1, c2, c3 = p1 * keep, p2 * keep, p0 * p_fa
+            row = mu, np.array((c1, c2, c3, max(1.0 - c1 - c2 - c3, 0.0)))
+            if len(rows) < _CATEGORY_ROWS:
+                rows[detected] = row
+        mu, pvals = row
+        d1, d2, d3, _ = multinomial(L, pvals).tolist()
+        detected = d1 + d2 + d3
+        succ_out[t] = d1
+        active_out[t] = mu
+        detected_out[t] = detected
+    return succ_out, active_out, detected_out
+
+
 def _ratio_estimate(succ, lengths, active, detected):
     """Ratio estimator sum(succ)/sum(lengths) over the measured sessions,
     with the standard error of the means of min(_BATCHES, n) contiguous
@@ -288,7 +378,7 @@ def _ratio_estimate(succ, lengths, active, detected):
         mean_throughput=int(succ.sum()) / tot_time,
         std_error=batch_se(rates),
         sessions_run=n,
-        mean_active=int(active.sum()) / n,
+        mean_active=float(active.sum()) / n,
         mean_detected=int(detected.sum()) / n,
         mean_session_len=tot_time / n,
         detected_std_error=batch_se(det_means),
@@ -299,14 +389,17 @@ def estimate_throughput(cfg):
     """Warm up, then measure: ratio estimator over the measured sessions
     with a batch-means standard error over min(30, n) batches.
 
-    CRA-1 and ALOHA in drop mode take the block path for i.i.d. sessions;
-    the other configurations walk the session chain.
+    In drop mode CRA-1 and ALOHA take the block path for i.i.d. sessions
+    and CRA-2 its one-multinomial-per-session chain; fast retrial walks the
+    session chain with per-user picks.
     """
     total = cfg.warmup_sessions + cfg.n_sessions
-    if cfg.mode is Mode.DROP and cfg.scheme is not Scheme.CRA2:
-        sessions = _iid_sessions(cfg, total)
-    else:
+    if cfg.mode is Mode.FAST_RETRIAL:
         sessions = _walk(cfg, total)[:3]
+    elif cfg.scheme is Scheme.CRA2:
+        sessions = _cra2_sessions(cfg, total)
+    else:
+        sessions = _iid_sessions(cfg, total)
     succ, active, detected = (x[cfg.warmup_sessions:] for x in sessions)
     p = cfg.params
     if cfg.scheme is Scheme.CRA2:

@@ -228,6 +228,17 @@ class TestCommands:
         (["sweep", "--spec", {"grid": [1, 10**400]}], None, "grid"),
         (["sweep", "--spec", {"preamble_len": 10**400}], None, "preamble_len"),
         (["sweep", "--spec", {"n_sessions": 10**400}], None, "n_sessions"),
+        # values numpy's samplers cannot take, refused for every scheme
+        (["simulate", "--traffic", "1e300"], None, "arrival_rate"),
+        (["simulate", "--scheme", "cra1", "--traffic", "1e300"], None,
+         "traffic"),
+        (["simulate", "--scheme", "maloha", "--traffic", "1e300"], None,
+         "traffic"),
+        (["simulate", "--mode", "fast_retrial", "--traffic", "1e300"], None,
+         "traffic"),
+        (["simulate", "--pool-size", "1" + "0" * 300], None, "pool_size"),
+        (["simulate", "--scheme", "cra1", "--pool-size", "1" + "0" * 300],
+         None, "pool_size"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
                                       argv, env, what):

@@ -15,13 +15,16 @@ from cra.sim import (
     Scheme,
     SimConfig,
     _capped_successes,
+    _cra2_sessions,
+    _ratio_estimate,
     _walk,
     estimate_throughput,
     simulate_stability,
     stage1_outcome,
 )
 
-from helpers import capped_success_moments, exact_chain_means
+from helpers import capped_success_moments, exact_chain_means, \
+    exact_chain_throughput
 
 
 def perfect_params(**over):
@@ -121,7 +124,7 @@ class TestRunSession:
     def test_cra2_session_len_follows_detected(self, fig_params):
         cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2, n_sessions=300,
                         warmup_sessions=20, seed=4)
-        detected = _walk(cfg, 320)[2][20:]
+        detected = _cra2_sessions(cfg, 320)[2][20:]
         p = cfg.params
         lengths = p.overhead_len + p.payload_len * detected
         assert estimate_throughput(cfg).mean_session_len == \
@@ -197,6 +200,19 @@ class TestSimConfig:
         cfg = SimConfig(params=fig_params, scheme=Scheme.MC_ALOHA)
         assert cfg.params.pool_size == fig_params.preamble_len
 
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_rejects_what_the_samplers_cannot_take(self, fig_params, scheme,
+                                                   mode):
+        # numpy's Poisson sampler refuses a mean of 1e300, and no sampler
+        # takes a pool beyond int64; both are refused before any draw
+        with pytest.raises(ValueError, match="arrival_rate"):
+            SimConfig(params=replace(fig_params, arrival_rate=1e300),
+                      scheme=scheme, mode=mode)
+        with pytest.raises(ValueError, match="pool_size"):
+            SimConfig(params=replace(fig_params, pool_size=2 ** 63),
+                      scheme=scheme, mode=mode)
+
 
 class TestEstimateThroughput:
     @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
@@ -221,7 +237,7 @@ class TestEstimateThroughput:
     def test_throughput_is_ratio(self, fig_params):
         cfg = SimConfig(params=fig_params, n_sessions=500, warmup_sessions=0,
                         seed=5)
-        succ, _, detected, _ = _walk(cfg, 500)
+        succ, _, detected = _cra2_sessions(cfg, 500)
         time = float((fig_params.overhead_len
                       + fig_params.payload_len * detected).sum())
         est = estimate_throughput(cfg)
@@ -236,7 +252,7 @@ class TestEstimateThroughput:
         n = 10
         cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2, n_sessions=n,
                         warmup_sessions=0, seed=12)
-        succ, _, detected, _ = _walk(cfg, n)
+        succ, _, detected = _cra2_sessions(cfg, n)
         lengths = fig_params.overhead_len + fig_params.payload_len * detected
         est = estimate_throughput(cfg)
         assert est.std_error == pytest.approx(
@@ -248,7 +264,8 @@ class TestEstimateThroughput:
         # 90 measured sessions make 30 contiguous batches of 3
         cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2, n_sessions=90,
                         warmup_sessions=10, seed=13)
-        succ, _, detected, _ = (x[10:].reshape(30, 3) for x in _walk(cfg, 100))
+        succ, _, detected = (x[10:].reshape(30, 3)
+                             for x in _cra2_sessions(cfg, 100))
         lengths = fig_params.overhead_len + fig_params.payload_len * detected
         rates = succ.sum(axis=1) / lengths.sum(axis=1)
         est = estimate_throughput(cfg)
@@ -390,6 +407,85 @@ class TestEstimateThroughput:
         est = estimate_throughput(cfg)
         assert est.mean_active == pytest.approx(
             steady_state_cra2(p).mean_active, rel=0.01)
+
+
+class TestCra2Sessions:
+    """CRA-2 drop mode draws each session as one multinomial over its L
+    preambles (Poisson splitting); ``_walk``, with one pick per user, is its
+    reference."""
+
+    @pytest.mark.parametrize("p_md, p_fa", [(0.0, 0.0), (0.0, 1.0),
+                                            (1.0, 0.0), (0.05, 0.05)])
+    @pytest.mark.parametrize("rate", [1e-300, 1.2e-9, 100.0, 1e15],
+                             ids=["m-to-0", "m-1e-8", "m-100-to-900",
+                                  "m-1e15"])
+    def test_category_probabilities_valid(self, monkeypatch, rate, p_md,
+                                          p_fa):
+        # m = rate * (6 + 8 D) / 6.  At 1.2e-9 with every preamble detected
+        # (D = 6) the first three categories round to a sum above 1, so the
+        # rest must be clamped at 0; at 100, m runs from 100 (D = 0) to 900
+        # (D = 6), where e^-m underflows to 0
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def multinomial(self, n, pvals):
+                drawn.append(pvals)
+                return self.rng.multinomial(n, pvals)
+
+        monkeypatch.setattr("cra.sim.np.random.default_rng", Recorder)
+        cfg = SimConfig(params=perfect_params(arrival_rate=rate, p_md=p_md,
+                                              p_fa=p_fa),
+                        n_sessions=200, warmup_sessions=0, seed=7)
+        succ, active, detected = _cra2_sessions(cfg, 200)
+        pvals = np.array(drawn)
+        assert pvals.shape == (200, 4)
+        assert np.all(pvals >= 0.0) and not np.isnan(pvals).any()
+        assert np.all(np.abs(pvals.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(np.isfinite(active)) and np.all(active >= 0.0)
+        L = cfg.params.pool_size
+        if p_md == 1.0 or rate in (1e-300, 1e15):
+            # nothing is detected, or a singleton is all but impossible
+            assert not succ.any()
+        if p_md == 0.0 and p_fa == 1.0:
+            assert np.all(detected == L)
+        if rate == 1e15 and p_md == 0.0:
+            assert np.all(detected == L)  # every preamble collides
+
+    def test_kept_category_rows_leave_the_stream_as_it_is(self, fig_params,
+                                                          monkeypatch):
+        cfg = SimConfig(params=fig_params, n_sessions=2_000,
+                        warmup_sessions=0, seed=41)
+        kept = _cra2_sessions(cfg, 2_000)
+        monkeypatch.setattr("cra.sim._CATEGORY_ROWS", 0)
+        for a, b in zip(kept, _cra2_sessions(cfg, 2_000)):
+            assert np.array_equal(a, b)
+
+    def test_small_pool_matches_exact_chain_and_walk(self):
+        # Poisson splitting is exact for any L, so a wrong category law
+        # would show first on a small pool: L = 6 at load 1
+        p = ProtocolParams(preamble_len=4, payload_len=8, pool_size=6,
+                           feedback_len=1.0, arrival_rate=1.0 / 12,
+                           p_md=0.05, p_fa=0.05)
+        cfg = SimConfig(params=p, scheme=Scheme.CRA2, n_sessions=40_000,
+                        warmup_sessions=100, seed=3)
+        est = estimate_throughput(cfg)
+        exact_eta = exact_chain_throughput(p)
+        exact_detected = exact_chain_means(p)[1]
+        assert abs(est.mean_throughput - exact_eta) <= 4 * est.std_error
+        assert abs(est.mean_detected - exact_detected) \
+            <= 4 * est.detected_std_error
+        succ, active, detected, _ = (
+            x[100:] for x in _walk(replace(cfg, seed=4), 40_100))
+        walk = _ratio_estimate(succ, p.overhead_len + p.payload_len * detected,
+                               active, detected)
+        assert abs(est.mean_throughput - walk.mean_throughput) \
+            <= 4 * math.hypot(est.std_error, walk.std_error)
+        assert abs(est.mean_detected - walk.mean_detected) \
+            <= 4 * math.hypot(est.detected_std_error, walk.detected_std_error)
 
 
 class TestBinomialApproximationCalibration:
