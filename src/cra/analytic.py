@@ -110,7 +110,6 @@ class SteadyState:
 
     mean_active: float
     mean_detected: float
-    mean_singleton: float
     throughput: float
     mean_session_len: float
 
@@ -204,13 +203,11 @@ def steady_state_cra2(params):
     unused = math.exp(-mean_active / L)   # e^-x at the mean load x = K / L
     one_m_md = 1.0 - params.p_md
     mean_detected = L * (one_m_md - unused * (one_m_md - params.p_fa))
-    mean_singleton = one_m_md * mean_active * unused
     mean_len = params.overhead_len + params.payload_len * mean_detected
     throughput = params.arrival_rate * one_m_md * unused
     return SteadyState(
         mean_active=mean_active,
         mean_detected=mean_detected,
-        mean_singleton=mean_singleton,
         throughput=throughput,
         mean_session_len=mean_len,
     )

@@ -153,7 +153,8 @@ _SETTINGS = {
     "stop_backlog": (None, int),   # None: run the whole horizon
 }
 
-_TYPE_NAMES = {int: "an integer", float: "a number within float range",
+_TYPE_NAMES = {int: "an integer within float range",
+               float: "a number within float range",
                str: "a string"}
 
 _SIM_KEYS = ("scheme", "mode", "n_sessions", "warmup_sessions", "seed")

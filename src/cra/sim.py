@@ -23,19 +23,13 @@ and the mode:
   multinomial over the L preambles, at a cost that grows with neither K nor
   L, and records mu in place of K.
 - Every scheme in fast retrial (whose backlog carries over) walks the
-  session chain with per-user picks in one loop, ``_walk``, which
-  ``simulate_stability`` also runs.  Per session it makes one scalar Poisson
-  draw and one ``stage1_outcome`` call; a light session's picks are a slice
-  of a buffer of uniform preamble indices that one bulk draw refills when it
-  runs out.  The tests pin the walk down through ``stage1_outcome`` with
-  given picks and through degenerate runs that force the active count, and
-  run it on CRA-2 drop mode as the per-user reference for
+  session chain in one loop, ``_walk``, which ``simulate_stability`` also
+  runs.  Per session it makes one scalar Poisson draw of K and one
+  ``stage1_outcome`` call, which draws the K users' per-preamble counts as
+  one Multinomial(K; 1/L, ..., 1/L), at O(L) cost whatever K is.  The tests
+  pin the walk down through degenerate runs that force the active count,
+  and run it on CRA-2 drop mode as the conditional-on-K reference for
   ``_cra2_sessions``.
-
-A fast-retrial session with fewer than 30 active users per preamble draws
-one pick per user and counts them; a heavier one (a deep backlog) draws its
-per-preamble counts as one multinomial, which has the same law and costs
-O(L) instead of O(K).
 
 Every path allocates a run's per-session arrays once, before the first draw
 (24 bytes per session for ``_iid_sessions`` and ``_cra2_sessions``, 32 for
@@ -62,22 +56,11 @@ from .analytic import ProtocolParams
 # bounds its memory whatever n_sessions is.
 _BLOCK_CELLS = 1 << 20
 
-# A session with at least this many active users per preamble draws its
-# occupancy counts with one multinomial instead of one pick per user.  Each
-# of the multinomial's binomial steps then has n*p >= 30, where numpy
-# switches to the BTPE sampler, whose cost does not grow with n: the draw
-# costs O(L) whatever K is.  Lighter sessions keep one pick per user, so
-# their random stream (every drop-mode sweep) is unchanged.
-_HEAVY_USERS_PER_PREAMBLE = 30
-
-# Picks drawn per refill of the session chain's pick buffer.  One bulk
-# ``integers`` call costs far less per pick than one call per session, and
-# 2^16 int64 entries (512 KiB) serve a few thousand light sessions.
-_PICK_BUFFER = 1 << 16
-
 # Largest pool and largest mean active count per session that a config may
 # ask for: the samplers take both as int64, and numpy's Poisson sampler
-# refuses means above 2^63 - 1 - 10 * sqrt(2^63 - 1), about 9.2e18.
+# refuses means above 2^63 - 1 - 10 * sqrt(2^63 - 1), about 9.2e18.  A
+# fast-retrial backlog may still grow past the mean; the walk stops with an
+# error once a session's active count does.
 _MAX_POOL_SIZE = np.iinfo(np.int64).max
 _MAX_MEAN_ACTIVE = 2.0 ** 62
 
@@ -162,29 +145,21 @@ class ThroughputEstimate:
     detected_std_error: float
 
 
-def stage1_outcome(n_active, params, rng, picks=None):
+def stage1_outcome(n_active, params, rng):
     """One preamble round: occupancy counts and detection outcome given K.
 
     Returns (singleton, collided, detected_singleton, detected_collided,
-    false_slots).  ``picks`` gives the users' preamble choices, which are
-    counted with ``bincount``: the session chain passes a slice of its pick
-    buffer for a light session, and tests force collision patterns with it.
-    Without ``picks`` the per-preamble counts are drawn directly as one
-    Multinomial(K; 1/L, ..., 1/L), which has the same law and whose cost does
-    not grow with K; the session chain takes this draw for a session with
-    ``_HEAVY_USERS_PER_PREAMBLE`` (30) or more users per preamble.
+    false_slots).  The per-preamble counts of K uniform picks are drawn as
+    one Multinomial(K; 1/L, ..., 1/L), the classical occupancy law, and the
+    free and singleton preambles are counted in O(L) time and memory
+    whatever K is.
     """
     L = params.pool_size
-    if picks is None:
-        counts = rng.multinomial(n_active, np.full(L, 1.0 / L))
-    else:
-        picks = np.asarray(picks, dtype=np.int64)
-        if picks.size != n_active:
-            raise ValueError("picks must have one entry per active user")
-        counts = np.bincount(picks, minlength=L)
-    free, singleton = np.bincount(counts, minlength=2)[:2].tolist()
-    occupied = L - free
-    collided = occupied - singleton
+    counts = rng.multinomial(n_active, np.full(L, 1.0 / L))
+    # only preambles with fewer than two users are binned, so the bins
+    # stay two whatever K is
+    free, singleton = np.bincount(counts[counts < 2], minlength=2).tolist()
+    collided = L - free - singleton
 
     p_det = 1.0 - params.p_md
     d1 = rng.binomial(singleton, p_det) if singleton else 0
@@ -208,28 +183,26 @@ def _capped_successes(scheme, n_active, detected_singleton, params):
 
 def _walk(cfg, horizon, backlog=0, stop_backlog=None):
     """Walk the sequential session chain for up to ``horizon`` sessions,
-    drawing each session's K and one preamble pick per user: every scheme in
-    fast retrial, ``simulate_stability``, and the per-user reference that the
-    tests hold ``_cra2_sessions`` to.
+    drawing each session's K and then its occupancy counts given K: every
+    scheme in fast retrial, ``simulate_stability``, and the conditional-on-K
+    reference that the tests hold ``_cra2_sessions`` to.
 
     Session t+1's arrival mean is the arrival rate times session t's length
     (variable for CRA-2), and in fast retrial its active count adds the
     users session t left unserved.  ``backlog`` holds the users waiting
     before the first session.  The walk stops early once the backlog after
-    a session exceeds ``stop_backlog``.
+    a session exceeds ``stop_backlog``, and raises ValueError once a
+    session's active count exceeds 2**62, near the int64 limit of the
+    samplers and of the session arrays.
 
     Returns the (successes, active, detected, backlog) arrays of the
-    sessions run.  A light session takes its K picks as a slice of a buffer
-    of uniform preamble indices, drawn about 2^16 at a time and only when a
-    light session needs more than the buffer holds; a heavy one
-    (K >= 30 L) passes no picks and gets its multinomial draw.
+    sessions run.
     """
     p = cfg.params
     L = p.pool_size
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     poisson = rng.poisson
     rate = p.arrival_rate
-    heavy = _HEAVY_USERS_PER_PREAMBLE * L
     overhead, payload = p.overhead_len, p.payload_len
     cra2 = cfg.scheme is Scheme.CRA2
     retrial = cfg.mode is Mode.FAST_RETRIAL
@@ -243,20 +216,15 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
     active_out = np.empty(horizon, dtype=np.int64)
     detected_out = np.empty(horizon, dtype=np.int64)
     backlog_out = np.empty(horizon, dtype=np.int64)
-    buf = np.empty(0, dtype=np.int64)
-    used = 0
     run = horizon
     for t in range(horizon):
         k = int(poisson(rate * length)) + backlog
-        if k < heavy:
-            if used + k > buf.size:
-                buf = rng.integers(0, L, size=max(_PICK_BUFFER, k))
-                used = 0
-            picks = buf[used:used + k]
-            used += k
-        else:
-            picks = None
-        _, _, d1, d2, d3 = stage1_outcome(k, p, rng, picks)
+        if k > _MAX_MEAN_ACTIVE:
+            raise ValueError(
+                f"arrival_rate {rate:.3g} (traffic "
+                f"{p.traffic_intensity:.3g}) is too large: session {t} has "
+                f"{k:.3g} active users, above 2**62")
+        _, _, d1, d2, d3 = stage1_outcome(k, p, rng)
         detected = d1 + d2 + d3
         if cra2:
             length = overhead + payload * detected
@@ -391,7 +359,7 @@ def estimate_throughput(cfg):
 
     In drop mode CRA-1 and ALOHA take the block path for i.i.d. sessions
     and CRA-2 its one-multinomial-per-session chain; fast retrial walks the
-    session chain with per-user picks.
+    session chain with one occupancy draw per session.
     """
     total = cfg.warmup_sessions + cfg.n_sessions
     if cfg.mode is Mode.FAST_RETRIAL:

@@ -2,12 +2,13 @@
 
 These deliberately avoid the library's own code paths: bisection instead of
 scipy's Lambert W, direct log-space summation instead of incomplete-gamma,
-exhaustive enumeration instead of closed forms, damped fixed-point iteration
-instead of Lambert W, a stationary solve of the session Markov chain instead
-of the simulator, a per-K scan of scalar drift calls instead of the array
-threshold scan, literal ML residual norms instead of the projected noise
-score, and one SVD per column subset instead of batched SVDs.  It also reads
-the CLI's result CSVs back into rows.
+exhaustive enumeration instead of closed forms and of the occupancy draw,
+damped fixed-point iteration instead of Lambert W, a stationary solve of the
+session Markov chain instead of the simulator, a per-K scan of scalar drift
+calls instead of the array threshold scan, literal ML residual norms instead
+of the projected noise score, and one SVD per column subset instead of
+batched SVDs.  It also reads the CLI's result CSVs back into rows, and
+stands in for a Generator whose occupancy draw a test forces.
 """
 
 import csv
@@ -63,18 +64,44 @@ def enumerate_assignments(n_active, pool_size):
     return itertools.product(range(pool_size), repeat=n_active)
 
 
-def exact_occupancy_means(n_active, pool_size):
-    """(E[singleton count], E[occupied count]) by exhaustive enumeration."""
+def exact_occupancy_pmf(n_active, pool_size):
+    """Law of (singleton count, collided count) by exhaustive enumeration of
+    the pool_size**n_active equally likely preamble assignments, as a dict
+    {(singleton, collided): probability}."""
     total = pool_size ** n_active
-    sum_b1 = 0
-    sum_b = 0
+    hits = {}
     for assign in enumerate_assignments(n_active, pool_size):
         counts = [0] * pool_size
         for a in assign:
             counts[a] += 1
-        sum_b1 += sum(1 for c in counts if c == 1)
-        sum_b += sum(1 for c in counts if c >= 1)
-    return sum_b1 / total, sum_b / total
+        cell = (counts.count(1), sum(1 for c in counts if c >= 2))
+        hits[cell] = hits.get(cell, 0) + 1
+    return {cell: n / total for cell, n in hits.items()}
+
+
+def exact_occupancy_means(n_active, pool_size):
+    """(E[singleton count], E[occupied count]) by exhaustive enumeration."""
+    pmf = exact_occupancy_pmf(n_active, pool_size).items()
+    return (sum(s * prob for (s, _), prob in pmf),
+            sum((s + c) * prob for (s, c), prob in pmf))
+
+
+class PickedOccupancy:
+    """Stand-in for a numpy Generator whose ``multinomial`` returns the
+    per-preamble counts of the given preamble picks, one per user, so a test
+    can force the occupancy draw of ``stage1_outcome``; every other call
+    goes to a real Generator."""
+
+    def __init__(self, picks):
+        self.picks = np.asarray(picks, dtype=np.int64)
+        self.rng = np.random.default_rng(0)
+
+    def multinomial(self, n, pvals):
+        assert self.picks.size == n, "one pick per active user"
+        return np.bincount(self.picks, minlength=len(pvals))
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def _stationary_chain(params):

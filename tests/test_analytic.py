@@ -39,6 +39,13 @@ def random_valid_params(rng):
     )
 
 
+def mean_successes(ss, params):
+    """Mean detected singletons per session at a CRA-2 operating point: a
+    Poisson(K) active count over L preambles leaves (1 - p_md) K e^(-K/L)."""
+    unused = math.exp(-ss.mean_active / params.pool_size)
+    return (1.0 - params.p_md) * ss.mean_active * unused
+
+
 class TestProtocolParams:
     def test_derived_durations(self, fig_params):
         p = fig_params
@@ -227,13 +234,13 @@ class TestThroughputCra2:
         for _ in range(300):
             p = random_valid_params(rng)
             ss = steady_state_cra2(p)
-            ratio = ss.mean_singleton / ss.mean_session_len
+            ratio = mean_successes(ss, p) / ss.mean_session_len
             assert ratio == pytest.approx(ss.throughput, rel=1e-12, abs=1e-300)
 
     def test_steady_state_invariants(self, fig_params):
         ss = steady_state_cra2(fig_params)
         assert ss.mean_active >= 0
-        assert 0 <= ss.mean_singleton <= ss.mean_detected
+        assert 0 <= mean_successes(ss, fig_params) <= ss.mean_detected
         assert ss.mean_session_len == pytest.approx(
             fig_params.overhead_len
             + fig_params.payload_len * ss.mean_detected)

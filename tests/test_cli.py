@@ -239,6 +239,13 @@ class TestCommands:
         (["simulate", "--pool-size", "1" + "0" * 300], None, "pool_size"),
         (["simulate", "--scheme", "cra1", "--pool-size", "1" + "0" * 300],
          None, "pool_size"),
+        # a fast-retrial backlog that outgrows 2**62 active users
+        (["simulate", "--mode", "fast_retrial", "--traffic", "1e16",
+          "--n-sessions", "10", "--warmup", "1"], None, "arrival_rate"),
+        (["stability", "--traffic", "1e16", "--horizon", "10", "--seeds", "0"],
+         None, "arrival_rate"),
+        (["sweep", "--spec", {"warmup_sessions": 10**400}], None,
+         "warmup_sessions must be an integer within float range"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
                                       argv, env, what):

@@ -9,8 +9,6 @@ from cra.analytic import ProtocolParams, backlog_drift, mean_detected_split, \
     prob_singleton, steady_state_cra2, throughput_cra1, throughput_maloha
 from cra.sim import (
     _BLOCK_CELLS,
-    _HEAVY_USERS_PER_PREAMBLE,
-    _PICK_BUFFER,
     Mode,
     Scheme,
     SimConfig,
@@ -23,8 +21,8 @@ from cra.sim import (
     stage1_outcome,
 )
 
-from helpers import capped_success_moments, exact_chain_means, \
-    exact_chain_throughput
+from helpers import PickedOccupancy, capped_success_moments, \
+    exact_chain_means, exact_chain_throughput, exact_occupancy_pmf
 
 
 def perfect_params(**over):
@@ -42,14 +40,12 @@ def batch_se(values, n_batches=50):
 class TestStage1Outcome:
     def test_forced_single_user(self):
         p = perfect_params()
-        rng = np.random.default_rng(0)
-        s, c, d1, d2, d3 = stage1_outcome(1, p, rng, picks=[3])
+        s, c, d1, d2, d3 = stage1_outcome(1, p, PickedOccupancy([3]))
         assert (s, c, d1, d2, d3) == (1, 0, 1, 0, 0)
 
     def test_forced_pure_collision(self):
         p = perfect_params()
-        rng = np.random.default_rng(0)
-        s, c, d1, d2, d3 = stage1_outcome(2, p, rng, picks=[5, 5])
+        s, c, d1, d2, d3 = stage1_outcome(2, p, PickedOccupancy([5, 5]))
         assert (s, c, d1, d2, d3) == (0, 1, 0, 1, 0)
 
     def test_no_users_all_false_alarms(self):
@@ -57,19 +53,6 @@ class TestStage1Outcome:
         rng = np.random.default_rng(0)
         s, c, d1, d2, d3 = stage1_outcome(0, p, rng)
         assert (s, c, d1, d2, d3) == (0, 0, 0, 0, p.pool_size)
-
-    def test_forced_picks_honoured_when_heavy(self):
-        # K >= 30 L would take the multinomial draw; given picks win
-        p = perfect_params()
-        k = _HEAVY_USERS_PER_PREAMBLE * p.pool_size
-        rng = np.random.default_rng(0)
-        s, c, d1, d2, d3 = stage1_outcome(k, p, rng, picks=[2] * k)
-        assert (s, c, d1, d2, d3) == (0, 1, 0, 1, 0)
-
-    def test_pick_length_mismatch(self):
-        with pytest.raises(ValueError):
-            stage1_outcome(2, perfect_params(), np.random.default_rng(0),
-                           picks=[1])
 
     def test_accounting_identities_random(self, fig_params):
         rng = np.random.default_rng(1)
@@ -83,21 +66,14 @@ class TestStage1Outcome:
             # a singleton preamble holds 1 user, a collided one >= 2
             assert s + 2 * c <= k
 
-    @pytest.mark.parametrize(
-        "k, heavy", [(1, False), (5, False), (20, False), (100, False),
-                     (5, True), (100, True)],
-        ids=["1", "5", "20", "100", "multinomial-5", "multinomial-100"])
-    def test_conditional_means_match_lemma(self, fig_params, k, heavy):
-        # without picks every K takes the multinomial draw, also where
-        # singletons are common enough for their mean to be tested
+    @pytest.mark.parametrize("k", [1, 5, 20, 100])
+    def test_conditional_means_match_lemma(self, fig_params, k):
         rng = np.random.default_rng(100 + k)
-        L = fig_params.pool_size
         n = 100_000
         sums = np.zeros(3)
         sq = np.zeros(3)
         for _ in range(n):
-            picks = None if heavy else rng.integers(0, L, k)
-            s, c, d1, d2, d3 = stage1_outcome(k, fig_params, rng, picks)
+            s, c, d1, d2, d3 = stage1_outcome(k, fig_params, rng)
             d = np.array([d1, d2, d3], dtype=float)
             sums += d
             sq += d * d
@@ -105,6 +81,25 @@ class TestStage1Outcome:
         ses = np.sqrt((sq / n - means ** 2) / n)
         expected = np.array(mean_detected_split(k, fig_params))
         assert np.all(np.abs(means - expected) <= 4 * ses + 1e-12)
+
+    @pytest.mark.parametrize("pool, k", [(4, 3), (3, 5)])
+    def test_occupancy_law_matches_enumeration(self, pool, k):
+        # the exact (singleton, collided) law of k users picking one of
+        # `pool` preambles each, against the empirical law of the
+        # occupancy draw under perfect detection
+        exact = exact_occupancy_pmf(k, pool)
+        p = perfect_params(pool_size=pool)
+        rng = np.random.default_rng(pool * 10 + k)
+        n = 20_000
+        seen = {}
+        for _ in range(n):
+            s, c, d1, d2, d3 = stage1_outcome(k, p, rng)
+            assert (d1, d2, d3) == (s, c, 0)
+            seen[s, c] = seen.get((s, c), 0) + 1
+        for cell in exact.keys() | seen.keys():
+            prob = exact.get(cell, 0.0)
+            se = math.sqrt(prob * (1.0 - prob) / n)
+            assert abs(seen.get(cell, 0) / n - prob) <= 4 * se, cell
 
 
 class TestRunSession:
@@ -148,8 +143,7 @@ class TestRunSession:
         assert detected[0] >= 1 and succ[0] == 0
         # even n detected singletons book nothing once K reaches N
         p = cfg.params
-        _, _, d1, _, _ = stage1_outcome(n, p, np.random.default_rng(0),
-                                        picks=range(n))
+        _, _, d1, _, _ = stage1_outcome(n, p, PickedOccupancy(range(n)))
         assert d1 == n
         assert _capped_successes(Scheme.CRA1, n, d1, p) == 0
         assert _capped_successes(Scheme.CRA1, n - 1, n - 1, p) == n - 1
@@ -170,8 +164,7 @@ class TestRunSession:
         p = SimConfig(params=perfect_params(), scheme=Scheme.MC_ALOHA).params
         n = p.preamble_len
         assert p.pool_size == n  # forced L := N
-        _, _, d1, _, _ = stage1_outcome(n, p, np.random.default_rng(0),
-                                        picks=range(n))
+        _, _, d1, _, _ = stage1_outcome(n, p, PickedOccupancy(range(n)))
         assert _capped_successes(Scheme.MC_ALOHA, n, d1, p) == n
 
     def test_maloha_above_channel_count_fails(self):
@@ -303,62 +296,17 @@ class TestEstimateThroughput:
         se = math.sqrt(mean / cfg.n_sessions)  # Poisson variance = mean
         assert abs(est.mean_active - mean) <= 4 * se
 
-    def test_pick_buffer_refills_replay_and_mean_active(self, fig_params,
-                                                        monkeypatch):
-        # CRA-2 at load 1 (K about 19, every session light) draws more than
-        # two buffers of picks, so the buffer is refilled at least twice
+    def test_walk_replay_and_mean_active(self, fig_params):
+        # CRA-2 at load 1 walked with one occupancy draw per session
         cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2,
                         n_sessions=12_000, warmup_sessions=500, seed=23)
         total = cfg.warmup_sessions + cfg.n_sessions
-        slices = []
-
-        def record(k, params, rng, picks=None):
-            slices.append(picks)
-            return stage1_outcome(k, params, rng, picks)
-
-        monkeypatch.setattr("cra.sim.stage1_outcome", record)
         first = _walk(cfg, total)
-        monkeypatch.undo()
-        assert int(first[1].sum()) > 2 * _PICK_BUFFER
-        # no pick serves twice: each buffer's slices follow one another
-        # without overlap, and at least three buffers were drawn (an empty
-        # slice holds no pick, and numpy may point it anywhere in the base)
-        buffers = {}
-        for picks in slices:
-            if picks.size:
-                buffers.setdefault(id(picks.base), []).append(picks)
-        assert len(buffers) >= 3
-        for views in buffers.values():
-            starts = [v.__array_interface__["data"][0] for v in views]
-            assert all(start + v.nbytes <= nxt for start, v, nxt
-                       in zip(starts, views, starts[1:]))
         for a, b in zip(first, _walk(cfg, total)):
             assert np.array_equal(a, b)
         active = first[1][cfg.warmup_sessions:]
         exact_active, _ = exact_chain_means(fig_params)
         assert abs(active.mean() - exact_active) <= 4 * batch_se(active)
-
-    def test_fast_retrial_crosses_heavy_threshold(self, fig_params,
-                                                  monkeypatch):
-        # At one user per 40 preambles (7.75 users) the heavy threshold sits
-        # at the median K of the stable fast-retrial chain at load 0.8, so
-        # the walk crosses it both ways many times; the multinomial sessions
-        # must leave the law of K as it is at the real threshold.
-        cfg = SimConfig(params=fig_params.with_traffic(0.8),
-                        scheme=Scheme.CRA2, mode=Mode.FAST_RETRIAL,
-                        n_sessions=10, warmup_sessions=0, seed=29)
-        horizon = 20_000
-        light = _walk(replace(cfg, seed=31), horizon)[1]
-        monkeypatch.setattr("cra.sim._HEAVY_USERS_PER_PREAMBLE", 0.025)
-        first = _walk(cfg, horizon)
-        for a, b in zip(first, _walk(cfg, horizon)):
-            assert np.array_equal(a, b)
-        active = first[1]
-        heavy = active >= 0.025 * fig_params.pool_size
-        assert np.any(heavy[:-1] & ~heavy[1:])
-        assert np.any(~heavy[:-1] & heavy[1:])
-        se = math.hypot(batch_se(active), batch_se(light))
-        assert abs(active.mean() - light.mean()) <= 4 * se
 
     @pytest.mark.parametrize("load", [0.4, 1.0, 1.6])
     @pytest.mark.parametrize("scheme", [Scheme.CRA1, Scheme.MC_ALOHA],
@@ -411,7 +359,8 @@ class TestEstimateThroughput:
 
 class TestCra2Sessions:
     """CRA-2 drop mode draws each session as one multinomial over its L
-    preambles (Poisson splitting); ``_walk``, with one pick per user, is its
+    preambles (Poisson splitting); ``_walk``, which draws each session's K
+    and then its occupancy counts given K, is its conditional-on-K
     reference."""
 
     @pytest.mark.parametrize("p_md, p_fa", [(0.0, 0.0), (0.0, 1.0),
@@ -541,8 +490,7 @@ class TestStability:
 
     def test_overload_slope_matches_drift(self, fig_params):
         # deep in the saturated regime the trajectory climbs at the
-        # analytic drift rate; from 50 000 (> 30 L) every session takes the
-        # multinomial occupancy draw
+        # analytic drift rate
         p = fig_params.with_traffic(3.0)
         cfg = self.fast_cfg(p, seed=17)
         horizon = 200
