@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -348,7 +347,9 @@ def _cmd_sweep(s, args):
     spec = SweepSpec(base=_sim_config(s), swept_variable=s["swept_variable"],
                      grid=tuple(s["grid"]), outputs=tuple(s["outputs"]),
                      replicate_seeds=tuple(s["replicate_seeds"]))
-    rows = run_sweep(spec, workers=_workers(args))
+    if args.workers < 1:
+        raise ValueError(f"workers: must be >= 1, got {args.workers}")
+    rows = run_sweep(spec, workers=args.workers)
     return rows, {**asdict(spec.base.params),
                   **{k: s[k] for k in _SWEEP_KEYS}}
 
@@ -418,21 +419,6 @@ def _list_of(kind):
     return parse
 
 
-def _workers(args):
-    """Worker count: --workers, else the CRA_WORKERS environment variable,
-    else 1."""
-    workers = args.workers
-    if workers is None:
-        text = os.environ.get("CRA_WORKERS", "1")
-        try:
-            workers = int(text)
-        except ValueError:
-            raise ValueError(f"CRA_WORKERS: not an integer: {text!r}") from None
-    if workers < 1:
-        raise ValueError(f"workers: must be >= 1, got {workers}")
-    return workers
-
-
 # Each subcommand: its handler, its help line and the settings it takes as
 # flags.  Every subcommand also takes --output, sweep --preset, --spec and
 # --workers, and those with protocol flags a --config file.
@@ -467,8 +453,8 @@ def build_parser():
         if name == "sweep":
             p.add_argument("--preset", choices=list(_PRESETS))
             p.add_argument("--spec", help="JSON sweep specification")
-            p.add_argument("--workers", type=int,
-                           help="worker processes (default: CRA_WORKERS or 1)")
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker processes (default: 1)")
         elif "traffic" in keys:
             p.add_argument("--config", help="JSON file with flat key-value "
                                             "settings; flags override it")

@@ -17,11 +17,10 @@ and the mode:
 - CRA-2 in drop mode is a chain: a session's arrival mean mu is the arrival
   rate times the previous session's length.  Its K ~ Poisson(mu) users pick
   preambles uniformly, so by Poisson splitting each preamble independently
-  holds Poisson(mu / L) users and falls into one of four categories
-  (detected singleton, detected collision, false alarm, nothing detected).
-  ``_cra2_sessions`` draws a session's whole Stage-1 outcome as one
-  multinomial over the L preambles, at a cost that grows with neither K nor
-  L, and records mu in place of K.
+  holds Poisson(mu / L) users and is detected with one probability s.
+  ``_cra2_sessions`` draws a session's detected count as Bin(L, s) and,
+  after the loop, its successes given that count as Bin(D', theta), at a
+  cost that grows with neither K nor L, and records mu in place of K.
 - Every scheme in fast retrial (whose backlog carries over) walks the
   session chain in one loop, ``_walk``, which ``simulate_stability`` also
   runs.  Per session it makes one scalar Poisson draw of K and one
@@ -34,7 +33,8 @@ and the mode:
 Every path allocates a run's per-session arrays once, before the first draw
 (24 bytes per session for ``_iid_sessions`` and ``_cra2_sessions``, 32 for
 ``_walk``), so a run too long to allocate fails at once (``cra`` prints one
-``error:`` line) instead of growing until memory runs out.
+``error:`` line) instead of growing until memory runs out; the successes of
+``_cra2_sessions`` (8 more) come from its one vector draw after the loop.
 ``estimate_throughput`` alone drops the warm-up sessions and builds the
 session lengths.
 
@@ -63,11 +63,6 @@ _BLOCK_CELLS = 1 << 20
 # error once a session's active count does.
 _MAX_POOL_SIZE = np.iinfo(np.int64).max
 _MAX_MEAN_ACTIVE = 2.0 ** 62
-
-# Detected counts whose arrival mean and category probabilities a CRA-2
-# drop-mode run keeps (about 0.3 KiB each).  A stationary chain visits a few
-# hundred counts at L = 310; the cap bounds the memory at any pool size.
-_CATEGORY_ROWS = 1 << 12
 
 # Contiguous batches of the batch-means standard error; a run that measures
 # fewer sessions takes one batch per session.
@@ -281,48 +276,41 @@ def _cra2_sessions(cfg, total):
     active, detected) arrays, as ``_walk`` does, except that ``active`` holds
     each session's arrival mean mu = lambda * (previous session length).
 
-    With m = mu / L, a preamble holds no user with probability p0 = e^-m, one
-    with p1 = m p0 and more with p2 = 1 - p0 - p1.  Each preamble is a
-    detected singleton (p1 q, q = 1 - p_md), a detected collision (p2 q), a
-    false alarm (p0 p_fa) or undetected, independently of the others, so a
-    session's (d1, d2, d3) is one Multinomial(L; p1 q, p2 q, p0 p_fa, rest)
-    draw.  Both mu and the category probabilities depend on the previous
-    session's detected count alone, so they are computed once per count and
-    kept for up to ``_CATEGORY_ROWS`` counts.  The run's arrays are allocated
-    before the first draw.
+    With m = mu / L, a preamble holds no user with probability e^-m and one
+    with m e^-m, independently of the others.  It is detected with
+    probability s = q (1 - e^-m) + e^-m p_fa (q = 1 - p_md), so a session's
+    detected count is D' ~ Bin(L, s), and given D' its successes (detected
+    singletons) are Bin(D', theta) with theta = q m e^-m / s.  The loop
+    draws D', on which the next session's mu depends; one vector draw after
+    it gives every session's successes.  The active, detected and theta
+    arrays (24 bytes per session) are allocated before the first draw; the
+    vector draw returns the successes (8 more).
     """
     p = cfg.params
     L = p.pool_size
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    multinomial = rng.multinomial
+    binomial = rng.binomial
     rate = p.arrival_rate
     overhead, payload = p.overhead_len, p.payload_len
     keep, p_fa = 1.0 - p.p_md, p.p_fa
-    succ_out = np.empty(total, dtype=np.int64)
     active_out = np.empty(total)
     detected_out = np.empty(total, dtype=np.int64)
-    rows = {}
+    theta = np.empty(total)
     # the neutral bootstrap of _walk; warmup makes the choice immaterial
     detected = round(L * (1.0 - math.exp(-rate * p.txn_len / L)))
     for t in range(total):
-        row = rows.get(detected)
-        if row is None:
-            mu = rate * (overhead + payload * detected)
-            m = mu / L
-            p0 = math.exp(-m)
-            p1 = m * p0
-            p2 = max(-math.expm1(-m) - p1, 0.0)
-            c1, c2, c3 = p1 * keep, p2 * keep, p0 * p_fa
-            row = mu, np.array((c1, c2, c3, max(1.0 - c1 - c2 - c3, 0.0)))
-            if len(rows) < _CATEGORY_ROWS:
-                rows[detected] = row
-        mu, pvals = row
-        d1, d2, d3, _ = multinomial(L, pvals).tolist()
-        detected = d1 + d2 + d3
-        succ_out[t] = d1
+        mu = rate * (overhead + payload * detected)
+        m = mu / L
+        p0 = math.exp(-m)
+        # a convex combination of q and p_fa: in [0, 1] with no clamp
+        s = p0 * p_fa - keep * math.expm1(-m)
+        theta[t] = keep * m * p0 / s if s else 0.0
+        detected = binomial(L, s)
         active_out[t] = mu
         detected_out[t] = detected
-    return succ_out, active_out, detected_out
+    # q m e^-m / s may round above 1 as m -> 0
+    np.minimum(theta, 1.0, out=theta)
+    return binomial(detected_out, theta), active_out, detected_out
 
 
 def _ratio_estimate(succ, lengths, active, detected):
@@ -358,7 +346,7 @@ def estimate_throughput(cfg):
     with a batch-means standard error over min(30, n) batches.
 
     In drop mode CRA-1 and ALOHA take the block path for i.i.d. sessions
-    and CRA-2 its one-multinomial-per-session chain; fast retrial walks the
+    and CRA-2 its one-binomial-per-session chain; fast retrial walks the
     session chain with one occupancy draw per session.
     """
     total = cfg.warmup_sessions + cfg.n_sessions

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: bisection instead of
 scipy's Lambert W, direct log-space summation instead of incomplete-gamma,
 exhaustive enumeration instead of closed forms and of the occupancy draw,
-damped fixed-point iteration instead of Lambert W, a stationary solve of the
-session Markov chain instead of the simulator, a per-K scan of scalar drift
+damped fixed-point iteration instead of Lambert W, stationary solves of the
+session Markov chain (over K, and by Poisson splitting) instead of the
+simulator, a per-K scan of scalar drift
 calls instead of the array threshold scan, literal ML residual norms instead
 of the projected noise score, and one SVD per column subset instead of
 batched SVDs.  It also reads the CLI's result CSVs back into rows, and
@@ -145,15 +146,17 @@ def _stationary_chain(params):
         false = stats.binom.pmf(np.arange(L - b + 1), L - b, params.p_fa)
         p_d[b] = np.convolve(hits, false)
 
-    trans = p_k @ p_b @ p_d
-    # stationary law: pi (T - I) = 0 with one balance equation replaced by
-    # the normalization sum(pi) = 1
-    system = trans.T - np.eye(L + 1)
+    return states, mu, p_k, _stationary_law(p_k @ p_b @ p_d)
+
+
+def _stationary_law(trans):
+    """Stationary law pi of the transition matrix ``trans``: pi (T - I) = 0
+    with one balance equation replaced by the normalization sum(pi) = 1."""
+    system = trans.T - np.eye(len(trans))
     system[-1] = 1.0
-    rhs = np.zeros(L + 1)
+    rhs = np.zeros(len(trans))
     rhs[-1] = 1.0
-    pi = np.linalg.solve(system, rhs)
-    return states, mu, p_k, pi
+    return np.linalg.solve(system, rhs)
 
 
 def exact_chain_means(params):
@@ -177,6 +180,32 @@ def exact_chain_throughput(params):
         * (1.0 - 1.0 / params.pool_size) ** (k - 1)
     mean_len = params.overhead_len + params.payload_len * float(pi @ states)
     return float(pi @ p_k @ successes) / mean_len
+
+
+def split_chain(params):
+    """(throughput, E[K], E[D]) of the stationary CRA-2 drop-mode session
+    chain by Poisson splitting, with no sum over K.
+
+    Given D, each of the L preambles independently holds Poisson(m) users,
+    m = lambda * (N + tau + M*D) / L, so it is detected with probability
+    s = (1 - p_md)(1 - e^-m) + e^-m p_fa and the next state is
+    D' ~ Bin(L, s).  Given D', the successes are Bin(D', theta), with
+    theta = (1 - p_md) m e^-m / s the chance that a detected preamble holds
+    one user.
+    """
+    L = params.pool_size
+    states = np.arange(L + 1)
+    mu = params.arrival_rate * (params.overhead_len
+                                + params.payload_len * states)
+    m = mu / L
+    q = 1.0 - params.p_md
+    s = q * -np.expm1(-m) + np.exp(-m) * params.p_fa
+    theta = q * m * np.exp(-m) / s
+    pi = _stationary_law(stats.binom.pmf(states, L, s[:, None]))
+    mean_detected = float(pi @ states)
+    mean_len = params.overhead_len + params.payload_len * mean_detected
+    return float(pi @ (L * s * theta)) / mean_len, float(pi @ mu), \
+        mean_detected
 
 
 def threshold_scan(params, k_max):

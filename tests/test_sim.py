@@ -22,7 +22,8 @@ from cra.sim import (
 )
 
 from helpers import PickedOccupancy, capped_success_moments, \
-    exact_chain_means, exact_chain_throughput, exact_occupancy_pmf
+    exact_chain_means, exact_chain_throughput, exact_occupancy_pmf, \
+    split_chain
 
 
 def perfect_params(**over):
@@ -358,22 +359,24 @@ class TestEstimateThroughput:
 
 
 class TestCra2Sessions:
-    """CRA-2 drop mode draws each session as one multinomial over its L
-    preambles (Poisson splitting); ``_walk``, which draws each session's K
-    and then its occupancy counts given K, is its conditional-on-K
-    reference."""
+    """CRA-2 drop mode draws each session's detected count as one Bin(L, s)
+    and its successes given that count as Bin(D', theta) (Poisson
+    splitting); ``_walk``, which draws each session's K and then its
+    occupancy counts given K, is its conditional-on-K reference."""
 
-    @pytest.mark.parametrize("p_md, p_fa", [(0.0, 0.0), (0.0, 1.0),
-                                            (1.0, 0.0), (0.05, 0.05)])
-    @pytest.mark.parametrize("rate", [1e-300, 1.2e-9, 100.0, 1e15],
-                             ids=["m-to-0", "m-1e-8", "m-100-to-900",
-                                  "m-1e15"])
+    @pytest.mark.parametrize("rate, p_md, p_fa", [
+        pytest.param(rate, p_md, p_fa, id=f"{name}-{p_md}-{p_fa}")
+        for name, rate in [("m-to-0", 1e-300), ("m-1e-8", 1.2e-9),
+                           ("m-100-to-900", 100.0), ("m-1e15", 1e15)]
+        for p_md, p_fa in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.05, 0.05)]
+    ] + [pytest.param(2.42e-16, 0.7, 0.0, id="m-2e-16-0.7-0.0")])
     def test_category_probabilities_valid(self, monkeypatch, rate, p_md,
                                           p_fa):
-        # m = rate * (6 + 8 D) / 6.  At 1.2e-9 with every preamble detected
-        # (D = 6) the first three categories round to a sum above 1, so the
-        # rest must be clamped at 0; at 100, m runs from 100 (D = 0) to 900
-        # (D = 6), where e^-m underflows to 0
+        # m = rate * (6 + 8 D) / 6.  At 1.2e-9, m is about 1e-8, where
+        # 1 - e^-m would lose half its digits without expm1; at 100, m runs
+        # from 100 (D = 0) to 900 (D = 6), where e^-m underflows to 0; at
+        # 2.42e-16 with p_md = 0.7 and p_fa = 0, D stays 0 and q m e^-m / s
+        # rounds to 1 + 2^-52, so theta must be clamped at 1
         drawn = []
         default_rng = np.random.default_rng
 
@@ -381,21 +384,24 @@ class TestCra2Sessions:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
 
-            def multinomial(self, n, pvals):
-                drawn.append(pvals)
-                return self.rng.multinomial(n, pvals)
+            def binomial(self, n, prob):
+                drawn.append((n, prob))
+                return self.rng.binomial(n, prob)
 
         monkeypatch.setattr("cra.sim.np.random.default_rng", Recorder)
         cfg = SimConfig(params=perfect_params(arrival_rate=rate, p_md=p_md,
                                               p_fa=p_fa),
                         n_sessions=200, warmup_sessions=0, seed=7)
         succ, active, detected = _cra2_sessions(cfg, 200)
-        pvals = np.array(drawn)
-        assert pvals.shape == (200, 4)
-        assert np.all(pvals >= 0.0) and not np.isnan(pvals).any()
-        assert np.all(np.abs(pvals.sum(axis=1) - 1.0) <= 1e-12)
-        assert np.all(np.isfinite(active)) and np.all(active >= 0.0)
         L = cfg.params.pool_size
+        *per_session, (counts, theta) = drawn
+        sizes, s = np.array(per_session).T
+        assert s.shape == theta.shape == (200,) and np.all(sizes == L)
+        assert np.array_equal(counts, detected)
+        for prob in (s, theta):
+            assert not np.isnan(prob).any()
+            assert np.all((prob >= 0.0) & (prob <= 1.0))
+        assert np.all(np.isfinite(active)) and np.all(active >= 0.0)
         if p_md == 1.0 or rate in (1e-300, 1e15):
             # nothing is detected, or a singleton is all but impossible
             assert not succ.any()
@@ -404,14 +410,18 @@ class TestCra2Sessions:
         if rate == 1e15 and p_md == 0.0:
             assert np.all(detected == L)  # every preamble collides
 
-    def test_kept_category_rows_leave_the_stream_as_it_is(self, fig_params,
-                                                          monkeypatch):
-        cfg = SimConfig(params=fig_params, n_sessions=2_000,
-                        warmup_sessions=0, seed=41)
-        kept = _cra2_sessions(cfg, 2_000)
-        monkeypatch.setattr("cra.sim._CATEGORY_ROWS", 0)
-        for a, b in zip(kept, _cra2_sessions(cfg, 2_000)):
-            assert np.array_equal(a, b)
+    @pytest.mark.parametrize("load", [0.1, 1.0, 2.0, "small-pool"])
+    def test_split_chain_matches_k_chain(self, fig_params, load):
+        # the Poisson-split chain, with no sum over K, against the chain
+        # that sums over K and the occupancy law given K
+        p = ProtocolParams(preamble_len=4, payload_len=8, pool_size=6,
+                           feedback_len=1.0, arrival_rate=1.0 / 12,
+                           p_md=0.05, p_fa=0.05) \
+            if load == "small-pool" else fig_params.with_traffic(load)
+        eta, mean_active, mean_detected = split_chain(p)
+        assert eta == pytest.approx(exact_chain_throughput(p), rel=1e-12)
+        assert (mean_active, mean_detected) == pytest.approx(
+            exact_chain_means(p), rel=1e-12)
 
     def test_small_pool_matches_exact_chain_and_walk(self):
         # Poisson splitting is exact for any L, so a wrong category law
