@@ -84,7 +84,8 @@ def apply_sweep_value(params, variable, value):
 
 
 def derive_seed(base_seed, *indices):
-    """Deterministic 64-bit child seed for one (replicate, grid point) task."""
+    """Deterministic 64-bit seed of one task, hashed from a base seed and
+    the task's indices (a sweep passes its grid and scheme indices)."""
     ss = np.random.SeedSequence([int(base_seed), *[int(i) for i in indices]])
     hi, lo = ss.generate_state(2)
     return (int(hi) << 32) | int(lo)
@@ -267,6 +268,27 @@ def analytic_point(params):
 # ---------------------------------------------------------------------------
 # sweep execution
 
+def _estimates(configs, workers):
+    """``estimate_throughput`` of each config, in order, on ``workers``
+    processes counting this one.
+
+    This process runs every ``workers``-th config itself while a pool of at
+    most ``workers - 1`` processes, and never more than it has configs, runs
+    the others.  The pool takes them in chunks of about a quarter of each
+    process's share, so many small tasks cost few round trips.
+    """
+    others = [c for i, c in enumerate(configs) if i % workers]
+    if not others:
+        return [estimate_throughput(c) for c in configs]
+    processes = min(workers - 1, len(others))
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        pooled = pool.map(estimate_throughput, others,
+                          chunksize=-(-len(others) // (4 * processes)))
+        own = iter([estimate_throughput(c) for c in configs[::workers]])
+        return [next(pooled) if i % workers else next(own)
+                for i in range(len(configs))]
+
+
 def run_sweep(spec, workers=1):
     """Evaluate a sweep: analytic values plus simulated estimates.
 
@@ -284,12 +306,7 @@ def run_sweep(spec, workers=1):
              for k, scheme in enumerate(schemes)
              for si, seed in enumerate(spec.replicate_seeds)}
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(estimate_throughput, tasks.values()))
-    else:
-        estimates = [estimate_throughput(t) for t in tasks.values()]
-    by_key = dict(zip(tasks, estimates))
+    by_key = dict(zip(tasks, _estimates(list(tasks.values()), workers)))
 
     rows = []
     for gi, (value, params) in enumerate(zip(spec.grid, point_params)):
@@ -454,7 +471,7 @@ def build_parser():
             p.add_argument("--preset", choices=list(_PRESETS))
             p.add_argument("--spec", help="JSON sweep specification")
             p.add_argument("--workers", type=int, default=1,
-                           help="worker processes (default: 1)")
+                           help="processes, this one included (default: 1)")
         elif "traffic" in keys:
             p.add_argument("--config", help="JSON file with flat key-value "
                                             "settings; flags override it")

@@ -35,12 +35,16 @@ Every path allocates a run's per-session arrays once, before the first draw
 ``_walk``), so a run too long to allocate fails at once (``cra`` prints one
 ``error:`` line) instead of growing until memory runs out; the successes of
 ``_cra2_sessions`` (8 more) come from its one vector draw after the loop.
+A pool whose per-preamble arrays (``_iid_sessions``, ``stage1_outcome``)
+cannot be allocated raises a ValueError that names ``pool_size``.
 ``estimate_throughput`` alone drops the warm-up sessions and builds the
 session lengths.
 
-Randomness comes from numpy's default PCG64 bit generator seeded through
-``numpy.random.SeedSequence``; replicas parallelize by spawning child seeds,
-and a fixed (seed, config) pair reproduces the trace stream bit-exactly.
+Each run seeds numpy's default PCG64 bit generator through
+``numpy.random.SeedSequence(cfg.seed)``, so a fixed (seed, config) pair
+reproduces its stream bit-exactly.  A sweep hashes each task's seed from
+(replicate seed, grid index, scheme index) with ``cli.derive_seed``, so its
+tasks may run in any process and in any order.
 """
 
 import enum
@@ -150,7 +154,10 @@ def stage1_outcome(n_active, params, rng):
     whatever K is.
     """
     L = params.pool_size
-    counts = rng.multinomial(n_active, np.full(L, 1.0 / L))
+    try:
+        counts = rng.multinomial(n_active, np.full(L, 1.0 / L))
+    except MemoryError as exc:
+        raise _pool_too_large(L, exc) from None
     # only preambles with fewer than two users are binned, so the bins
     # stay two whatever K is
     free, singleton = np.bincount(counts[counts < 2], minlength=2).tolist()
@@ -161,6 +168,13 @@ def stage1_outcome(n_active, params, rng):
     d2 = rng.binomial(collided, p_det) if collided else 0
     d3 = rng.binomial(free, params.p_fa) if (free and params.p_fa > 0.0) else 0
     return singleton, collided, int(d1), int(d2), int(d3)
+
+
+def _pool_too_large(L, exc):
+    """The error of a session whose per-preamble arrays cannot be allocated;
+    CRA-2 in drop mode needs none and takes any pool SimConfig accepts."""
+    return ValueError(f"pool_size {L} is too large: its per-preamble arrays "
+                      f"do not fit in memory ({exc})")
 
 
 def _capped_successes(scheme, n_active, detected_singleton, params):
@@ -260,7 +274,10 @@ def _iid_sessions(cfg, total):
         active = rng.poisson(p.arrival_rate * p.fixed_session_len, size=b)
         cells = rng.integers(0, L, size=int(active.sum()))
         cells += np.repeat(np.arange(0, b * L, L), active)
-        counts = np.bincount(cells, minlength=b * L).reshape(b, L)
+        try:
+            counts = np.bincount(cells, minlength=b * L).reshape(b, L)
+        except MemoryError as exc:
+            raise _pool_too_large(L, exc) from None
         singleton = np.count_nonzero(counts == 1, axis=1)
         occupied = np.count_nonzero(counts, axis=1)
         d1 = rng.binomial(singleton, keep)

@@ -129,6 +129,57 @@ class TestRunSweep:
         spec = SweepSpec(base=base, swept_variable="lambda_T",
                          grid=(0.5, 1.0), replicate_seeds=(3,))
         assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
+        # 5 tasks, which neither 2 nor 3 processes divide evenly
+        spec = replace(spec, grid=(0.25, 0.5, 1.0, 1.5, 2.0),
+                       outputs=("eta2",))
+        serial = run_sweep(spec, workers=1)
+        for workers in (2, 3):
+            assert run_sweep(spec, workers=workers) == serial
+
+    @pytest.mark.parametrize("workers", [2, 3, 1000])
+    def test_pool_size_and_chunks(self, monkeypatch, workers):
+        # fig3-sized: 20 grid points x 3 schemes = 60 tasks
+        params = ProtocolParams(8, 16, 24, 2.0, 0.005, 0.01, 0.01)
+        base = SimConfig(params=params, n_sessions=20, warmup_sessions=2)
+        spec = SweepSpec(base=base, swept_variable="lambda_T",
+                         grid=tuple(round(0.1 * i, 10) for i in range(1, 21)))
+        serial = run_sweep(spec, workers=1)
+        pools = []
+
+        class FakePool:
+            """Records its process count and chunk size; runs in-process."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                self.chunksize = chunksize
+                self.tasks = len(tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        assert run_sweep(spec, workers=workers) == serial
+        (pool,) = pools
+        # this process runs every workers-th task; the pool the other ones
+        assert pool.tasks == 60 - len(range(0, 60, workers))
+        assert pool.max_workers == min(workers - 1, pool.tasks)
+        if workers < 1000:
+            assert pool.chunksize > 1
+
+    def test_one_task_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        params = ProtocolParams(8, 16, 24, 2.0, 0.005, 0.01, 0.01)
+        base = SimConfig(params=params, n_sessions=20, warmup_sessions=2)
+        spec = SweepSpec(base=base, swept_variable="lambda_T", grid=(1.0,),
+                         outputs=("eta1",))
+        assert len(run_sweep(spec, workers=1000)) == 2
 
     def test_d_bar_ratio_std_error(self):
         # the simulated d_bar_ratio row carries the batch-means SE of the
@@ -249,6 +300,12 @@ class TestCommands:
          None, "arrival_rate"),
         (["sweep", "--spec", {"warmup_sessions": 10**400}], None,
          "warmup_sessions must be an integer within float range"),
+        # per-preamble arrays of 7.28 TiB; CRA-2 drop mode needs none
+        (["simulate", "--scheme", "cra1", "--pool-size", "1000000000000",
+          "--n-sessions", "10", "--warmup", "1"], None, "pool_size"),
+        (["simulate", "--scheme", "cra1", "--pool-size", "1000000000000",
+          "--n-sessions", "10", "--warmup", "1", "--mode", "fast_retrial"],
+         None, "pool_size"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, argv, env,
                                       what):

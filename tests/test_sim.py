@@ -207,6 +207,20 @@ class TestSimConfig:
             SimConfig(params=replace(fig_params, pool_size=2 ** 63),
                       scheme=scheme, mode=mode)
 
+    @pytest.mark.parametrize("scheme, mode", [
+        (Scheme.CRA1, Mode.DROP), (Scheme.CRA1, Mode.FAST_RETRIAL),
+        (Scheme.CRA2, Mode.FAST_RETRIAL)], ids=lambda v: v.value)
+    def test_pool_beyond_memory_names_pool_size(self, fig_params, scheme,
+                                                mode):
+        # 10^12 preambles: per-preamble arrays of 7.28 TiB, which numpy
+        # refuses at once; CRA-2 drop mode allocates none and runs
+        cfg = SimConfig(params=replace(fig_params, pool_size=10 ** 12),
+                        scheme=scheme, mode=mode, n_sessions=10,
+                        warmup_sessions=1)
+        with pytest.raises(ValueError, match="pool_size 1000000000000"):
+            estimate_throughput(cfg)
+        estimate_throughput(replace(cfg, scheme=Scheme.CRA2, mode=Mode.DROP))
+
 
 class TestEstimateThroughput:
     @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
