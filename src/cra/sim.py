@@ -18,9 +18,12 @@ and the mode:
   rate times the previous session's length.  Its K ~ Poisson(mu) users pick
   preambles uniformly, so by Poisson splitting each preamble independently
   holds Poisson(mu / L) users and is detected with one probability s.
-  ``_cra2_sessions`` draws a session's detected count as Bin(L, s) and,
-  after the loop, its successes given that count as Bin(D', theta), at a
-  cost that grows with neither K nor L, and records mu in place of K.
+  Since s depends on the previous detected count D alone,
+  ``_cra2_sessions`` takes a session's detected count D' ~ Bin(L, s(D))
+  from a pool of pre-drawn variates kept for state D (the random-mapping
+  construction, exact in law) and, after the loop, draws its successes
+  given that count as Bin(D', theta), at a cost that grows with neither K
+  nor L; it records mu in place of K.
 - Every scheme in fast retrial (whose backlog carries over) walks the
   session chain in one loop, ``_walk``, which ``simulate_stability`` also
   runs.  Per session it makes one scalar Poisson draw of K and one
@@ -35,6 +38,9 @@ Every path allocates a run's per-session arrays once, before the first draw
 ``_walk``), so a run too long to allocate fails at once (``cra`` prints one
 ``error:`` line) instead of growing until memory runs out; the successes of
 ``_cra2_sessions`` (8 more) come from its one vector draw after the loop.
+Its variate pools hold at most ``_POOL_STATES`` states of at most
+``_POOL_CHUNK`` variates each, and its theta temporaries at most
+``_THETA_BLOCK`` sessions, whatever the run length and L.
 A pool whose per-preamble arrays (``_iid_sessions``, ``stage1_outcome``)
 cannot be allocated raises a ValueError that names ``pool_size``.
 ``estimate_throughput`` alone drops the warm-up sessions and builds the
@@ -67,6 +73,15 @@ _BLOCK_CELLS = 1 << 20
 # error once a session's active count does.
 _MAX_POOL_SIZE = np.iinfo(np.int64).max
 _MAX_MEAN_ACTIVE = 2.0 ** 62
+
+# CRA-2 drop-mode chain: the variates of Bin(L, s(D)) that one refill of a
+# state's pool draws, and the number of states that may hold pools before
+# all are emptied.  Together they bound the pools at _POOL_STATES *
+# _POOL_CHUNK Python ints (under 1 MB) whatever L is.  theta is computed in
+# blocks of _THETA_BLOCK sessions, so its temporaries take a few MB at most.
+_POOL_CHUNK = 16
+_POOL_STATES = 1024
+_THETA_BLOCK = _BLOCK_CELLS // 4
 
 # Contiguous batches of the batch-means standard error; a run that measures
 # fewer sessions takes one batch per session.
@@ -297,11 +312,23 @@ def _cra2_sessions(cfg, total):
     with m e^-m, independently of the others.  It is detected with
     probability s = q (1 - e^-m) + e^-m p_fa (q = 1 - p_md), so a session's
     detected count is D' ~ Bin(L, s), and given D' its successes (detected
-    singletons) are Bin(D', theta) with theta = q m e^-m / s.  The loop
-    draws D', on which the next session's mu depends; one vector draw after
-    it gives every session's successes.  The active, detected and theta
-    arrays (24 bytes per session) are allocated before the first draw; the
-    vector draw returns the successes (8 more).
+    singletons) are Bin(D', theta) with theta = q m e^-m / s.
+
+    mu, and so s, depends on the previous detected count D alone, so the
+    loop only looks D up and takes the next variate of Bin(L, s(D)) from
+    that state's pool: a state's first visit draws one scalar, its second
+    and later visits refill its pool ``_POOL_CHUNK`` variates at a time
+    with one vector draw.  A state's variates are i.i.d. and independent of
+    every other state's, so using each once on successive visits is the
+    random-mapping construction of the chain (Levin, Peres & Wilmer,
+    *Markov Chains and Mixing Times*, 2009, section 1.2) and its law is
+    exact.  Once ``_POOL_STATES`` states hold pools, all pools are emptied;
+    that too is exact, because unused variates are independent of the path
+    drawn so far, and it bounds the pooled memory whatever L is.  After the
+    loop, mu, s and theta follow from the recorded path by vector
+    operations, and one vector draw gives every session's successes.  The
+    active, detected and theta arrays (24 bytes per session) are allocated
+    before the first draw; the vector draw returns the successes (8 more).
     """
     p = cfg.params
     L = p.pool_size
@@ -313,18 +340,42 @@ def _cra2_sessions(cfg, total):
     active_out = np.empty(total)
     detected_out = np.empty(total, dtype=np.int64)
     theta = np.empty(total)
-    # the neutral bootstrap of _walk; warmup makes the choice immaterial
+    # the neutral bootstrap of _walk; warmup makes the choice immaterial.
+    # active_out holds each session's previous detected count until the
+    # loop ends, then its arrival mean
     detected = round(L * (1.0 - math.exp(-rate * p.txn_len / L)))
+    active_out[0] = detected
+    pools = {}
+    pool_of = pools.get
     for t in range(total):
-        mu = rate * (overhead + payload * detected)
-        m = mu / L
-        p0 = math.exp(-m)
-        # a convex combination of q and p_fa: in [0, 1] with no clamp
-        s = p0 * p_fa - keep * math.expm1(-m)
-        theta[t] = keep * m * p0 / s if s else 0.0
-        detected = binomial(L, s)
-        active_out[t] = mu
+        pool = pool_of(detected)
+        if pool:
+            detected = pool.pop()
+        else:
+            m = rate * (overhead + payload * detected) / L
+            # a convex combination of q and p_fa: in [0, 1] with no clamp
+            s = math.exp(-m) * p_fa - keep * math.expm1(-m)
+            if pool is None:
+                if len(pools) >= _POOL_STATES:
+                    pools.clear()
+                pools[detected] = []
+                detected = binomial(L, s)
+            else:
+                pool += binomial(L, s, _POOL_CHUNK).tolist()
+                detected = pool.pop()
         detected_out[t] = detected
+    active_out[1:] = detected_out[:-1]
+    active_out *= payload
+    active_out += overhead
+    active_out *= rate
+    for start in range(0, total, _THETA_BLOCK):
+        m = active_out[start:start + _THETA_BLOCK] / L
+        p0 = np.exp(-m)
+        s = p0 * p_fa - keep * np.expm1(-m)
+        block = theta[start:start + _THETA_BLOCK]
+        # where s is 0 nothing is detected and theta is immaterial: 0
+        block.fill(0.0)
+        np.divide(keep * m * p0, s, out=block, where=s > 0.0)
     # q m e^-m / s may round above 1 as m -> 0
     np.minimum(theta, 1.0, out=theta)
     return binomial(detected_out, theta), active_out, detected_out
@@ -363,8 +414,8 @@ def estimate_throughput(cfg):
     with a batch-means standard error over min(30, n) batches.
 
     In drop mode CRA-1 and ALOHA take the block path for i.i.d. sessions
-    and CRA-2 its one-binomial-per-session chain; fast retrial walks the
-    session chain with one occupancy draw per session.
+    and CRA-2 its chain of pooled Bin(L, s(D)) transitions; fast retrial
+    walks the session chain with one occupancy draw per session.
     """
     total = cfg.warmup_sessions + cfg.n_sessions
     if cfg.mode is Mode.FAST_RETRIAL:

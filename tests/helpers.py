@@ -182,6 +182,20 @@ def exact_chain_throughput(params):
     return float(pi @ p_k @ successes) / mean_len
 
 
+def split_detect_prob(params):
+    """(states, mu, s): the states D = 0..L of the CRA-2 drop-mode session
+    chain, the arrival mean mu = lambda * (N + tau + M*D) of the session
+    after each, and the chance s = (1 - p_md)(1 - e^-m) + e^-m p_fa,
+    m = mu / L, that a preamble of that session is detected, so that its
+    detected count is Bin(L, s)."""
+    states = np.arange(params.pool_size + 1)
+    mu = params.arrival_rate * (params.overhead_len
+                                + params.payload_len * states)
+    m = mu / params.pool_size
+    s = (1.0 - params.p_md) * -np.expm1(-m) + np.exp(-m) * params.p_fa
+    return states, mu, s
+
+
 def split_chain(params):
     """(throughput, E[K], E[D]) of the stationary CRA-2 drop-mode session
     chain by Poisson splitting, with no sum over K.
@@ -194,13 +208,9 @@ def split_chain(params):
     one user.
     """
     L = params.pool_size
-    states = np.arange(L + 1)
-    mu = params.arrival_rate * (params.overhead_len
-                                + params.payload_len * states)
+    states, mu, s = split_detect_prob(params)
     m = mu / L
-    q = 1.0 - params.p_md
-    s = q * -np.expm1(-m) + np.exp(-m) * params.p_fa
-    theta = q * m * np.exp(-m) / s
+    theta = (1.0 - params.p_md) * m * np.exp(-m) / s
     pi = _stationary_law(stats.binom.pmf(states, L, s[:, None]))
     mean_detected = float(pi @ states)
     mean_len = params.overhead_len + params.payload_len * mean_detected

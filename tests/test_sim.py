@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from cra.analytic import ProtocolParams, backlog_drift, mean_detected_split, \
     prob_singleton, steady_state_cra2, throughput_cra1, throughput_maloha
 from cra.sim import (
     _BLOCK_CELLS,
+    _POOL_STATES,
     Mode,
     Scheme,
     SimConfig,
@@ -23,7 +25,7 @@ from cra.sim import (
 
 from helpers import PickedOccupancy, capped_success_moments, \
     exact_chain_means, exact_chain_throughput, exact_occupancy_pmf, \
-    split_chain
+    split_chain, split_detect_prob
 
 
 def perfect_params(**over):
@@ -378,6 +380,11 @@ class TestCra2Sessions:
     splitting); ``_walk``, which draws each session's K and then its
     occupancy counts given K, is its conditional-on-K reference."""
 
+    # a pool small enough that every transition row is visited often
+    SMALL_POOL = ProtocolParams(preamble_len=4, payload_len=8, pool_size=6,
+                                feedback_len=1.0, arrival_rate=1.0 / 12,
+                                p_md=0.05, p_fa=0.05)
+
     @pytest.mark.parametrize("rate, p_md, p_fa", [
         pytest.param(rate, p_md, p_fa, id=f"{name}-{p_md}-{p_fa}")
         for name, rate in [("m-to-0", 1e-300), ("m-1e-8", 1.2e-9),
@@ -398,9 +405,9 @@ class TestCra2Sessions:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
 
-            def binomial(self, n, prob):
+            def binomial(self, n, prob, size=None):
                 drawn.append((n, prob))
-                return self.rng.binomial(n, prob)
+                return self.rng.binomial(n, prob, size)
 
         monkeypatch.setattr("cra.sim.np.random.default_rng", Recorder)
         cfg = SimConfig(params=perfect_params(arrival_rate=rate, p_md=p_md,
@@ -408,9 +415,12 @@ class TestCra2Sessions:
                         n_sessions=200, warmup_sessions=0, seed=7)
         succ, active, detected = _cra2_sessions(cfg, 200)
         L = cfg.params.pool_size
-        *per_session, (counts, theta) = drawn
-        sizes, s = np.array(per_session).T
-        assert s.shape == theta.shape == (200,) and np.all(sizes == L)
+        # the loop's draws of D' (one scalar, or one pool refill, per draw),
+        # then the one vector draw of every session's successes
+        *in_loop, (counts, theta) = drawn
+        sizes, s = np.array(in_loop).T
+        assert 1 <= s.size <= 200 and np.all(sizes == L)
+        assert theta.shape == (200,)
         assert np.array_equal(counts, detected)
         for prob in (s, theta):
             assert not np.isnan(prob).any()
@@ -459,6 +469,75 @@ class TestCra2Sessions:
             <= 4 * math.hypot(est.std_error, walk.std_error)
         assert abs(est.mean_detected - walk.mean_detected) \
             <= 4 * math.hypot(est.detected_std_error, walk.detected_std_error)
+
+    def test_pooled_transitions_follow_split_law(self):
+        # every row D -> D' of the simulated path is held to Bin(L, s(D)),
+        # s from the helper's own formula; a pool shared between two states,
+        # or variates drawn with the wrong state's s, fail here.  Each row
+        # tested has a false-alarm rate of 1e-3, so at most 0.7% over the 7
+        # states of L = 6
+        p = self.SMALL_POOL
+        cfg = SimConfig(params=p, scheme=Scheme.CRA2, n_sessions=200_000,
+                        warmup_sessions=0, seed=23)
+        detected = _cra2_sessions(cfg, cfg.n_sessions)[2]
+        states, _, s = split_detect_prob(p)
+        L = p.pool_size
+        moves = np.bincount(detected[:-1] * (L + 1) + detected[1:],
+                            minlength=(L + 1) ** 2).reshape(L + 1, L + 1)
+        tested = 0
+        for d, row in enumerate(moves):
+            n = int(row.sum())
+            if n < 1_000:
+                continue
+            expected = n * stats.binom.pmf(states, L, s[d])
+            # cells expecting fewer than 5 are merged into one
+            few = expected < 5.0
+            observed, expected = row[~few], expected[~few]
+            if few.any():
+                observed = np.append(observed, row[few].sum())
+                expected = np.append(expected, n - expected.sum())
+            pvalue = stats.chisquare(observed, expected).pvalue
+            assert pvalue > 1e-3, (d, n, row, pvalue)
+            tested += 1
+        assert tested >= 4
+
+    def test_pool_cap_keeps_the_law(self, monkeypatch):
+        # emptying every pool once two states hold one discards only unused
+        # variates, so the small-pool estimate still matches the exact chain
+        monkeypatch.setattr("cra.sim._POOL_STATES", 2)
+        p = self.SMALL_POOL
+        cfg = SimConfig(params=p, scheme=Scheme.CRA2, n_sessions=40_000,
+                        warmup_sessions=100, seed=3)
+        est = estimate_throughput(cfg)
+        assert abs(est.mean_throughput - exact_chain_throughput(p)) \
+            <= 4 * est.std_error
+        assert abs(est.mean_detected - exact_chain_means(p)[1]) \
+            <= 4 * est.detected_std_error
+
+    def test_huge_pool_bounds_pooled_states(self, fig_params):
+        # with L = 10^12 nearly every session lands on a new state; the
+        # number of states holding pools, read from the kernel's frame at
+        # every line, reaches the cap and never passes it
+        p = replace(fig_params, pool_size=10 ** 12)
+        cfg = SimConfig(params=p, scheme=Scheme.CRA2, n_sessions=3_000,
+                        warmup_sessions=0, seed=9)
+        held = []
+
+        def tracer(frame, event, arg):
+            if frame.f_code is _cra2_sessions.__code__:
+                held.append(len(frame.f_locals.get("pools", ())))
+                return tracer
+            return None
+
+        sys.settrace(tracer)
+        try:
+            succ, active, detected = _cra2_sessions(cfg, cfg.n_sessions)
+        finally:
+            sys.settrace(None)
+        assert max(held) == _POOL_STATES
+        assert np.all((0 <= detected) & (detected <= p.pool_size))
+        assert np.all((0 <= succ) & (succ <= detected))
+        assert np.all(np.isfinite(active))
 
 
 class TestBinomialApproximationCalibration:
