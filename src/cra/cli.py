@@ -109,6 +109,19 @@ def _row(sweep_var, value, metric, source, estimate, std_error=0.0,
                                     estimate, std_error, sessions, seed)))
 
 
+def _sim_row(sweep_var, value, metric, est, params, seed):
+    """The row of one simulated estimate: the mean detected count per
+    preamble symbol for ``d_bar_ratio``, else the throughput times N + M."""
+    if metric == "d_bar_ratio":
+        n = params.preamble_len
+        val, se = est.mean_detected / n, est.detected_std_error / n
+    else:
+        t = params.txn_len
+        val, se = t * est.mean_throughput, t * est.std_error
+    return _row(sweep_var, value, metric, "sim", val, se, est.sessions_run,
+                seed)
+
+
 def emit_results(rows, path):
     """Write result rows (dicts with RESULT_FIELDS keys) as long-format CSV."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -311,18 +324,13 @@ def run_sweep(spec, workers=1):
     rows = []
     for gi, (value, params) in enumerate(zip(spec.grid, point_params)):
         point = analytic_point(params)
-        t = params.txn_len
         for metric in spec.outputs:
             rows.append(_row(spec.swept_variable, value, metric, "analytic",
                              point[metric]))
             for si, seed in enumerate(spec.replicate_seeds):
                 est = by_key[(gi, _SCHEME_FOR_METRIC[metric], si)]
-                val, se = t * est.mean_throughput, t * est.std_error
-                if metric == "d_bar_ratio":
-                    n = params.preamble_len
-                    val, se = est.mean_detected / n, est.detected_std_error / n
-                rows.append(_row(spec.swept_variable, value, metric, "sim",
-                                 val, se, est.sessions_run, seed))
+                rows.append(_sim_row(spec.swept_variable, value, metric,
+                                     est, params, seed))
     return rows
 
 
@@ -343,19 +351,17 @@ def _cmd_analytic(s, args):
 def _cmd_simulate(s, args):
     cfg = _sim_config(s)
     est = estimate_throughput(cfg)
-    t = cfg.params.txn_len
-    print(f"normalized_throughput = {t * est.mean_throughput:.6g} "
-          f"+/- {t * est.std_error:.3g}")
-    for key in ("mean_active", "mean_detected", "mean_session_len"):
-        print(f"{key} = {getattr(est, key):.6g}")
     # the scheme's throughput metric, not CRA-2's d_bar_ratio
     metric = next(m for m, scheme in _SCHEME_FOR_METRIC.items()
                   if scheme is cfg.scheme)
-    rows = [_row("lambda_T", cfg.params.traffic_intensity, metric, "sim",
-                 t * est.mean_throughput, t * est.std_error,
-                 est.sessions_run, cfg.seed)]
+    row = _sim_row("lambda_T", cfg.params.traffic_intensity, metric, est,
+                   cfg.params, cfg.seed)
+    print(f"normalized_throughput = {row['estimate']:.6g} "
+          f"+/- {row['std_error']:.3g}")
+    for key in ("mean_active", "mean_detected", "mean_session_len"):
+        print(f"{key} = {getattr(est, key):.6g}")
     # cfg.params, not the settings: MC-ALOHA runs with L = N
-    return rows, {**asdict(cfg.params), **{k: s[k] for k in _SIM_KEYS}}
+    return [row], {**asdict(cfg.params), **{k: s[k] for k in _SIM_KEYS}}
 
 
 def _cmd_sweep(s, args):

@@ -28,21 +28,23 @@ and the mode:
   session chain in one loop, ``_walk``, which ``simulate_stability`` also
   runs.  Per session it makes one scalar Poisson draw of K and one
   ``stage1_outcome`` call, which draws the K users' per-preamble counts as
-  one Multinomial(K; 1/L, ..., 1/L), at O(L) cost whatever K is.  The tests
+  one Multinomial(K; 1/L, ..., 1/L), at O(L) cost whatever K is; the
+  K - successes users it leaves are the next session's backlog.  The tests
   pin the walk down through degenerate runs that force the active count,
   and run it on CRA-2 drop mode as the conditional-on-K reference for
   ``_cra2_sessions``.
 
-Every path allocates a run's per-session arrays once, before the first draw
-(24 bytes per session for ``_iid_sessions`` and ``_cra2_sessions``, 32 for
-``_walk``), so a run too long to allocate fails at once (``cra`` prints one
-``error:`` line) instead of growing until memory runs out; the successes of
-``_cra2_sessions`` (8 more) come from its one vector draw after the loop.
-Its variate pools hold at most ``_POOL_STATES`` states of at most
+Each scheme's ``_session_rule`` gives every path its session length and
+success cap.  Every path returns (successes, active, detected) arrays and
+allocates 24 bytes per session before the first draw (the successes of
+``_cra2_sessions``, 8 more, come from its one vector draw after the loop),
+so a run too long to allocate fails at once (``cra`` prints one ``error:``
+line) instead of growing until memory runs out.  The variate pools of
+``_cra2_sessions`` hold at most ``_POOL_STATES`` states of at most
 ``_POOL_CHUNK`` variates each, and its theta temporaries at most
-``_THETA_BLOCK`` sessions, whatever the run length and L.
-A pool whose per-preamble arrays (``_iid_sessions``, ``stage1_outcome``)
-cannot be allocated raises a ValueError that names ``pool_size``.
+``_THETA_BLOCK`` sessions, whatever the run length and L.  A pool whose
+per-preamble arrays (``_iid_sessions``, ``stage1_outcome``) cannot be
+allocated raises a ValueError that names ``pool_size``.
 ``estimate_throughput`` alone drops the warm-up sessions and builds the
 session lengths.
 
@@ -109,6 +111,26 @@ class Mode(enum.Enum):
     FAST_RETRIAL = "fast_retrial"
 
 
+def _session_rule(scheme, params):
+    """(base, per_detected, cap): a session lasts base + per_detected * D
+    symbols, D its detected count, and books its detected singletons only
+    while K <= cap.  CRA-2 sends one packet per detected preamble; CRA-1's
+    multiuser detection fails once K reaches the spreading gain N, and
+    ALOHA's N orthogonal channels decode nothing once K passes N."""
+    if scheme is Scheme.CRA2:
+        return params.overhead_len, params.payload_len, math.inf
+    n = params.preamble_len
+    cap = n - 1 if scheme is Scheme.CRA1 else n
+    return params.fixed_session_len, 0, cap
+
+
+def _startup_detected(params):
+    """A neutral detected count for the session before the first; warm-up
+    makes the choice immaterial."""
+    L, rate = params.pool_size, params.arrival_rate
+    return round(L * (1.0 - math.exp(-rate * params.txn_len / L)))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     params: ProtocolParams
@@ -130,9 +152,9 @@ class SimConfig:
             # orthogonal baseline: one channel per preamble
             p = replace(p, pool_size=p.preamble_len)
             object.__setattr__(self, "params", p)
-        # a CRA-2 session is longest when all L preambles are detected
-        longest = p.overhead_len + p.payload_len * float(p.pool_size) \
-            if self.scheme is Scheme.CRA2 else p.fixed_session_len
+        # a session is longest when all L preambles are detected
+        base, per_detected, _ = _session_rule(self.scheme, p)
+        longest = base + per_detected * float(p.pool_size)
         if p.arrival_rate * longest > _MAX_MEAN_ACTIVE:
             raise ValueError(
                 f"arrival_rate {p.arrival_rate:.3g} (traffic "
@@ -192,19 +214,6 @@ def _pool_too_large(L, exc):
                       f"do not fit in memory ({exc})")
 
 
-def _capped_successes(scheme, n_active, detected_singleton, params):
-    """Successes of a fixed-length CRA-1 / multichannel-ALOHA session.
-
-    CRA-1's multiuser detection of the spread packets fails outright once the
-    active count reaches the spreading gain (K <= N - 1 succeeds); ALOHA's
-    orthogonal channels decode at most N packets (K <= N).  Works on scalars
-    and on arrays of sessions alike.
-    """
-    cap = params.preamble_len - 1 if scheme is Scheme.CRA1 \
-        else params.preamble_len
-    return detected_singleton * (n_active <= cap)
-
-
 def _walk(cfg, horizon, backlog=0, stop_backlog=None):
     """Walk the sequential session chain for up to ``horizon`` sessions,
     drawing each session's K and then its occupancy counts given K: every
@@ -212,37 +221,28 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
     reference that the tests hold ``_cra2_sessions`` to.
 
     Session t+1's arrival mean is the arrival rate times session t's length
-    (variable for CRA-2), and in fast retrial its active count adds the
-    users session t left unserved.  ``backlog`` holds the users waiting
-    before the first session.  The walk stops early once the backlog after
-    a session exceeds ``stop_backlog``, and raises ValueError once a
-    session's active count exceeds 2**62, near the int64 limit of the
-    samplers and of the session arrays.
+    under the scheme's session rule, and in fast retrial its active count
+    adds the users session t did not serve: K - successes.  ``backlog``
+    holds the users waiting before the first session.  The walk stops early
+    once the backlog after a session exceeds ``stop_backlog``, and raises
+    ValueError once a session's active count exceeds 2**62, near the int64
+    limit of the samplers and of the session arrays.
 
-    Returns the (successes, active, detected, backlog) arrays of the
-    sessions run.
+    Returns the (successes, active, detected) arrays of the sessions run.
     """
     p = cfg.params
-    L = p.pool_size
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     poisson = rng.poisson
     rate = p.arrival_rate
-    overhead, payload = p.overhead_len, p.payload_len
-    cra2 = cfg.scheme is Scheme.CRA2
+    base, per_detected, cap = _session_rule(cfg.scheme, p)
     retrial = cfg.mode is Mode.FAST_RETRIAL
-    if cra2:
-        # neutral bootstrap; warmup makes the choice immaterial
-        detected = round(L * (1.0 - math.exp(-rate * p.txn_len / L)))
-        length = overhead + payload * detected
-    else:
-        length = p.fixed_session_len
+    detected = _startup_detected(p)
     succ_out = np.empty(horizon, dtype=np.int64)
     active_out = np.empty(horizon, dtype=np.int64)
     detected_out = np.empty(horizon, dtype=np.int64)
-    backlog_out = np.empty(horizon, dtype=np.int64)
     run = horizon
     for t in range(horizon):
-        k = int(poisson(rate * length)) + backlog
+        k = int(poisson(rate * (base + per_detected * detected))) + backlog
         if k > _MAX_MEAN_ACTIVE:
             raise ValueError(
                 f"arrival_rate {rate:.3g} (traffic "
@@ -250,21 +250,15 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
                 f"{k:.3g} active users, above 2**62")
         _, _, d1, d2, d3 = stage1_outcome(k, p, rng)
         detected = d1 + d2 + d3
-        if cra2:
-            length = overhead + payload * detected
-            successes = d1
-        else:
-            successes = _capped_successes(cfg.scheme, k, d1, p)
-        backlog = k - d1 if retrial else 0
+        successes = d1 if k <= cap else 0
+        backlog = k - successes if retrial else 0
         succ_out[t] = successes
         active_out[t] = k
         detected_out[t] = detected
-        backlog_out[t] = backlog
         if stop_backlog is not None and backlog > stop_backlog:
             run = t + 1
             break
-    return (succ_out[:run], active_out[:run], detected_out[:run],
-            backlog_out[:run])
+    return succ_out[:run], active_out[:run], detected_out[:run]
 
 
 def _iid_sessions(cfg, total):
@@ -280,13 +274,14 @@ def _iid_sessions(cfg, total):
     """
     p = cfg.params
     L = p.pool_size
+    length, _, cap = _session_rule(cfg.scheme, p)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     out = np.empty((3, total), dtype=np.int64)
     block = max(1, _BLOCK_CELLS // L)
     keep = 1.0 - p.p_md
     for start in range(0, total, block):
         b = min(block, total - start)
-        active = rng.poisson(p.arrival_rate * p.fixed_session_len, size=b)
+        active = rng.poisson(p.arrival_rate * length, size=b)
         cells = rng.integers(0, L, size=int(active.sum()))
         cells += np.repeat(np.arange(0, b * L, L), active)
         try:
@@ -298,8 +293,7 @@ def _iid_sessions(cfg, total):
         d1 = rng.binomial(singleton, keep)
         d2 = rng.binomial(occupied - singleton, keep)
         d3 = rng.binomial(L - occupied, p.p_fa)
-        out[:, start:start + b] = (
-            _capped_successes(cfg.scheme, active, d1, p), active, d1 + d2 + d3)
+        out[:, start:start + b] = d1 * (active <= cap), active, d1 + d2 + d3
     return tuple(out)
 
 
@@ -340,10 +334,9 @@ def _cra2_sessions(cfg, total):
     active_out = np.empty(total)
     detected_out = np.empty(total, dtype=np.int64)
     theta = np.empty(total)
-    # the neutral bootstrap of _walk; warmup makes the choice immaterial.
     # active_out holds each session's previous detected count until the
     # loop ends, then its arrival mean
-    detected = round(L * (1.0 - math.exp(-rate * p.txn_len / L)))
+    detected = _startup_detected(p)
     active_out[0] = detected
     pools = {}
     pool_of = pools.get
@@ -415,27 +408,25 @@ def estimate_throughput(cfg):
 
     In drop mode CRA-1 and ALOHA take the block path for i.i.d. sessions
     and CRA-2 its chain of pooled Bin(L, s(D)) transitions; fast retrial
-    walks the session chain with one occupancy draw per session.
+    walks the session chain with one occupancy draw per session.  Session
+    lengths follow the scheme's session rule from the detected counts.
     """
     total = cfg.warmup_sessions + cfg.n_sessions
     if cfg.mode is Mode.FAST_RETRIAL:
-        sessions = _walk(cfg, total)[:3]
+        sessions = _walk(cfg, total)
     elif cfg.scheme is Scheme.CRA2:
         sessions = _cra2_sessions(cfg, total)
     else:
         sessions = _iid_sessions(cfg, total)
     succ, active, detected = (x[cfg.warmup_sessions:] for x in sessions)
-    p = cfg.params
-    if cfg.scheme is Scheme.CRA2:
-        lengths = p.overhead_len + p.payload_len * detected
-    else:
-        lengths = np.full(cfg.n_sessions, p.fixed_session_len)
+    base, per_detected, _ = _session_rule(cfg.scheme, cfg.params)
+    lengths = base + per_detected * detected
     return _ratio_estimate(succ, lengths, active, detected)
 
 
 def simulate_stability(cfg, horizon, initial_backlog=0, stop_backlog=None):
-    """Backlog trajectory Z(t) = active(t) - detected_singleton(t) under
-    fast retrial; no packets are dropped.
+    """Backlog trajectory Z(t) = active(t) - successes(t) under fast
+    retrial; no packets are dropped.
 
     Stops early once the backlog exceeds ``stop_backlog`` (trajectory is
     truncated there), which keeps diverging runs cheap.  ``horizon`` sets the
@@ -449,4 +440,5 @@ def simulate_stability(cfg, horizon, initial_backlog=0, stop_backlog=None):
         raise ValueError("initial_backlog must be >= 0")
     if stop_backlog is not None and stop_backlog < 0:
         raise ValueError("stop_backlog must be >= 0 or None")
-    return _walk(cfg, horizon, initial_backlog, stop_backlog)[3]
+    succ, active, _ = _walk(cfg, horizon, initial_backlog, stop_backlog)
+    return active - succ

@@ -14,9 +14,9 @@ from cra.sim import (
     Mode,
     Scheme,
     SimConfig,
-    _capped_successes,
     _cra2_sessions,
     _ratio_estimate,
+    _session_rule,
     _walk,
     estimate_throughput,
     simulate_stability,
@@ -116,8 +116,8 @@ class TestRunSession:
         return cfg, _walk(cfg, horizon, backlog=k)
 
     def test_cra2_single_user(self):
-        _, (succ, active, detected, backlog) = self.walk(Scheme.CRA2, 1)
-        assert (succ[0], active[0], detected[0], backlog[0]) == (1, 1, 1, 0)
+        _, (succ, active, detected) = self.walk(Scheme.CRA2, 1)
+        assert (succ[0], active[0], detected[0]) == (1, 1, 1)
 
     def test_cra2_session_len_follows_detected(self, fig_params):
         cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2, n_sessions=300,
@@ -131,28 +131,30 @@ class TestRunSession:
     def test_cra2_pure_collision(self):
         # three users on two preambles: one preamble always collides, is
         # detected (perfect detection) and books no success; with all three
-        # on one preamble the session is a pure collision
+        # on one preamble the session is a pure collision.  In drop mode the
+        # unserved users leave, so the next session is empty
         seen = set()
         for seed in range(20):
-            _, (succ, active, detected, _) = self.walk(
-                Scheme.CRA2, 3, pool_size=2, seed=seed)
+            _, (succ, active, detected) = self.walk(
+                Scheme.CRA2, 3, horizon=2, pool_size=2, seed=seed)
             assert active[0] == 3 and succ[0] == detected[0] - 1
+            assert active[1] == 0
             seen.add((int(detected[0]), int(succ[0])))
         assert seen == {(1, 0), (2, 1)}
 
     def test_cra1_overload_fails(self):
         n = perfect_params().preamble_len
-        cfg, (succ, _, detected, _) = self.walk(Scheme.CRA1, n)
+        cfg, (succ, _, detected) = self.walk(Scheme.CRA1, n)
         assert detected[0] >= 1 and succ[0] == 0
-        # even n detected singletons book nothing once K reaches N
+        # even n detected singletons book nothing once K reaches N: the
+        # rule's cap lets K = N - 1 book and K = N not
         p = cfg.params
         _, _, d1, _, _ = stage1_outcome(n, p, PickedOccupancy(range(n)))
         assert d1 == n
-        assert _capped_successes(Scheme.CRA1, n, d1, p) == 0
-        assert _capped_successes(Scheme.CRA1, n - 1, n - 1, p) == n - 1
+        assert _session_rule(Scheme.CRA1, p)[2] == n - 1
 
     def test_cra1_single_user(self):
-        _, (succ, _, _, _) = self.walk(Scheme.CRA1, 1)
+        _, (succ, _, _) = self.walk(Scheme.CRA1, 1)
         assert succ[0] == 1
 
     def test_fixed_session_len(self, fig_params):
@@ -168,23 +170,61 @@ class TestRunSession:
         n = p.preamble_len
         assert p.pool_size == n  # forced L := N
         _, _, d1, _, _ = stage1_outcome(n, p, PickedOccupancy(range(n)))
-        assert _capped_successes(Scheme.MC_ALOHA, n, d1, p) == n
+        # all n detected singletons book, since K = N is within the cap
+        assert d1 == n
+        assert _session_rule(Scheme.MC_ALOHA, p)[2] == n
 
     def test_maloha_above_channel_count_fails(self):
         # the orthogonal receiver decodes at most preamble_len packets;
         # this cap is what produces the Poisson-cdf factor in the closed form
         n = perfect_params().preamble_len
-        cfg, (succ, _, detected, _) = self.walk(Scheme.MC_ALOHA, n + 1)
+        cfg, (succ, _, detected) = self.walk(Scheme.MC_ALOHA, n + 1)
         assert detected[0] >= 1 and succ[0] == 0
-        assert _capped_successes(Scheme.MC_ALOHA, n + 1, n, cfg.params) == 0
+        assert _session_rule(Scheme.MC_ALOHA, cfg.params)[2] == n
 
-    def test_fast_retrial_backlog(self):
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_fast_retrial_backlog(self, fig_params, monkeypatch, scheme):
         # the users a session leaves unserved are the next session's K
-        _, (succ, active, _, backlog) = self.walk(
-            Scheme.CRA2, 3, mode=Mode.FAST_RETRIAL, horizon=50, pool_size=2)
+        _, (succ, active, _) = self.walk(
+            scheme, 3, mode=Mode.FAST_RETRIAL, horizon=50, pool_size=2)
         assert active[0] == 3
-        assert np.array_equal(backlog, active - succ)
-        assert np.array_equal(active[1:], backlog[:-1])
+        assert np.array_equal(active[1:], (active - succ)[:-1])
+        # K = N (CRA-1) or N + 1 (ALOHA) is above the cap, so the session
+        # books nothing, even from its detected singletons, and all K users
+        # wait for the next session
+        n = perfect_params().preamble_len
+        k = {Scheme.CRA1: n, Scheme.MC_ALOHA: n + 1}.get(scheme)
+        for seed in range(10 if k else 0):
+            cfg = SimConfig(params=perfect_params(arrival_rate=0.0),
+                            scheme=scheme, mode=Mode.FAST_RETRIAL,
+                            n_sessions=10, warmup_sessions=0, seed=seed)
+            assert simulate_stability(cfg, 1, initial_backlog=k)[0] == k
+        # over a 2000-session walk at load 0.8, the users waiting at the end
+        # are those waiting at the start plus the Poisson arrivals minus the
+        # successes: none leaves unserved and none is made up
+        default_rng = np.random.default_rng
+        arrivals = []
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def poisson(self, lam, size=None):
+                arrivals.append(self.rng.poisson(lam, size))
+                return arrivals[-1]
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        cfg = SimConfig(params=fig_params.with_traffic(0.8), scheme=scheme,
+                        mode=Mode.FAST_RETRIAL, n_sessions=10,
+                        warmup_sessions=0, seed=3)
+        succ = _walk(cfg, 2_000, backlog=5)[0]
+        monkeypatch.setattr("cra.sim.np.random.default_rng", Counting)
+        backlog = simulate_stability(cfg, 2_000, initial_backlog=5)
+        assert backlog.size == 2_000 == len(arrivals)
+        assert 5 + sum(int(a) for a in arrivals) - int(succ.sum()) \
+            == backlog[-1]
 
 
 class TestSimConfig:
@@ -290,7 +330,7 @@ class TestEstimateThroughput:
         cfg = SimConfig(params=fig_params, scheme=Scheme.CRA1,
                         mode=Mode.FAST_RETRIAL, n_sessions=300,
                         warmup_sessions=20, seed=6)
-        succ, active, detected, _ = (x[20:] for x in _walk(cfg, 320))
+        succ, active, detected = (x[20:] for x in _walk(cfg, 320))
         est = estimate_throughput(cfg)
         assert est.mean_throughput == pytest.approx(
             succ.sum() / (300 * fig_params.fixed_session_len), rel=1e-12)
@@ -461,7 +501,7 @@ class TestCra2Sessions:
         assert abs(est.mean_throughput - exact_eta) <= 4 * est.std_error
         assert abs(est.mean_detected - exact_detected) \
             <= 4 * est.detected_std_error
-        succ, active, detected, _ = (
+        succ, active, detected = (
             x[100:] for x in _walk(replace(cfg, seed=4), 40_100))
         walk = _ratio_estimate(succ, p.overhead_len + p.payload_len * detected,
                                active, detected)
