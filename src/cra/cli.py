@@ -20,15 +20,23 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import analytic, signals
+from . import analytic, signals, specfun
 from .analytic import ProtocolParams
 from .sim import Mode, Scheme, SimConfig, estimate_throughput, simulate_stability
 
 RESULT_FIELDS = ("sweep_var", "value", "metric", "source", "estimate",
                  "std_error", "sessions", "seed")
 
-SWEEP_VARIABLES = ("lambda_T", "L", "M", "p_err")
 METRICS = ("eta1", "eta2", "eta_ma", "d_bar_ratio")
+
+# Each sweep variable: how a grid value sets the protocol parameters, and
+# whether its values must be whole numbers (L and M are counts).
+_SWEEPS = {
+    "lambda_T": (lambda p, v: p.with_traffic(v), False),
+    "L": (lambda p, v: replace(p, pool_size=int(v)), True),
+    "M": (lambda p, v: replace(p, payload_len=int(v)), True),
+    "p_err": (lambda p, v: replace(p, p_md=v, p_fa=v), False),
+}
 
 _SCHEME_FOR_METRIC = {
     "eta1": Scheme.CRA1,
@@ -47,14 +55,14 @@ class SweepSpec:
     replicate_seeds: tuple = (0,)
 
     def __post_init__(self):
-        if self.swept_variable not in SWEEP_VARIABLES:
+        if self.swept_variable not in _SWEEPS:
             raise ValueError(
-                f"swept_variable must be one of {SWEEP_VARIABLES}, "
+                f"swept_variable must be one of {tuple(_SWEEPS)}, "
                 f"got {self.swept_variable!r}")
         if not self.grid:
             raise ValueError("grid: must be nonempty")
-        # NaN passes the order check below; L and M are counts
-        whole = self.swept_variable in ("L", "M")
+        # NaN passes the order check below
+        whole = _SWEEPS[self.swept_variable][1]
         if not all(math.isfinite(v) and (not whole or v == int(v))
                    for v in self.grid):
             raise ValueError(f"grid: {self.swept_variable} values must be "
@@ -68,19 +76,6 @@ class SweepSpec:
             raise ValueError(f"outputs: unknown metric(s) {bad}")
         if not self.replicate_seeds:
             raise ValueError("replicate_seeds: must be nonempty")
-
-
-def apply_sweep_value(params, variable, value):
-    """Protocol parameters with one swept variable replaced."""
-    if variable == "lambda_T":
-        return params.with_traffic(value)
-    if variable == "L":
-        return replace(params, pool_size=int(value))
-    if variable == "M":
-        return replace(params, payload_len=int(value))
-    if variable == "p_err":
-        return replace(params, p_md=value, p_fa=value)
-    raise ValueError(f"swept_variable: unknown variable {variable!r}")
 
 
 def derive_seed(base_seed, *indices):
@@ -147,9 +142,9 @@ _PROTOCOL_KEYS = (*_PARAM_FIELDS, "traffic")
 
 # Every setting: its default and its type.  A list type means a nonempty
 # list of its one element type; int and float accept integers within float
-# range, float accepts floats too, and no type accepts a bool.  Allowed
-# values are checked where the settings are used (ProtocolParams, Scheme,
-# Mode, SweepSpec, the handlers).
+# range, float accepts floats too, and no type accepts a bool.  The keys in
+# _CHOICES take one of its values; other allowed values are checked where
+# the settings are used (ProtocolParams, SweepSpec, the handlers).
 # _FILE_KEYS names those a settings file may give; the rest are flags only.
 _SETTINGS = {
     "preamble_len": (31, int), "payload_len": (256, int),
@@ -206,12 +201,14 @@ def _fits(value, kind):
 
 
 def _checked(where, given):
-    """The given settings, if each value is of its key's type and seeds are
-    not negative."""
+    """The given settings, if each value is of its key's type and among its
+    choices, and seeds are not negative."""
     for key, value in given.items():
         default, kind = _SETTINGS[key]
-        if not (value is None and default is None or _fits(value, kind)):
-            what = ("a nonempty list, each " + _TYPE_NAMES[kind[0]]
+        if not (value is None and default is None or _fits(value, kind)
+                and value in _CHOICES.get(key, [value])):
+            what = (f"one of {_CHOICES[key]}" if key in _CHOICES
+                    else "a nonempty list, each " + _TYPE_NAMES[kind[0]]
                     if isinstance(kind, list) else _TYPE_NAMES[kind])
             raise ValueError(f"{where}{key} must be {what}, got {value!r}")
         # numpy's SeedSequence takes no negative seed
@@ -308,15 +305,15 @@ def run_sweep(spec, workers=1):
     Returns result rows in deterministic (grid index, metric, seed) order
     regardless of worker completion order.
     """
-    point_params = [apply_sweep_value(spec.base.params, spec.swept_variable, v)
-                    for v in spec.grid]
+    apply = _SWEEPS[spec.swept_variable][0]
+    point_params = [apply(spec.base.params, v) for v in spec.grid]
 
-    schemes = sorted({_SCHEME_FOR_METRIC[m] for m in spec.outputs},
-                     key=lambda s: s.value)
+    # a scheme's seed follows its place in Scheme, whichever metrics are asked
+    needed = {_SCHEME_FOR_METRIC[m] for m in spec.outputs}
     tasks = {(gi, scheme, si): replace(spec.base, params=params, scheme=scheme,
                                        seed=derive_seed(seed, gi, k))
              for gi, params in enumerate(point_params)
-             for k, scheme in enumerate(schemes)
+             for k, scheme in enumerate(Scheme) if scheme in needed
              for si, seed in enumerate(spec.replicate_seeds)}
 
     by_key = dict(zip(tasks, _estimates(list(tasks.values()), workers)))
@@ -400,8 +397,8 @@ def _cmd_signal(s, args):
                                     noise_var=1.0)
         md = signals.ml_md_trial(pool, scene, 0, rng, trials)
         fa = signals.ml_fa_trial(pool, scene, 1, snr, rng, trials)
-        ref = analytic.detection_error_bounds(
-            analytic.ErrorBoundInputs.power_controlled(snr, 1, n_pool))[0]
+        # the pairwise missed-detection error of one user at this SNR
+        ref = specfun.qfunc(math.sqrt(snr / 2.0))
         print(f"snr={snr:g}: md={md:.6g} fa={fa:.6g} q_ref={ref:.6g}")
         rows += [_row("snr", snr, m, "sim", p,
                       math.sqrt(max(p * (1 - p), 1e-12) / trials),

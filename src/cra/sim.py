@@ -51,8 +51,8 @@ session lengths.
 Each run seeds numpy's default PCG64 bit generator through
 ``numpy.random.SeedSequence(cfg.seed)``, so a fixed (seed, config) pair
 reproduces its stream bit-exactly.  A sweep hashes each task's seed from
-(replicate seed, grid index, scheme index) with ``cli.derive_seed``, so its
-tasks may run in any process and in any order.
+(replicate seed, grid index, the scheme's place in ``Scheme``) with
+``cli.derive_seed``, so its tasks may run in any process and in any order.
 """
 
 import enum
@@ -329,7 +329,7 @@ def _cra2_sessions(cfg, total):
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     binomial = rng.binomial
     rate = p.arrival_rate
-    overhead, payload = p.overhead_len, p.payload_len
+    overhead, payload, _ = _session_rule(Scheme.CRA2, p)
     keep, p_fa = 1.0 - p.p_md, p.p_fa
     active_out = np.empty(total)
     detected_out = np.empty(total, dtype=np.int64)

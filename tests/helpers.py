@@ -196,6 +196,19 @@ def split_detect_prob(params):
     return states, mu, s
 
 
+def _split_law(params):
+    """(states, mu, s, theta, trans, pi) of the CRA-2 drop-mode session
+    chain by Poisson splitting (see ``split_chain``): ``trans`` holds the
+    transition matrix, row D the law Bin(L, s(D)) of the next state, and
+    ``pi`` its stationary law."""
+    L = params.pool_size
+    states, mu, s = split_detect_prob(params)
+    m = mu / L
+    theta = (1.0 - params.p_md) * m * np.exp(-m) / s
+    trans = stats.binom.pmf(states, L, s[:, None])
+    return states, mu, s, theta, trans, _stationary_law(trans)
+
+
 def split_chain(params):
     """(throughput, E[K], E[D]) of the stationary CRA-2 drop-mode session
     chain by Poisson splitting, with no sum over K.
@@ -208,14 +221,41 @@ def split_chain(params):
     one user.
     """
     L = params.pool_size
-    states, mu, s = split_detect_prob(params)
-    m = mu / L
-    theta = (1.0 - params.p_md) * m * np.exp(-m) / s
-    pi = _stationary_law(stats.binom.pmf(states, L, s[:, None]))
+    states, mu, s, theta, _, pi = _split_law(params)
     mean_detected = float(pi @ states)
     mean_len = params.overhead_len + params.payload_len * mean_detected
     return float(pi @ (L * s * theta)) / mean_len, float(pi @ mu), \
         mean_detected
+
+
+def split_chain_std_error(params, n_sessions):
+    """Exact asymptotic standard error of the CRA-2 drop-mode throughput
+    estimate sum(successes) / sum(lengths) over ``n_sessions`` sessions of
+    the stationary chain of ``split_chain``.
+
+    With eta the chain's throughput, a session that follows state D and
+    detects D' preambles has reward r = d1 - eta (N + tau + M D'), of mean
+    0.  With h(D) = E[r | D] and G = (I - T + 1 pi)^-1 h (the fundamental
+    matrix: Kemeny & Snell, *Finite Markov Chains*, 1960), the asymptotic
+    variance of the reward sum per session is
+    sigma^2 = E_pi[r^2] + 2 E_pi[r G(D')], and the estimate's standard error
+    is sigma / (sqrt(n) E[length]) (Asmussen & Glynn, *Stochastic
+    Simulation*, 2007, ch. IV).  Given D', E[d1] = theta D' and
+    E[d1^2] = theta (1 - theta) D' + theta^2 D'^2, so both expectations
+    are sums over the rows of T.
+    """
+    states, _, _, theta, trans, pi = _split_law(params)
+    length = params.overhead_len + params.payload_len * states
+    mean_len = float(pi @ length)
+    eta = float(pi @ (trans @ states * theta)) / mean_len
+    # E[r | D, D'] for D by row and D' by column, then E[r^2 | D, D']
+    r = theta[:, None] * states[None, :] - eta * length[None, :]
+    r2 = (theta * (1.0 - theta))[:, None] * states[None, :] + r ** 2
+    h = (trans * r).sum(axis=1)
+    fundamental = np.eye(len(states)) - trans + pi[None, :]
+    g = np.linalg.solve(fundamental, h)
+    var = pi @ (trans * r2).sum(axis=1) + 2.0 * pi @ (trans * r) @ g
+    return math.sqrt(var / n_sessions) / mean_len
 
 
 def threshold_scan(params, k_max):

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cra.analytic import (
     ProtocolParams,
@@ -33,7 +34,7 @@ from cra.sim import Mode, Scheme, SimConfig, estimate_throughput, \
 from cra.specfun import qfunc
 
 from helpers import exact_chain_means, exact_chain_throughput, \
-    exact_occupancy_means, fixed_point_mean_load
+    exact_occupancy_means, fixed_point_mean_load, split_chain_std_error
 
 REF = ProtocolParams(preamble_len=31, payload_len=256, pool_size=310,
                      feedback_len=4.0, arrival_rate=1.0 / 287.0,
@@ -321,20 +322,25 @@ def test_criterion_11_cra2_throughput_matches_exact_chain(grid_estimates):
            failures)
 
 
-def test_criterion_12_short_cra2_runs_match_exact_chain():
-    # Runs of the fig3 benchmark's size (500 + 100 sessions), 40 seeds
-    # at each load of criterion 1: the z-scores of eta2 against the exact
-    # chain must centre on 0 with a spread near 1.  The batch-means SE of so
-    # short a run is noisy, so the spread may reach 1.4.
+@pytest.fixture(scope="module")
+def short_cra2_runs():
+    """CRA-2 drop-mode runs of the fig3 benchmark's size (500 + 100
+    sessions), 40 seeds at each load of criterion 1, by load."""
+    return {lt: [estimate_throughput(SimConfig(
+                params=REF.with_traffic(lt), scheme=Scheme.CRA2,
+                n_sessions=500, warmup_sessions=100,
+                seed=derive_seed(900 + s, 1))) for s in range(40)]
+            for lt in LOAD_GRID}
+
+
+def test_criterion_12_short_cra2_runs_match_exact_chain(short_cra2_runs):
+    # The z-scores of eta2 against the exact chain must centre on 0 with a
+    # spread near 1.  The batch-means SE of so short a run is noisy, so the
+    # spread may reach 1.4.
     z = []
-    for lt in LOAD_GRID:
-        p = REF.with_traffic(lt)
-        exact = exact_chain_throughput(p)
-        for s in range(40):
-            est = estimate_throughput(SimConfig(
-                params=p, scheme=Scheme.CRA2, n_sessions=500,
-                warmup_sessions=100, seed=derive_seed(900 + s, 1)))
-            z.append((est.mean_throughput - exact) / est.std_error)
+    for lt, runs in short_cra2_runs.items():
+        exact = exact_chain_throughput(REF.with_traffic(lt))
+        z += [(est.mean_throughput - exact) / est.std_error for est in runs]
     mean, sd = float(np.mean(z)), float(np.std(z, ddof=1))
     failures = []
     if abs(mean) > 0.35 or sd > 1.4:
@@ -359,3 +365,47 @@ def test_criterion_13_detected_ratio_matches_exact_chain(grid_estimates):
                             f"vs exact chain {exact:.5f}")
     report(13, "simulated d_bar_ratio within 4 SE of the exact chain",
            failures)
+
+
+# The batch-means SE is the SD of 30 batch ratios over sqrt(30).  Were the
+# batch ratios independent and normal with the exact asymptotic variance,
+# (SE / exact SE)^2 would follow chi2_29 / 29.
+SE_FALSE_ALARM = 0.001
+
+
+def _chi2_band(dof):
+    """Two-sided band of chi2_dof / dof at SE_FALSE_ALARM."""
+    return (stats.chi2.ppf(SE_FALSE_ALARM / 2, dof) / dof,
+            stats.chi2.isf(SE_FALSE_ALARM / 2, dof) / dof)
+
+
+def test_criterion_14_cra2_std_error_matches_exact_chain(grid_estimates,
+                                                         short_cra2_runs):
+    # Each CRA-2 SE of criterion 1's 1e5-session runs must lie in the
+    # sqrt(chi2_29 / 29) band, [0.594, 1.447] at a false-alarm rate of 0.1%
+    # (ratios measured 0.79-1.12).  Criterion 12's 200 short runs are
+    # independent, so the pooled mean of their (SE / exact SE)^2 follows
+    # chi2_5800 / 5800: band [0.940, 1.062] at 0.1% (measured 0.956).  Over
+    # these six checks the false-alarm rate is at most 0.6%.  The batches of
+    # a 500-session run hold about 17 sessions, whose correlation pulls its
+    # SE low (mean variance ratio measured 0.84 at load 1.4, 0.96-1.03
+    # elsewhere); the pooled band bounds that bias.
+    failures = []
+    lo, hi = (math.sqrt(b) for b in _chi2_band(29))
+    for lt in LOAD_GRID:
+        p = REF.with_traffic(lt)
+        est = grid_estimates[(Scheme.CRA2, lt)][3]
+        ratio = est.std_error / split_chain_std_error(p, est.sessions_run)
+        if not lo <= ratio <= hi:
+            failures.append(f"load={lt}: SE / exact SE {ratio:.3f} outside "
+                            f"[{lo:.3f}, {hi:.3f}]")
+    squares = []
+    for lt, runs in short_cra2_runs.items():
+        exact = split_chain_std_error(REF.with_traffic(lt), 500)
+        squares += [(est.std_error / exact) ** 2 for est in runs]
+    lo, hi = _chi2_band(29 * len(squares))
+    pooled = float(np.mean(squares))
+    if not lo <= pooled <= hi:
+        failures.append(f"short runs: mean (SE / exact SE)^2 {pooled:.3f} "
+                        f"outside [{lo:.3f}, {hi:.3f}]")
+    report(14, "CRA-2 batch-means SE matches the exact chain's SE", failures)

@@ -11,7 +11,6 @@ from cra import cli
 from cra.cli import (
     METRICS,
     SweepSpec,
-    apply_sweep_value,
     derive_seed,
     emit_results,
     main,
@@ -68,12 +67,18 @@ class TestSweepSpec:
 
     def test_apply_sweep_value(self):
         p = self.base().params
-        assert apply_sweep_value(p, "lambda_T", 2.0).arrival_rate == \
-            pytest.approx(2.0 / 24)
-        assert apply_sweep_value(p, "L", 30).pool_size == 30
-        assert apply_sweep_value(p, "M", 64).payload_len == 64
-        q = apply_sweep_value(p, "p_err", 0.05)
+
+        def apply(variable, value):
+            return cli._SWEEPS[variable][0](p, value)
+
+        assert apply("lambda_T", 2.0).arrival_rate == pytest.approx(2.0 / 24)
+        assert apply("L", 30).pool_size == 30
+        assert apply("M", 64).payload_len == 64
+        q = apply("p_err", 0.05)
         assert q.p_md == q.p_fa == 0.05
+        # only the counts take whole numbers
+        assert [v for v, (_, whole) in cli._SWEEPS.items() if whole] == \
+            ["L", "M"]
 
 
 class TestEmitResults:
@@ -190,9 +195,21 @@ class TestRunSweep:
                          outputs=("d_bar_ratio",), replicate_seeds=(1,))
         _, row = run_sweep(spec)
         est = estimate_throughput(replace(
-            base, params=params.with_traffic(1.0), seed=derive_seed(1, 0, 0)))
+            base, params=params.with_traffic(1.0), seed=derive_seed(1, 0, 1)))
         assert row["estimate"] == est.mean_detected / 8
         assert row["std_error"] == est.detected_std_error / 8 > 0
+
+    @pytest.mark.parametrize("outputs", [
+        ("eta2",), ("d_bar_ratio",), ("eta_ma",), ("eta1", "eta_ma")])
+    def test_metric_subset_matches_full_sweep(self, outputs):
+        # a scheme's tasks are seeded by its place in Scheme, so a sweep
+        # over some metrics writes exactly the full sweep's rows for them
+        params = ProtocolParams(8, 16, 24, 2.0, 0.005, 0.01, 0.01)
+        base = SimConfig(params=params, n_sessions=300, warmup_sessions=20)
+        full, part = (run_sweep(SweepSpec(
+            base=base, swept_variable="lambda_T", grid=(0.5, 1.0),
+            outputs=out, replicate_seeds=(1,))) for out in (METRICS, outputs))
+        assert part == [r for r in full if r["metric"] in outputs]
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -306,13 +323,21 @@ class TestCommands:
         (["simulate", "--scheme", "cra1", "--pool-size", "1000000000000",
           "--n-sessions", "10", "--warmup", "1", "--mode", "fast_retrial"],
          None, "pool_size"),
+        # a dict after --config is the whole file; scheme and mode are
+        # checked against their choices wherever the command uses them
+        (["analytic", "--config", {"scheme": "x"}], None,
+         "config: scheme must be one of ['cra1', 'cra2', 'maloha'], got 'x'"),
+        (["stability", "--horizon", "3", "--config", {"mode": "y"}], None,
+         "config: mode must be one of ['drop', 'fast_retrial'], got 'y'"),
+        (["simulate", "--config", {"scheme": "x"}], None,
+         "config: scheme must be one of ['cra1', 'cra2', 'maloha'], got 'x'"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, argv, env,
                                       what):
-        if isinstance(argv[-1], dict):
+        if isinstance(argv[-1], dict) and argv[-2] == "--spec":
             argv = argv[:-1] + [str(tiny_spec_file(tmp_path, **argv[-1]))]
-        elif isinstance(argv[-1], list):
-            path = tmp_path / "list.json"
+        elif isinstance(argv[-1], (dict, list)):
+            path = tmp_path / "file.json"
             path.write_text(json.dumps(argv[-1]))
             argv = argv[:-1] + [str(path)]
         if argv[0] == "sweep":
