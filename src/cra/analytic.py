@@ -238,7 +238,7 @@ def throughput_maloha(params):
 
 
 def backlog_drift(n_active, params):
-    """Expected one-session change of the active count under fast retrial."""
+    """Expected one-session change of CRA-2's active count in fast retrial."""
     singleton, collided, false = mean_detected_split(n_active, params)
     lam = params.arrival_rate
     td = params.payload_len

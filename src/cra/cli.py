@@ -451,7 +451,7 @@ _COMMANDS = {
               ("n_sessions", "warmup_sessions", "replicate_seeds")),
     "signal": (_cmd_signal, "pairwise ML error and spark checks",
                _SIGNAL_KEYS),
-    "stability": (_cmd_stability, "fast-retrial backlog trajectories",
+    "stability": (_cmd_stability, "CRA-2 fast-retrial backlog trajectories",
                   (*_PROTOCOL_KEYS, *_STABILITY_KEYS, "replicate_seeds")),
 }
 

@@ -5,7 +5,8 @@ pick a preamble uniformly at random, applies independent per-preamble
 missed-detection / false-alarm coin flips, and books successes from detected
 singleton preambles.  Two operating modes: ``drop`` (unsuccessful users
 leave) and ``fast_retrial`` (they re-enter the next session with a fresh
-preamble draw).
+preamble draw), which is CRA-2's alone: a CRA-1 or ALOHA walk would only
+measure how soon it got stuck above the cap, serving no one.
 
 ``estimate_throughput`` takes one of three paths, chosen from the scheme
 and the mode:
@@ -24,24 +25,24 @@ and the mode:
   construction, exact in law) and, after the loop, draws its successes
   given that count as Bin(D', theta), at a cost that grows with neither K
   nor L; it records mu in place of K.
-- Every scheme in fast retrial (whose backlog carries over) walks the
-  session chain in one loop, ``_walk``, which ``simulate_stability`` also
-  runs.  Per session it makes one scalar Poisson draw of K and one
+- CRA-2 in fast retrial (whose backlog carries over) walks the session
+  chain in one loop, ``_walk``, which ``simulate_stability`` also runs.
+  Per session it makes one scalar Poisson draw of K and one
   ``stage1_outcome`` call, which draws the K users' per-preamble counts as
   one Multinomial(K; 1/L, ..., 1/L), at O(L) cost whatever K is; the
   K - successes users it leaves are the next session's backlog.  The tests
   pin the walk down through degenerate runs that force the active count,
-  and run it on CRA-2 drop mode as the conditional-on-K reference for
+  and run it in drop mode as the conditional-on-K reference for
   ``_cra2_sessions``.
 
-Each scheme's ``_session_rule`` gives every path its session length and
-success cap.  Every path returns (successes, active, detected) arrays and
-allocates 24 bytes per session before the first draw (the successes of
-``_cra2_sessions``, 8 more, come from its one vector draw after the loop),
-so a run too long to allocate fails at once (``cra`` prints one ``error:``
-line) instead of growing until memory runs out.  The variate pools of
-``_cra2_sessions`` hold at most ``_POOL_STATES`` states of at most
-``_POOL_CHUNK`` variates each, and its theta temporaries at most
+Each scheme's ``_session_rule`` gives every path its session length, and
+``_iid_sessions`` its success cap.  Every path returns (successes, active,
+detected) arrays and allocates 24 bytes per session before the first draw
+(the successes of ``_cra2_sessions``, 8 more, come from its one vector
+draw after the loop), so a run too long to allocate fails at once (``cra``
+prints one ``error:`` line) instead of growing until memory runs out.  The
+variate pools of ``_cra2_sessions`` hold at most ``_POOL_STATES`` states of
+at most ``_POOL_CHUNK`` variates each, and its theta temporaries at most
 ``_THETA_BLOCK`` sessions, whatever the run length and L.  A pool whose
 per-preamble arrays (``_iid_sessions``, ``stage1_outcome``) cannot be
 allocated raises a ValueError that names ``pool_size``.
@@ -141,6 +142,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.mode is Mode.FAST_RETRIAL and self.scheme is not Scheme.CRA2:
+            raise ValueError(
+                "mode fast_retrial needs scheme cra2: above its cap a CRA-1 "
+                "or ALOHA session serves no one")
         if self.n_sessions < 1:
             raise ValueError("n_sessions must be >= 1")
         if not 0 <= self.warmup_sessions < self.n_sessions:
@@ -215,18 +220,18 @@ def _pool_too_large(L, exc):
 
 
 def _walk(cfg, horizon, backlog=0, stop_backlog=None):
-    """Walk the sequential session chain for up to ``horizon`` sessions,
-    drawing each session's K and then its occupancy counts given K: every
-    scheme in fast retrial, ``simulate_stability``, and the conditional-on-K
-    reference that the tests hold ``_cra2_sessions`` to.
+    """Walk CRA-2's sequential session chain for up to ``horizon`` sessions,
+    drawing each session's K and then its occupancy counts given K: fast
+    retrial, ``simulate_stability``, and the conditional-on-K reference that
+    the tests hold ``_cra2_sessions`` to.
 
-    Session t+1's arrival mean is the arrival rate times session t's length
-    under the scheme's session rule, and in fast retrial its active count
-    adds the users session t did not serve: K - successes.  ``backlog``
-    holds the users waiting before the first session.  The walk stops early
-    once the backlog after a session exceeds ``stop_backlog``, and raises
-    ValueError once a session's active count exceeds 2**62, near the int64
-    limit of the samplers and of the session arrays.
+    Session t+1's arrival mean is the arrival rate times session t's length,
+    N + tau + M D.  Each session books its detected singletons, and in fast
+    retrial session t+1 adds the K - successes users session t left.
+    ``backlog`` holds the users waiting before the first session.  The walk
+    stops early once the backlog after a session exceeds ``stop_backlog``,
+    and raises ValueError once a session's active count exceeds 2**62, near
+    the int64 limit of the samplers and of the session arrays.
 
     Returns the (successes, active, detected) arrays of the sessions run.
     """
@@ -234,7 +239,7 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     poisson = rng.poisson
     rate = p.arrival_rate
-    base, per_detected, cap = _session_rule(cfg.scheme, p)
+    base, per_detected, _ = _session_rule(Scheme.CRA2, p)
     retrial = cfg.mode is Mode.FAST_RETRIAL
     detected = _startup_detected(p)
     succ_out = np.empty(horizon, dtype=np.int64)
@@ -250,9 +255,8 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
                 f"{k:.3g} active users, above 2**62")
         _, _, d1, d2, d3 = stage1_outcome(k, p, rng)
         detected = d1 + d2 + d3
-        successes = d1 if k <= cap else 0
-        backlog = k - successes if retrial else 0
-        succ_out[t] = successes
+        backlog = k - d1 if retrial else 0
+        succ_out[t] = d1
         active_out[t] = k
         detected_out[t] = detected
         if stop_backlog is not None and backlog > stop_backlog:
@@ -407,9 +411,9 @@ def estimate_throughput(cfg):
     with a batch-means standard error over min(30, n) batches.
 
     In drop mode CRA-1 and ALOHA take the block path for i.i.d. sessions
-    and CRA-2 its chain of pooled Bin(L, s(D)) transitions; fast retrial
-    walks the session chain with one occupancy draw per session.  Session
-    lengths follow the scheme's session rule from the detected counts.
+    and CRA-2 its chain of pooled Bin(L, s(D)) transitions; CRA-2's fast
+    retrial walks the session chain with one occupancy draw per session.
+    Session lengths follow the scheme's rule from the detected counts.
     """
     total = cfg.warmup_sessions + cfg.n_sessions
     if cfg.mode is Mode.FAST_RETRIAL:
@@ -438,6 +442,8 @@ def simulate_stability(cfg, horizon, initial_backlog=0, stop_backlog=None):
         raise ValueError("horizon must be >= 1")
     if initial_backlog < 0:
         raise ValueError("initial_backlog must be >= 0")
+    if initial_backlog > _MAX_MEAN_ACTIVE:
+        raise ValueError("initial_backlog must be at most 2**62")
     if stop_backlog is not None and stop_backlog < 0:
         raise ValueError("stop_backlog must be >= 0 or None")
     succ, active, _ = _walk(cfg, horizon, initial_backlog, stop_backlog)

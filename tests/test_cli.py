@@ -320,9 +320,8 @@ class TestCommands:
         # per-preamble arrays of 7.28 TiB; CRA-2 drop mode needs none
         (["simulate", "--scheme", "cra1", "--pool-size", "1000000000000",
           "--n-sessions", "10", "--warmup", "1"], None, "pool_size"),
-        (["simulate", "--scheme", "cra1", "--pool-size", "1000000000000",
-          "--n-sessions", "10", "--warmup", "1", "--mode", "fast_retrial"],
-         None, "pool_size"),
+        (["simulate", "--pool-size", "1000000000000", "--n-sessions", "10",
+          "--warmup", "1", "--mode", "fast_retrial"], None, "pool_size"),
         # a dict after --config is the whole file; scheme and mode are
         # checked against their choices wherever the command uses them
         (["analytic", "--config", {"scheme": "x"}], None,
@@ -331,6 +330,16 @@ class TestCommands:
          "config: mode must be one of ['drop', 'fast_retrial'], got 'y'"),
         (["simulate", "--config", {"scheme": "x"}], None,
          "config: scheme must be one of ['cra1', 'cra2', 'maloha'], got 'x'"),
+        # fast retrial is CRA-2's alone, from flags or a settings file
+        (["simulate", "--scheme", "cra1", "--mode", "fast_retrial"], None,
+         "mode"),
+        (["simulate", "--scheme", "maloha", "--mode", "fast_retrial"], None,
+         "mode"),
+        (["simulate", "--config", {"scheme": "maloha",
+                                   "mode": "fast_retrial"}], None, "mode"),
+        # a backlog beyond the samplers' 2**62 is the backlog's fault
+        (["stability", "--initial-backlog", "9000000000000000000",
+          "--horizon", "3"], None, "initial_backlog"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, argv, env,
                                       what):

@@ -15,6 +15,7 @@ from cra.sim import (
     Scheme,
     SimConfig,
     _cra2_sessions,
+    _iid_sessions,
     _ratio_estimate,
     _session_rule,
     _walk,
@@ -106,17 +107,44 @@ class TestStage1Outcome:
 
 
 class TestRunSession:
-    """Bookkeeping of one session of the chain walk.  At arrival rate 0 a
-    walk's first session holds exactly its initial backlog, which forces K."""
+    """Bookkeeping of one session.  At arrival rate 0 a CRA-2 walk's first
+    session holds exactly its initial backlog, which forces K; a CRA-1 or
+    ALOHA session of the i.i.d. path gets its K and its users' picks from a
+    generator that returns them."""
 
-    def walk(self, scheme, k, mode=Mode.DROP, horizon=1, seed=0, **over):
+    def walk(self, k, mode=Mode.DROP, horizon=1, seed=0, **over):
         cfg = SimConfig(params=perfect_params(arrival_rate=0.0, **over),
-                        scheme=scheme, mode=mode, n_sessions=10,
-                        warmup_sessions=0, seed=seed)
-        return cfg, _walk(cfg, horizon, backlog=k)
+                        mode=mode, n_sessions=10, warmup_sessions=0,
+                        seed=seed)
+        return _walk(cfg, horizon, backlog=k)
+
+    @staticmethod
+    def iid_session(monkeypatch, scheme, picks):
+        """(successes, active, detected) of one ``_iid_sessions`` session
+        under perfect detection whose K = len(picks) users pick ``picks``."""
+        default_rng = np.random.default_rng
+
+        class Forced:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def poisson(self, lam, size=None):
+                return np.full(size, len(picks))
+
+            def integers(self, low, high, size=None):
+                assert size == len(picks) and max(picks) < high
+                return np.array(picks, dtype=np.int64)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr("cra.sim.np.random.default_rng", Forced)
+        cfg = SimConfig(params=perfect_params(), scheme=scheme, n_sessions=1,
+                        warmup_sessions=0)
+        return tuple(int(x[0]) for x in _iid_sessions(cfg, 1))
 
     def test_cra2_single_user(self):
-        _, (succ, active, detected) = self.walk(Scheme.CRA2, 1)
+        succ, active, detected = self.walk(1)
         assert (succ[0], active[0], detected[0]) == (1, 1, 1)
 
     def test_cra2_session_len_follows_detected(self, fig_params):
@@ -135,35 +163,31 @@ class TestRunSession:
         # unserved users leave, so the next session is empty
         seen = set()
         for seed in range(20):
-            _, (succ, active, detected) = self.walk(
-                Scheme.CRA2, 3, horizon=2, pool_size=2, seed=seed)
+            succ, active, detected = self.walk(3, horizon=2, pool_size=2,
+                                               seed=seed)
             assert active[0] == 3 and succ[0] == detected[0] - 1
             assert active[1] == 0
             seen.add((int(detected[0]), int(succ[0])))
         assert seen == {(1, 0), (2, 1)}
 
-    def test_cra1_overload_fails(self):
+    def test_cra1_overload_fails(self, monkeypatch):
+        # CRA-1's multiuser detection decodes up to N - 1 users: K = N - 1
+        # users on distinct preambles all book, while K = N detected
+        # singletons book nothing
         n = perfect_params().preamble_len
-        cfg, (succ, _, detected) = self.walk(Scheme.CRA1, n)
-        assert detected[0] >= 1 and succ[0] == 0
-        # even n detected singletons book nothing once K reaches N: the
-        # rule's cap lets K = N - 1 book and K = N not
-        p = cfg.params
-        _, _, d1, _, _ = stage1_outcome(n, p, PickedOccupancy(range(n)))
-        assert d1 == n
-        assert _session_rule(Scheme.CRA1, p)[2] == n - 1
+        assert self.iid_session(monkeypatch, Scheme.CRA1, range(n - 1)) \
+            == (n - 1, n - 1, n - 1)
+        assert self.iid_session(monkeypatch, Scheme.CRA1, range(n)) \
+            == (0, n, n)
 
-    def test_cra1_single_user(self):
-        _, (succ, _, _) = self.walk(Scheme.CRA1, 1)
-        assert succ[0] == 1
+    def test_cra1_single_user(self, monkeypatch):
+        assert self.iid_session(monkeypatch, Scheme.CRA1, [5]) == (1, 1, 1)
 
     def test_fixed_session_len(self, fig_params):
-        # the chain (fast retrial) and the i.i.d. blocks (drop) alike
-        for mode in Mode:
-            cfg = SimConfig(params=fig_params, scheme=Scheme.CRA1, mode=mode,
-                            n_sessions=100, warmup_sessions=0, seed=4)
-            assert estimate_throughput(cfg).mean_session_len == \
-                pytest.approx(fig_params.fixed_session_len, rel=1e-15)
+        cfg = SimConfig(params=fig_params, scheme=Scheme.CRA1, n_sessions=100,
+                        warmup_sessions=0, seed=4)
+        assert estimate_throughput(cfg).mean_session_len == \
+            pytest.approx(fig_params.fixed_session_len, rel=1e-15)
 
     def test_maloha_all_orthogonal(self):
         p = SimConfig(params=perfect_params(), scheme=Scheme.MC_ALOHA).params
@@ -174,31 +198,23 @@ class TestRunSession:
         assert d1 == n
         assert _session_rule(Scheme.MC_ALOHA, p)[2] == n
 
-    def test_maloha_above_channel_count_fails(self):
-        # the orthogonal receiver decodes at most preamble_len packets;
-        # this cap is what produces the Poisson-cdf factor in the closed form
+    def test_maloha_above_channel_count_fails(self, monkeypatch):
+        # the orthogonal receiver decodes at most preamble_len packets; this
+        # cap is what produces the Poisson-cdf factor in the closed form.
+        # K = N users on the N channels all book; with K = N + 1 the N - 1
+        # detected singletons book nothing
         n = perfect_params().preamble_len
-        cfg, (succ, _, detected) = self.walk(Scheme.MC_ALOHA, n + 1)
-        assert detected[0] >= 1 and succ[0] == 0
-        assert _session_rule(Scheme.MC_ALOHA, cfg.params)[2] == n
+        assert self.iid_session(monkeypatch, Scheme.MC_ALOHA, range(n)) \
+            == (n, n, n)
+        assert self.iid_session(monkeypatch, Scheme.MC_ALOHA,
+                                [*range(n), 0]) == (0, n + 1, n)
 
-    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
-    def test_fast_retrial_backlog(self, fig_params, monkeypatch, scheme):
+    def test_fast_retrial_backlog(self, fig_params, monkeypatch):
         # the users a session leaves unserved are the next session's K
-        _, (succ, active, _) = self.walk(
-            scheme, 3, mode=Mode.FAST_RETRIAL, horizon=50, pool_size=2)
+        succ, active, _ = self.walk(3, mode=Mode.FAST_RETRIAL, horizon=50,
+                                    pool_size=2)
         assert active[0] == 3
         assert np.array_equal(active[1:], (active - succ)[:-1])
-        # K = N (CRA-1) or N + 1 (ALOHA) is above the cap, so the session
-        # books nothing, even from its detected singletons, and all K users
-        # wait for the next session
-        n = perfect_params().preamble_len
-        k = {Scheme.CRA1: n, Scheme.MC_ALOHA: n + 1}.get(scheme)
-        for seed in range(10 if k else 0):
-            cfg = SimConfig(params=perfect_params(arrival_rate=0.0),
-                            scheme=scheme, mode=Mode.FAST_RETRIAL,
-                            n_sessions=10, warmup_sessions=0, seed=seed)
-            assert simulate_stability(cfg, 1, initial_backlog=k)[0] == k
         # over a 2000-session walk at load 0.8, the users waiting at the end
         # are those waiting at the start plus the Poisson arrivals minus the
         # successes: none leaves unserved and none is made up
@@ -216,7 +232,7 @@ class TestRunSession:
             def __getattr__(self, name):
                 return getattr(self.rng, name)
 
-        cfg = SimConfig(params=fig_params.with_traffic(0.8), scheme=scheme,
+        cfg = SimConfig(params=fig_params.with_traffic(0.8),
                         mode=Mode.FAST_RETRIAL, n_sessions=10,
                         warmup_sessions=0, seed=3)
         succ = _walk(cfg, 2_000, backlog=5)[0]
@@ -236,8 +252,10 @@ class TestSimConfig:
         cfg = SimConfig(params=fig_params, scheme=Scheme.MC_ALOHA)
         assert cfg.params.pool_size == fig_params.preamble_len
 
-    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("scheme, mode", [
+        (Scheme.CRA1, Mode.DROP), (Scheme.CRA2, Mode.DROP),
+        (Scheme.CRA2, Mode.FAST_RETRIAL), (Scheme.MC_ALOHA, Mode.DROP)],
+        ids=lambda v: v.value)
     def test_rejects_what_the_samplers_cannot_take(self, fig_params, scheme,
                                                    mode):
         # numpy's Poisson sampler refuses a mean of 1e300, and no sampler
@@ -249,9 +267,18 @@ class TestSimConfig:
             SimConfig(params=replace(fig_params, pool_size=2 ** 63),
                       scheme=scheme, mode=mode)
 
+    def test_fast_retrial_needs_cra2(self, fig_params):
+        # above its cap a CRA-1 or ALOHA session serves no one and keeps
+        # its K users, a set no walk leaves; the refusal comes before the
+        # sampler checks, so it is what a bad run is told first
+        for scheme in (Scheme.CRA1, Scheme.MC_ALOHA):
+            for p in (fig_params, replace(fig_params, arrival_rate=1e300)):
+                with pytest.raises(ValueError, match="mode"):
+                    SimConfig(params=p, scheme=scheme, mode=Mode.FAST_RETRIAL)
+
     @pytest.mark.parametrize("scheme, mode", [
-        (Scheme.CRA1, Mode.DROP), (Scheme.CRA1, Mode.FAST_RETRIAL),
-        (Scheme.CRA2, Mode.FAST_RETRIAL)], ids=lambda v: v.value)
+        (Scheme.CRA1, Mode.DROP), (Scheme.CRA2, Mode.FAST_RETRIAL)],
+        ids=lambda v: v.value)
     def test_pool_beyond_memory_names_pool_size(self, fig_params, scheme,
                                                 mode):
         # 10^12 preambles: per-preamble arrays of 7.28 TiB, which numpy
@@ -324,16 +351,17 @@ class TestEstimateThroughput:
         assert est.detected_std_error == pytest.approx(
             np.std(detected.mean(axis=1), ddof=1) / math.sqrt(30), rel=1e-12)
 
-    def test_fast_retrial_cra1_is_chain_ratio(self, fig_params):
-        # fast retrial carries the backlog over, so CRA-1 walks the session
-        # chain there rather than the i.i.d. block path
-        cfg = SimConfig(params=fig_params, scheme=Scheme.CRA1,
-                        mode=Mode.FAST_RETRIAL, n_sessions=300,
-                        warmup_sessions=20, seed=6)
+    def test_fast_retrial_cra2_is_chain_ratio(self, fig_params):
+        # fast retrial carries the backlog over, so CRA-2 walks the session
+        # chain there rather than its pooled drop-mode path
+        cfg = SimConfig(params=fig_params, mode=Mode.FAST_RETRIAL,
+                        n_sessions=300, warmup_sessions=20, seed=6)
         succ, active, detected = (x[20:] for x in _walk(cfg, 320))
+        time = float((fig_params.overhead_len
+                      + fig_params.payload_len * detected).sum())
         est = estimate_throughput(cfg)
-        assert est.mean_throughput == pytest.approx(
-            succ.sum() / (300 * fig_params.fixed_session_len), rel=1e-12)
+        assert est.mean_throughput == pytest.approx(succ.sum() / time,
+                                                    rel=1e-12)
         assert est.mean_active == pytest.approx(active.sum() / 300, rel=1e-12)
         assert est.mean_detected == pytest.approx(detected.sum() / 300,
                                                   rel=1e-12)
