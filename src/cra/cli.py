@@ -357,8 +357,8 @@ def _cmd_simulate(s, args):
           f"+/- {row['std_error']:.3g}")
     for key in ("mean_active", "mean_detected", "mean_session_len"):
         print(f"{key} = {getattr(est, key):.6g}")
-    # cfg.params, not the settings: MC-ALOHA runs with L = N
-    return [row], {**asdict(cfg.params), **{k: s[k] for k in _SIM_KEYS}}
+    return [row], {**asdict(cfg.params), "pool_size": cfg.pool_size,
+                   **{k: s[k] for k in _SIM_KEYS}}
 
 
 def _cmd_sweep(s, args):

@@ -36,11 +36,11 @@ and the mode:
   ``_cra2_sessions``.
 
 Each scheme's ``_session_rule`` gives every path its session length, and
-``_iid_sessions`` its success cap.  Every path returns (successes, active,
+``_iid_sessions`` its pool and success cap: ALOHA's pool is its N channels
+whatever ``pool_size`` says.  Every path returns (successes, active,
 detected) arrays and allocates 24 bytes per session before the first draw
-(the successes of ``_cra2_sessions``, 8 more, come from its one vector
-draw after the loop), so a run too long to allocate fails at once (``cra``
-prints one ``error:`` line) instead of growing until memory runs out.  The
+(``_cra2_sessions`` draws its successes, 8 more, after the loop), so a run
+too long to allocate fails at once (``cra`` prints one ``error:`` line).  The
 variate pools of ``_cra2_sessions`` hold at most ``_POOL_STATES`` states of
 at most ``_POOL_CHUNK`` variates each, and its theta temporaries at most
 ``_THETA_BLOCK`` sessions, whatever the run length and L.  A pool whose
@@ -58,7 +58,7 @@ reproduces its stream bit-exactly.  A sweep hashes each task's seed from
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,16 +113,18 @@ class Mode(enum.Enum):
 
 
 def _session_rule(scheme, params):
-    """(base, per_detected, cap): a session lasts base + per_detected * D
-    symbols, D its detected count, and books its detected singletons only
-    while K <= cap.  CRA-2 sends one packet per detected preamble; CRA-1's
-    multiuser detection fails once K reaches the spreading gain N, and
-    ALOHA's N orthogonal channels decode nothing once K passes N."""
+    """(pool, base, per_detected, cap): K users pick among pool preambles,
+    the session lasts base + per_detected * D symbols, D its detected count,
+    and books its detected singletons only while K <= cap.  CRA-2 sends one
+    packet per detected preamble; CRA-1's multiuser detection fails once K
+    reaches the spreading gain N; ALOHA's pool is its N orthogonal channels,
+    one per preamble symbol, which decode nothing once K passes N."""
+    L, n = params.pool_size, params.preamble_len
     if scheme is Scheme.CRA2:
-        return params.overhead_len, params.payload_len, math.inf
-    n = params.preamble_len
-    cap = n - 1 if scheme is Scheme.CRA1 else n
-    return params.fixed_session_len, 0, cap
+        return L, params.overhead_len, params.payload_len, math.inf
+    if scheme is Scheme.CRA1:
+        return L, params.fixed_session_len, 0, n - 1
+    return n, params.fixed_session_len, 0, n
 
 
 def _startup_detected(params):
@@ -153,19 +155,20 @@ class SimConfig:
         p = self.params
         if p.pool_size > _MAX_POOL_SIZE:
             raise ValueError("pool_size must be at most 2**63 - 1")
-        if self.scheme is Scheme.MC_ALOHA and p.pool_size != p.preamble_len:
-            # orthogonal baseline: one channel per preamble
-            p = replace(p, pool_size=p.preamble_len)
-            object.__setattr__(self, "params", p)
-        # a session is longest when all L preambles are detected
-        base, per_detected, _ = _session_rule(self.scheme, p)
-        longest = base + per_detected * float(p.pool_size)
+        # a session is longest when all its preambles are detected
+        pool, base, per_detected, _ = _session_rule(self.scheme, p)
+        longest = base + per_detected * float(pool)
         if p.arrival_rate * longest > _MAX_MEAN_ACTIVE:
             raise ValueError(
                 f"arrival_rate {p.arrival_rate:.3g} (traffic "
                 f"{p.traffic_intensity:.3g}) is too large: a session may "
                 f"average {p.arrival_rate * longest:.3g} active users, "
                 f"above 2**62")
+
+    @property
+    def pool_size(self):
+        """The pool the scheme draws from: N for MC-ALOHA, else L."""
+        return _session_rule(self.scheme, self.params)[0]
 
 
 @dataclass(frozen=True)
@@ -230,8 +233,8 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
     retrial session t+1 adds the K - successes users session t left.
     ``backlog`` holds the users waiting before the first session.  The walk
     stops early once the backlog after a session exceeds ``stop_backlog``,
-    and raises ValueError once a session's active count exceeds 2**62, near
-    the int64 limit of the samplers and of the session arrays.
+    and raises ValueError, naming the new users and the backlog carried in,
+    once a session's active count exceeds 2**62, near the int64 limit.
 
     Returns the (successes, active, detected) arrays of the sessions run.
     """
@@ -239,7 +242,7 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     poisson = rng.poisson
     rate = p.arrival_rate
-    base, per_detected, _ = _session_rule(Scheme.CRA2, p)
+    _, base, per_detected, _ = _session_rule(Scheme.CRA2, p)
     retrial = cfg.mode is Mode.FAST_RETRIAL
     detected = _startup_detected(p)
     succ_out = np.empty(horizon, dtype=np.int64)
@@ -250,9 +253,10 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
         k = int(poisson(rate * (base + per_detected * detected))) + backlog
         if k > _MAX_MEAN_ACTIVE:
             raise ValueError(
-                f"arrival_rate {rate:.3g} (traffic "
-                f"{p.traffic_intensity:.3g}) is too large: session {t} has "
-                f"{k:.3g} active users, above 2**62")
+                f"session {t} has {k:.3g} active users, above 2**62: "
+                f"{k - backlog:.3g} new at arrival_rate {rate:.3g} (traffic "
+                f"{p.traffic_intensity:.3g}) plus "
+                f"{'initial_backlog' if t == 0 else 'backlog'} {backlog:.3g}")
         _, _, d1, d2, d3 = stage1_outcome(k, p, rng)
         detected = d1 + d2 + d3
         backlog = k - d1 if retrial else 0
@@ -277,8 +281,7 @@ def _iid_sessions(cfg, total):
     flips are three vector binomial draws.
     """
     p = cfg.params
-    L = p.pool_size
-    length, _, cap = _session_rule(cfg.scheme, p)
+    L, length, _, cap = _session_rule(cfg.scheme, p)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     out = np.empty((3, total), dtype=np.int64)
     block = max(1, _BLOCK_CELLS // L)
@@ -333,7 +336,7 @@ def _cra2_sessions(cfg, total):
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     binomial = rng.binomial
     rate = p.arrival_rate
-    overhead, payload, _ = _session_rule(Scheme.CRA2, p)
+    _, overhead, payload, _ = _session_rule(Scheme.CRA2, p)
     keep, p_fa = 1.0 - p.p_md, p.p_fa
     active_out = np.empty(total)
     detected_out = np.empty(total, dtype=np.int64)
@@ -423,7 +426,7 @@ def estimate_throughput(cfg):
     else:
         sessions = _iid_sessions(cfg, total)
     succ, active, detected = (x[cfg.warmup_sessions:] for x in sessions)
-    base, per_detected, _ = _session_rule(cfg.scheme, cfg.params)
+    _, base, per_detected, _ = _session_rule(cfg.scheme, cfg.params)
     lengths = base + per_detected * detected
     return _ratio_estimate(succ, lengths, active, detected)
 

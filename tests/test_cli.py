@@ -17,7 +17,7 @@ from cra.cli import (
     run_sweep,
 )
 from cra.analytic import ProtocolParams
-from cra.sim import SimConfig, estimate_throughput
+from cra.sim import Scheme, SimConfig, estimate_throughput
 
 from helpers import read_results
 
@@ -177,6 +177,15 @@ class TestRunSweep:
         assert pool.max_workers == min(workers - 1, pool.tasks)
         if workers < 1000:
             assert pool.chunksize > 1
+
+    def test_base_scheme_does_not_change_rows(self):
+        # every scheme runs on the base's parameters: an ALOHA base gives
+        # CRA-2 its L, not the N channels ALOHA draws from
+        params = ProtocolParams(8, 16, 24, 2.0, 0.005, 0.01, 0.01)
+        base = SimConfig(params=params, n_sessions=200, warmup_sessions=20)
+        spec = SweepSpec(base=base, swept_variable="lambda_T", grid=(1.0,))
+        aloha = replace(spec, base=replace(base, scheme=Scheme.MC_ALOHA))
+        assert run_sweep(aloha) == run_sweep(spec)
 
     def test_one_task_forks_nothing(self, monkeypatch):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
@@ -339,6 +348,9 @@ class TestCommands:
                                    "mode": "fast_retrial"}], None, "mode"),
         # a backlog beyond the samplers' 2**62 is the backlog's fault
         (["stability", "--initial-backlog", "9000000000000000000",
+          "--horizon", "3"], None, "initial_backlog"),
+        # exactly 2**62 waiting: session 0's arrivals pass the limit
+        (["stability", "--initial-backlog", "4611686018427387904",
           "--horizon", "3"], None, "initial_backlog"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, argv, env,

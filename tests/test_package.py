@@ -1,8 +1,12 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import cra
 from cra import sim
@@ -30,6 +34,22 @@ def test_public_names_pinned():
     assert all(hasattr(cra, name) for name in cra.__all__)
     # the benchmark's tracer finds stage1_outcome through sim.__all__
     assert "stage1_outcome" in sim.__all__
+
+
+@pytest.mark.parametrize(
+    "demo", sorted((Path(__file__).parents[1] / "demos").glob("*.py")),
+    ids=lambda path: path.name)
+def test_demo_imports_exist(demo):
+    # parsed, not run: every name a demo imports from the package exists
+    imports = [(node.module, alias.name)
+               for node in ast.walk(ast.parse(demo.read_text("utf-8")))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "cra"
+               for alias in node.names]
+    assert imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), \
+            f"{module}.{name}"
 
 
 def run_fresh(code):

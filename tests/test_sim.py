@@ -190,13 +190,12 @@ class TestRunSession:
             pytest.approx(fig_params.fixed_session_len, rel=1e-15)
 
     def test_maloha_all_orthogonal(self):
-        p = SimConfig(params=perfect_params(), scheme=Scheme.MC_ALOHA).params
-        n = p.preamble_len
-        assert p.pool_size == n  # forced L := N
+        n = perfect_params().preamble_len
+        p = perfect_params(pool_size=n)  # one channel per preamble symbol
         _, _, d1, _, _ = stage1_outcome(n, p, PickedOccupancy(range(n)))
         # all n detected singletons book, since K = N is within the cap
         assert d1 == n
-        assert _session_rule(Scheme.MC_ALOHA, p)[2] == n
+        assert _session_rule(Scheme.MC_ALOHA, p)[3] == n
 
     def test_maloha_above_channel_count_fails(self, monkeypatch):
         # the orthogonal receiver decodes at most preamble_len packets; this
@@ -249,8 +248,24 @@ class TestSimConfig:
             SimConfig(params=fig_params, n_sessions=10, warmup_sessions=10)
 
     def test_maloha_forces_pool_size(self, fig_params):
+        # ALOHA draws from its N channels and leaves the params as given
         cfg = SimConfig(params=fig_params, scheme=Scheme.MC_ALOHA)
-        assert cfg.params.pool_size == fig_params.preamble_len
+        assert cfg.pool_size == fig_params.preamble_len
+        assert cfg.params == fig_params
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_params_kept_as_given(self, scheme):
+        p = perfect_params()
+        cfg = SimConfig(params=p, scheme=scheme)
+        assert cfg.params == p
+        assert cfg.pool_size == (p.preamble_len if scheme is Scheme.MC_ALOHA
+                                 else p.pool_size)
+
+    def test_replace_keeps_pool_size(self, fig_params):
+        # a config built from an ALOHA one inherits the L it was given
+        aloha = SimConfig(params=fig_params, scheme=Scheme.MC_ALOHA)
+        cra1 = replace(aloha, scheme=Scheme.CRA1)
+        assert cra1.params.pool_size == cra1.pool_size == fig_params.pool_size
 
     @pytest.mark.parametrize("scheme, mode", [
         (Scheme.CRA1, Mode.DROP), (Scheme.CRA2, Mode.DROP),
