@@ -140,23 +140,26 @@ def write_provenance(path, config):
 _PARAM_FIELDS = tuple(f.name for f in fields(ProtocolParams))
 _PROTOCOL_KEYS = (*_PARAM_FIELDS, "traffic")
 
-# Every setting: its default and its type.  A list type means a nonempty
-# list of its one element type; int and float accept integers within float
-# range, float accepts floats too, and no type accepts a bool.  The keys in
-# _CHOICES take one of its values; other allowed values are checked where
-# the settings are used (ProtocolParams, SweepSpec, the handlers).
-# _FILE_KEYS names those a settings file may give; the rest are flags only.
+# Every setting: its default, its type and, for some, a string's choices or
+# a number's least value, which a float must also be finite to meet (numpy's
+# SeedSequence takes no negative seed; `signal`'s false alarms use preamble
+# 1).  A list type means a nonempty list of its one element type; int and
+# float accept integers within float range, float accepts floats too, and no
+# type accepts a bool.  Rules across keys hold where the settings are used
+# (ProtocolParams, SimConfig, SweepSpec, `signal`).  _FILE_KEYS names those
+# a settings file may give; the rest are flags only.
 _SETTINGS = {
     "preamble_len": (31, int), "payload_len": (256, int),
-    "pool_size": (310, int), "feedback_len": (4.0, float),
+    "pool_size": (310, int, 2), "feedback_len": (4.0, float),
     "arrival_rate": (None, float),   # derived from traffic when absent
     "traffic": (1.0, float), "p_md": (0.01, float), "p_fa": (0.01, float),
-    "scheme": ("cra2", str), "mode": ("drop", str), "seed": (0, int),
+    "scheme": ("cra2", str, [s.value for s in Scheme]),
+    "mode": ("drop", str, [m.value for m in Mode]), "seed": (0, int, 0),
     "n_sessions": (100_000, int), "warmup_sessions": (1_000, int),
     "swept_variable": ("lambda_T", str), "grid": ((), [float]),
-    "outputs": (METRICS, [str]), "replicate_seeds": ((0,), [int]),
-    "snr": ((0.0, 1.0, 4.0, 16.0), [float]), "trials": (1_000_000, int),
-    "pool_symbols": (31, int), "spark_checks": (0, int),
+    "outputs": (METRICS, [str]), "replicate_seeds": ((0,), [int], 0),
+    "snr": ((0.0, 1.0, 4.0, 16.0), [float], 0), "trials": (1_000_000, int),
+    "pool_symbols": (31, int), "spark_checks": (0, int, 0),
     "horizon": (10_000, int), "initial_backlog": (0, int),
     "stop_backlog": (None, int),   # None: run the whole horizon
 }
@@ -201,27 +204,31 @@ def _fits(value, kind):
 
 
 def _checked(where, given):
-    """The given settings, if each value is of its key's type and among its
-    choices, and seeds are not negative."""
+    """The given settings, from flags or a settings file, if each value is
+    of its key's type and meets its row's choices or least value."""
     for key, value in given.items():
-        default, kind = _SETTINGS[key]
-        if not (value is None and default is None or _fits(value, kind)
-                and value in _CHOICES.get(key, [value])):
-            what = (f"one of {_CHOICES[key]}" if key in _CHOICES
-                    else "a nonempty list, each " + _TYPE_NAMES[kind[0]]
-                    if isinstance(kind, list) else _TYPE_NAMES[kind])
-            raise ValueError(f"{where}{key} must be {what}, got {value!r}")
-        # numpy's SeedSequence takes no negative seed
-        if key in ("seed", "replicate_seeds") \
-                and min(value if isinstance(value, list) else [value]) < 0:
-            raise ValueError(f"{where}{key} must be >= 0, got {value!r}")
+        default, kind, *rule = _SETTINGS[key]
+        many = isinstance(kind, list)
+        each = kind[0] if many else kind
+        if rule and each is str:
+            if value in rule[0]:
+                continue
+            what = f"one of {rule[0]}"
+        elif not (_fits(value, kind) or value is None and default is None):
+            what = "a nonempty list, each " * many + _TYPE_NAMES[each]
+        elif rule and not all(rule[0] <= v < math.inf   # False for NaN, inf
+                              for v in (value if many else [value])):
+            what = ("finite and " if each is float else "") + f">= {rule[0]}"
+        else:
+            continue
+        raise ValueError(f"{where}{key} must be {what}, got {value!r}")
     return given
 
 
 def _settings(args):
     """Effective settings: defaults, then the --config/--spec file or the
     sweep preset, then the flags given (flags hold None when not given)."""
-    settings = {key: default for key, (default, _) in _SETTINGS.items()}
+    settings = {key: row[0] for key, row in _SETTINGS.items()}
     settings.update(_PRESETS.get(getattr(args, "preset", None), {}))
     for option, keys in _FILE_KEYS.items():
         path = getattr(args, option, None)
@@ -302,9 +309,12 @@ def _estimates(configs, workers):
 def run_sweep(spec, workers=1):
     """Evaluate a sweep: analytic values plus simulated estimates.
 
-    Returns result rows in deterministic (grid index, metric, seed) order
-    regardless of worker completion order.
+    ``workers`` counts the processes, this one included; it must be at
+    least 1.  Returns result rows in deterministic (grid index, metric,
+    seed) order regardless of worker completion order.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     apply = _SWEEPS[spec.swept_variable][0]
     point_params = [apply(spec.base.params, v) for v in spec.grid]
 
@@ -367,8 +377,6 @@ def _cmd_sweep(s, args):
     spec = SweepSpec(base=_sim_config(s), swept_variable=s["swept_variable"],
                      grid=tuple(s["grid"]), outputs=tuple(s["outputs"]),
                      replicate_seeds=tuple(s["replicate_seeds"]))
-    if args.workers < 1:
-        raise ValueError(f"workers: must be >= 1, got {args.workers}")
     rows = run_sweep(spec, workers=args.workers)
     return rows, {**asdict(spec.base.params),
                   **{k: s[k] for k in _SWEEP_KEYS}}
@@ -377,13 +385,6 @@ def _cmd_sweep(s, args):
 def _cmd_signal(s, args):
     snrs, trials, seed = s["snr"], s["trials"], s["seed"]
     n_symbols, n_pool = s["pool_symbols"], s["pool_size"]
-    # NaN compares False with everything, so test finiteness first
-    if not all(math.isfinite(snr) and snr >= 0 for snr in snrs):
-        raise ValueError(f"snr: values must be finite and >= 0: {snrs}")
-    # pool_size >= 2: the false-alarm trial uses preamble 1
-    for key, least in (("spark_checks", 0), ("pool_size", 2)):
-        if s[key] < least:
-            raise ValueError(f"{key}: must be >= {least}: {s[key]}")
     if not 1 <= n_symbols <= n_pool:
         raise ValueError(f"pool_symbols: must be >= 1 and <= pool_size "
                          f"{n_pool}: {n_symbols}")
@@ -455,10 +456,8 @@ _COMMANDS = {
                   (*_PROTOCOL_KEYS, *_STABILITY_KEYS, "replicate_seeds")),
 }
 
-# the flags not named after their key, and the keys with fixed choices
+# the flags not named after their key
 _FLAG_NAMES = {"warmup_sessions": "--warmup", "replicate_seeds": "--seeds"}
-_CHOICES = {"scheme": [s.value for s in Scheme],
-            "mode": [m.value for m in Mode]}
 
 
 def build_parser():
@@ -481,11 +480,11 @@ def build_parser():
         # No argparse default: a flag not given leaves the file, preset or
         # default value in force.
         for key in keys:
-            kind = _SETTINGS[key][1]
+            _, kind, *rule = _SETTINGS[key]
             p.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")),
-                           dest=key, choices=_CHOICES.get(key),
-                           type=_list_of(kind[0]) if isinstance(kind, list)
-                           else kind)
+                           dest=key, type=_list_of(kind[0])
+                           if isinstance(kind, list) else kind,
+                           choices=rule[0] if rule and kind is str else None)
         p.add_argument("--output", required=name == "sweep",
                        help="CSV output path")
     return parser

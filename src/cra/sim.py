@@ -64,9 +64,9 @@ import numpy as np
 
 from .analytic import ProtocolParams
 
-# Sessions per block of the i.i.d. path are chosen so that a block's
-# (session, preamble) occupancy array holds about this many counts, which
-# bounds its memory whatever n_sessions is.
+# A block of the i.i.d. path holds about this many (session, preamble)
+# occupancy counts and averages at most 4 times as many user picks, down to
+# one session, which bounds its memory whatever n_sessions and the load are.
 _BLOCK_CELLS = 1 << 20
 
 # Largest pool and largest mean active count per session that a config may
@@ -275,22 +275,30 @@ def _iid_sessions(cfg, total):
     ``_walk`` does.
 
     The run's arrays are allocated before the first draw, then filled in
-    blocks: one Poisson draw of every session's active count, one draw of
-    all picks, and one ``bincount`` over (session, preamble) cells that
-    yields each session's singleton and occupied counts; the detection coin
-    flips are three vector binomial draws.
+    blocks sized by ``_BLOCK_CELLS``: one Poisson draw of every session's
+    active count, one draw of all picks (a ValueError naming arrival_rate
+    if they do not fit), and one ``bincount`` over (session, preamble)
+    cells that yields each session's singleton and occupied counts; the
+    detection coin flips are three vector binomial draws.
     """
     p = cfg.params
     L, length, _, cap = _session_rule(cfg.scheme, p)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     out = np.empty((3, total), dtype=np.int64)
-    block = max(1, _BLOCK_CELLS // L)
+    mean = p.arrival_rate * length
+    block = max(1, _BLOCK_CELLS // max(L, math.ceil(mean) // 4))
     keep = 1.0 - p.p_md
     for start in range(0, total, block):
         b = min(block, total - start)
-        active = rng.poisson(p.arrival_rate * length, size=b)
-        cells = rng.integers(0, L, size=int(active.sum()))
-        cells += np.repeat(np.arange(0, b * L, L), active)
+        active = rng.poisson(mean, size=b)
+        try:
+            cells = rng.integers(0, L, size=int(active.sum()))
+            cells += np.repeat(np.arange(0, b * L, L), active)
+        except MemoryError as exc:
+            raise ValueError(
+                f"arrival_rate {p.arrival_rate:.3g} (traffic "
+                f"{p.traffic_intensity:.3g}) is too large: {active.sum():.3g} "
+                f"user picks do not fit in memory ({exc})") from None
         try:
             counts = np.bincount(cells, minlength=b * L).reshape(b, L)
         except MemoryError as exc:

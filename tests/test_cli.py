@@ -195,6 +195,14 @@ class TestRunSweep:
                          outputs=("eta1",))
         assert len(run_sweep(spec, workers=1000)) == 2
 
+    def test_workers_below_one_rejected(self):
+        params = ProtocolParams(8, 16, 24, 2.0, 0.005, 0.01, 0.01)
+        base = SimConfig(params=params, n_sessions=20, warmup_sessions=2)
+        spec = SweepSpec(base=base, swept_variable="lambda_T", grid=(1.0,))
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                run_sweep(spec, workers=workers)
+
     def test_d_bar_ratio_std_error(self):
         # the simulated d_bar_ratio row carries the batch-means SE of the
         # mean detected count, over N like the estimate
@@ -352,6 +360,14 @@ class TestCommands:
         # exactly 2**62 waiting: session 0's arrivals pass the limit
         (["stability", "--initial-backlog", "4611686018427387904",
           "--horizon", "3"], None, "initial_backlog"),
+        # least values hold for settings files as for flags
+        (["simulate", "--config", {"seed": -1}], None, "seed must be >= 0"),
+        (["analytic", "--config", {"pool_size": 1}], None, "pool_size"),
+        # the picks of one session at load 1e15 cannot be allocated
+        (["simulate", "--scheme", "cra1", "--traffic", "1e15", "--n-sessions",
+          "400", "--warmup", "0"], None, "arrival_rate"),
+        (["simulate", "--scheme", "cra1", "--traffic", "1e15", "--n-sessions",
+          "2", "--warmup", "0"], None, "arrival_rate"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, argv, env,
                                       what):

@@ -396,6 +396,34 @@ class TestEstimateThroughput:
         se = math.sqrt(mean / cfg.n_sessions)  # Poisson variance = mean
         assert abs(est.mean_active - mean) <= 4 * se
 
+    def test_iid_block_picks_bounded(self, fig_params, monkeypatch):
+        # at load 1000 an ALOHA session averages about 27 800 picks, 900
+        # times its 31 channels: a block is sized by its picks as well as
+        # by its cells, so no draw asks for more than about 4 * _BLOCK_CELLS
+        default_rng = np.random.default_rng
+        sizes = []
+
+        class Checked:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, low, high, size=None):
+                assert size <= 5 * _BLOCK_CELLS   # before any allocation
+                sizes.append(size)
+                return self.rng.integers(low, high, size)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr("cra.sim.np.random.default_rng", Checked)
+        p = fig_params.with_traffic(1000.0)
+        cfg = SimConfig(params=p, scheme=Scheme.MC_ALOHA, n_sessions=400,
+                        warmup_sessions=0, seed=8)
+        est = estimate_throughput(cfg)
+        assert len(sizes) > 1
+        mean = p.arrival_rate * p.fixed_session_len
+        assert abs(est.mean_active - mean) <= 4 * math.sqrt(mean / 400)
+
     def test_walk_replay_and_mean_active(self, fig_params):
         # CRA-2 at load 1 walked with one occupancy draw per session
         cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2,
