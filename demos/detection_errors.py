@@ -29,7 +29,8 @@ for i, snr in enumerate([0.0, 1.0, 4.0, 16.0]):
     scene = SparseScene(support=(0,),
                         coefficients=np.array([math.sqrt(snr)], dtype=complex),
                         noise_var=1.0)
-    md = ml_md_trial(pool, scene, 0, np.random.default_rng(i), trials)
+    # seed 0 is the pool's own stream
+    md = ml_md_trial(pool, scene, 0, np.random.default_rng(1 + i), trials)
     fa = ml_fa_trial(pool, scene, 1, snr, np.random.default_rng(100 + i),
                      trials)
     print(f"{snr:>5.0f} {md:>10.4f} {fa:>9.4f} "

@@ -8,7 +8,7 @@ orthogonal multichannel ALOHA saturates near 0.31 -- roughly half the
 grant-free peak.
 
 Closed forms are printed next to Monte Carlo estimates so the agreement
-is visible at a glance.  Runs in ~20 s.
+is visible at a glance.  Runs in under a second.
 """
 
 import numpy as np

@@ -24,8 +24,8 @@ from . import analytic, signals, specfun
 from .analytic import ProtocolParams
 from .sim import Mode, Scheme, SimConfig, estimate_throughput, simulate_stability
 
-RESULT_FIELDS = ("sweep_var", "value", "metric", "source", "estimate",
-                 "std_error", "sessions", "seed")
+_RESULT_FIELDS = ("sweep_var", "value", "metric", "source", "estimate",
+                  "std_error", "sessions", "seed")
 
 METRICS = ("eta1", "eta2", "eta_ma", "d_bar_ratio")
 
@@ -100,8 +100,8 @@ def _fmt(value):
 def _row(sweep_var, value, metric, source, estimate, std_error=0.0,
          sessions=0, seed=None):
     """One result row; the defaults are those of an analytic row."""
-    return dict(zip(RESULT_FIELDS, (sweep_var, float(value), metric, source,
-                                    estimate, std_error, sessions, seed)))
+    return dict(zip(_RESULT_FIELDS, (sweep_var, float(value), metric, source,
+                                     estimate, std_error, sessions, seed)))
 
 
 def _sim_row(sweep_var, value, metric, est, params, seed):
@@ -118,19 +118,12 @@ def _sim_row(sweep_var, value, metric, est, params, seed):
 
 
 def emit_results(rows, path):
-    """Write result rows (dicts with RESULT_FIELDS keys) as long-format CSV."""
+    """Write rows (dicts with _RESULT_FIELDS keys) as long-format CSV."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_FIELDS)
+        writer.writerow(_RESULT_FIELDS)
         for row in rows:
-            writer.writerow([_fmt(row.get(k)) for k in RESULT_FIELDS])
-
-
-def write_provenance(path, config):
-    with open(path + ".provenance.json", "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            writer.writerow([_fmt(row.get(k)) for k in _RESULT_FIELDS])
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +151,8 @@ _SETTINGS = {
     "n_sessions": (100_000, int), "warmup_sessions": (1_000, int),
     "swept_variable": ("lambda_T", str), "grid": ((), [float]),
     "outputs": (METRICS, [str]), "replicate_seeds": ((0,), [int], 0),
-    "snr": ((0.0, 1.0, 4.0, 16.0), [float], 0), "trials": (1_000_000, int),
-    "pool_symbols": (31, int), "spark_checks": (0, int, 0),
+    "snr": ((0.0, 1.0, 4.0, 16.0), [float], 0),
+    "trials": (1_000_000, int, 1), "pool_symbols": (31, int, 1),
     "horizon": (10_000, int), "initial_backlog": (0, int),
     "stop_backlog": (None, int),   # None: run the whole horizon
 }
@@ -171,8 +164,7 @@ _TYPE_NAMES = {int: "an integer within float range",
 _SIM_KEYS = ("scheme", "mode", "n_sessions", "warmup_sessions", "seed")
 _SWEEP_KEYS = ("swept_variable", "grid", "outputs", "replicate_seeds",
                "n_sessions", "warmup_sessions")
-_SIGNAL_KEYS = ("snr", "trials", "pool_symbols", "pool_size", "seed",
-                "spark_checks")
+_SIGNAL_KEYS = ("snr", "trials", "pool_symbols", "pool_size", "seed")
 _STABILITY_KEYS = ("horizon", "initial_backlog", "stop_backlog")
 # keys each settings file may hold
 _FILE_KEYS = {"config": (*_PROTOCOL_KEYS, *_SIM_KEYS),
@@ -385,13 +377,15 @@ def _cmd_sweep(s, args):
 def _cmd_signal(s, args):
     snrs, trials, seed = s["snr"], s["trials"], s["seed"]
     n_symbols, n_pool = s["pool_symbols"], s["pool_size"]
-    if not 1 <= n_symbols <= n_pool:
-        raise ValueError(f"pool_symbols: must be >= 1 and <= pool_size "
-                         f"{n_pool}: {n_symbols}")
+    if n_symbols > n_pool:
+        raise ValueError(f"pool_symbols must be <= pool_size {n_pool}, "
+                         f"got {n_symbols}")
     pool = signals.gen_pool(n_symbols, n_pool, seed)
     rows = []
     for i, snr in enumerate(snrs):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        # the pool draws SeedSequence(seed), and numpy drops trailing zero
+        # words, so [seed, 0] would repeat its stream
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i + 1]))
         scene = signals.SparseScene(support=(0,),
                                     coefficients=np.array([math.sqrt(snr)],
                                                           dtype=complex),
@@ -406,11 +400,6 @@ def _cmd_signal(s, args):
                       trials, seed)
                  for m, p in (("ml_md", md), ("ml_fa", fa))]
         rows.append(_row("snr", snr, "ml_md", "analytic", ref))
-    if s["spark_checks"]:
-        small = [signals.spark_bruteforce(signals.gen_pool(4, 8, seed + j))
-                 for j in range(s["spark_checks"])]
-        print(f"spark of {s['spark_checks']} random 4x8 pools: "
-              f"min={min(small)} max={max(small)}")
     return rows, {k: s[k] for k in _SIGNAL_KEYS}
 
 
@@ -450,7 +439,7 @@ _COMMANDS = {
                  (*_PROTOCOL_KEYS, *_SIM_KEYS)),
     "sweep": (_cmd_sweep, "figure presets or custom sweeps",
               ("n_sessions", "warmup_sessions", "replicate_seeds")),
-    "signal": (_cmd_signal, "pairwise ML error and spark checks",
+    "signal": (_cmd_signal, "pairwise ML miss and false-alarm rates",
                _SIGNAL_KEYS),
     "stability": (_cmd_stability, "CRA-2 fast-retrial backlog trajectories",
                   (*_PROTOCOL_KEYS, *_STABILITY_KEYS, "replicate_seeds")),
@@ -496,7 +485,10 @@ def main(argv=None):
         rows, provenance = args.func(_settings(args), args)
         if args.output:
             emit_results(rows, args.output)
-            write_provenance(args.output, provenance)
+            with open(args.output + ".provenance.json", "w",
+                      encoding="utf-8", newline="\n") as fh:
+                json.dump(provenance, fh, indent=2, sort_keys=True)
+                fh.write("\n")
         if args.command == "sweep":
             print(f"wrote {len(rows)} rows to {args.output}")
         return 0

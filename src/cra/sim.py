@@ -190,13 +190,13 @@ class ThroughputEstimate:
 
 
 def stage1_outcome(n_active, params, rng):
-    """One preamble round: occupancy counts and detection outcome given K.
+    """One preamble round given K: the detected singleton, detected
+    collided and false-alarm preamble counts (d1, d2, d3).
 
-    Returns (singleton, collided, detected_singleton, detected_collided,
-    false_slots).  The per-preamble counts of K uniform picks are drawn as
-    one Multinomial(K; 1/L, ..., 1/L), the classical occupancy law, and the
-    free and singleton preambles are counted in O(L) time and memory
-    whatever K is.
+    The per-preamble counts of K uniform picks are drawn as one
+    Multinomial(K; 1/L, ..., 1/L), the classical occupancy law, and the free
+    and singleton preambles are counted in O(L) time and memory whatever K
+    is.
     """
     L = params.pool_size
     try:
@@ -212,7 +212,7 @@ def stage1_outcome(n_active, params, rng):
     d1 = rng.binomial(singleton, p_det) if singleton else 0
     d2 = rng.binomial(collided, p_det) if collided else 0
     d3 = rng.binomial(free, params.p_fa) if (free and params.p_fa > 0.0) else 0
-    return singleton, collided, int(d1), int(d2), int(d3)
+    return int(d1), int(d2), int(d3)
 
 
 def _pool_too_large(L, exc):
@@ -257,7 +257,7 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
                 f"{k - backlog:.3g} new at arrival_rate {rate:.3g} (traffic "
                 f"{p.traffic_intensity:.3g}) plus "
                 f"{'initial_backlog' if t == 0 else 'backlog'} {backlog:.3g}")
-        _, _, d1, d2, d3 = stage1_outcome(k, p, rng)
+        d1, d2, d3 = stage1_outcome(k, p, rng)
         detected = d1 + d2 + d3
         backlog = k - d1 if retrial else 0
         succ_out[t] = d1

@@ -15,10 +15,10 @@ wait, and each binds the same functions.
 
 import math
 
-__all__ = ["lambert_w0", "poisson_cdf", "qfunc", "INV_E"]
+__all__ = ["lambert_w0", "poisson_cdf", "qfunc"]
 
 # branch point of the principal Lambert W branch
-INV_E = 1.0 / math.e
+_INV_E = 1.0 / math.e
 
 _DOMAIN_SLACK = 1e-12
 
@@ -46,9 +46,9 @@ def lambert_w0(y):
     function", 1996).  The branch point itself is answered here: scipy
     returns NaN at exactly -1/e.
     """
-    if not y >= -INV_E - _DOMAIN_SLACK:   # also true for NaN
+    if not y >= -_INV_E - _DOMAIN_SLACK:   # also true for NaN
         raise ValueError(f"lambert_w0: argument {y} outside [-1/e, inf)")
-    if y <= -INV_E:
+    if y <= -_INV_E:
         return -1.0
     if _lambertw is None:
         _load_scipy()

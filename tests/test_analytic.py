@@ -20,7 +20,7 @@ from cra.analytic import (
     throughput_maloha,
     _fixed_point_coeffs,
 )
-from cra.specfun import INV_E, lambert_w0, poisson_cdf, qfunc
+from cra.specfun import _INV_E, lambert_w0, poisson_cdf, qfunc
 
 from helpers import exact_occupancy_means, fixed_point_mean_load, \
     threshold_scan
@@ -176,7 +176,7 @@ class TestMeanActiveCra2:
             c2 = lam * payload * (1 - p_md - p_fa)
             assert c1 >= c2 - 1e-15
             arg = -c2 * math.exp(-c1)
-            assert -INV_E - 1e-12 <= arg <= 0.0
+            assert -_INV_E - 1e-12 <= arg <= 0.0
 
 
 class TestMeanDetectedCra2:

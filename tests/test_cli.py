@@ -4,6 +4,7 @@ import io
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -259,7 +260,7 @@ class TestCommands:
     # The always-None middle column keeps the IDs the suite prints for these
     # cases.
     @pytest.mark.parametrize("argv, env, what", [
-        (["signal", "--trials", "0"], None, "trials"),
+        (["signal", "--trials", "0"], None, "trials must be >= 1"),
         (["sweep", "--preset", "fig3", "--seeds", ","], None, "seeds"),
         (["simulate", "--n-sessions", "20", "--warmup", "20"], None,
          "warmup_sessions"),
@@ -281,8 +282,8 @@ class TestCommands:
         (["signal", "--snr", "nan", "--trials", "10"], None, "snr"),
         (["signal", "--snr", "4,-1", "--trials", "10"], None, "snr"),
         (["signal", "--snr", "inf", "--trials", "10"], None, "snr"),
-        (["signal", "--snr", "4", "--trials", "10", "--spark-checks", "-1"],
-         None, "spark_checks"),
+        (["signal", "--snr", "4", "--trials", "-5"], None,
+         "trials must be >= 1"),
         (["signal", "--seed", "-1", "--snr", "1", "--trials", "10"], None,
          "seed must be >= 0"),
         (["simulate", "--seed", "-1", "--n-sessions", "20", "--warmup", "2"],
@@ -297,10 +298,10 @@ class TestCommands:
         (["signal", "--pool-size", "1", "--pool-symbols", "1", "--snr", "1",
           "--trials", "10"], None, "pool_size"),
         (["signal", "--pool-symbols", "0", "--snr", "1", "--trials", "10"],
-         None, "pool_symbols"),
+         None, "pool_symbols must be >= 1"),
         # above the default 310-preamble pool
         (["signal", "--pool-symbols", "400", "--snr", "1", "--trials", "10"],
-         None, "pool_symbols"),
+         None, "pool_symbols must be <="),
         # L and M are counts; a non-finite value never sweeps
         (["sweep", "--spec", {"swept_variable": "L", "grid": [31.5, 62.9]}],
          None, "grid"),
@@ -488,11 +489,29 @@ class TestCommands:
         out = tmp_path / "sig.csv"
         rc = main(["signal", "--snr", "0,4", "--trials", "4000",
                    "--pool-symbols", "8", "--pool-size", "16",
-                   "--spark-checks", "2", "--output", str(out)])
+                   "--output", str(out)])
         assert rc == 0
         rows = read_results(str(out))
         assert {r["metric"] for r in rows} == {"ml_md", "ml_fa"}
-        assert "spark" in capsys.readouterr().out
+        assert capsys.readouterr().out.count("q_ref=") == 2
+
+    def test_signal_trials_draw_apart_from_pool(self, monkeypatch, capsys):
+        # the pool draws SeedSequence(seed); numpy drops trailing zero
+        # words, so seeding an SNR's trials from [seed, 0] would repeat it
+        states = []
+        md_trial = cli.signals.ml_md_trial
+
+        def recording(pool, scene, index, rng, n_trials):
+            states.append(rng.bit_generator.state)
+            return md_trial(pool, scene, index, rng, n_trials)
+
+        monkeypatch.setattr(cli.signals, "ml_md_trial", recording)
+        assert main(["signal", "--snr", "0,1,4", "--trials", "10",
+                     "--pool-symbols", "4", "--pool-size", "8"]) == 0
+        pool_state = np.random.default_rng(
+            np.random.SeedSequence(0)).bit_generator.state
+        assert len(states) == 3
+        assert all(state != pool_state for state in states)
 
     def test_stability_command(self, tmp_path, capsys):
         out = tmp_path / "stab.csv"
@@ -530,8 +549,7 @@ CLI_OPTIONS = {
               "--seeds": "replicate_seeds", "--workers": "workers"},
     "signal": {"--snr": "snr", "--trials": "trials",
                "--pool-symbols": "pool_symbols", "--pool-size": "pool_size",
-               "--seed": "seed", "--spark-checks": "spark_checks",
-               "--output": "output"},
+               "--seed": "seed", "--output": "output"},
     "stability": {**PROTOCOL_OPTIONS, "--horizon": "horizon",
                   "--initial-backlog": "initial_backlog",
                   "--stop-backlog": "stop_backlog",
@@ -575,11 +593,11 @@ class TestCliSurface:
     @pytest.mark.parametrize("argv, provenance", [
         (["signal", "--trials", "10"],
          {"pool_size": 310, "pool_symbols": 31, "seed": 0,
-          "snr": [0.0, 1.0, 4.0, 16.0], "spark_checks": 0, "trials": 10}),
+          "snr": [0.0, 1.0, 4.0, 16.0], "trials": 10}),
         (["signal", "--snr", "0,4", "--trials", "100", "--pool-symbols", "4",
           "--pool-size", "8", "--seed", "3"],
          {"pool_size": 8, "pool_symbols": 4, "seed": 3, "snr": [0.0, 4.0],
-          "spark_checks": 0, "trials": 100}),
+          "trials": 100}),
         (["stability", "--horizon", "5"],
          {"arrival_rate": 0.003484320557491289, "feedback_len": 4.0,
           "horizon": 5, "initial_backlog": 0, "p_fa": 0.01, "p_md": 0.01,

@@ -74,8 +74,7 @@ class TestScipyLoadedOnFirstClosedForm:
             from cra import cli
             with contextlib.suppress(SystemExit):
                 cli.main(["--help"])
-            assert cli.main(["signal", "--snr", "1", "--trials", "100",
-                             "--spark-checks", "1"]) == 0
+            assert cli.main(["signal", "--snr", "1", "--trials", "100"]) == 0
             assert cli.main(["stability", "--horizon", "5", "--seeds", "0"]) == 0
             assert cli.main(["simulate", "--n-sessions", "50",
                              "--warmup", "5"]) == 0

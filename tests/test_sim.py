@@ -44,31 +44,28 @@ def batch_se(values, n_batches=50):
 class TestStage1Outcome:
     def test_forced_single_user(self):
         p = perfect_params()
-        s, c, d1, d2, d3 = stage1_outcome(1, p, PickedOccupancy([3]))
-        assert (s, c, d1, d2, d3) == (1, 0, 1, 0, 0)
+        assert stage1_outcome(1, p, PickedOccupancy([3])) == (1, 0, 0)
 
     def test_forced_pure_collision(self):
         p = perfect_params()
-        s, c, d1, d2, d3 = stage1_outcome(2, p, PickedOccupancy([5, 5]))
-        assert (s, c, d1, d2, d3) == (0, 1, 0, 1, 0)
+        assert stage1_outcome(2, p, PickedOccupancy([5, 5])) == (0, 1, 0)
 
     def test_no_users_all_false_alarms(self):
         p = perfect_params(p_fa=1.0, p_md=0.0)
         rng = np.random.default_rng(0)
-        s, c, d1, d2, d3 = stage1_outcome(0, p, rng)
-        assert (s, c, d1, d2, d3) == (0, 0, 0, 0, p.pool_size)
+        assert stage1_outcome(0, p, rng) == (0, 0, p.pool_size)
 
     def test_accounting_identities_random(self, fig_params):
         rng = np.random.default_rng(1)
         L = fig_params.pool_size
         for _ in range(300):
             k = int(rng.integers(0, 80))
-            s, c, d1, d2, d3 = stage1_outcome(k, fig_params, rng)
-            assert s + c <= min(k, L)
-            assert d1 <= s and d2 <= c
-            assert d3 <= L - s - c
+            d1, d2, d3 = stage1_outcome(k, fig_params, rng)
+            assert d1 + d2 <= min(k, L)
+            # false alarms fall on free preambles only
+            assert d3 <= L - d1 - d2
             # a singleton preamble holds 1 user, a collided one >= 2
-            assert s + 2 * c <= k
+            assert d1 + 2 * d2 <= k
 
     @pytest.mark.parametrize("k", [1, 5, 20, 100])
     def test_conditional_means_match_lemma(self, fig_params, k):
@@ -77,8 +74,7 @@ class TestStage1Outcome:
         sums = np.zeros(3)
         sq = np.zeros(3)
         for _ in range(n):
-            s, c, d1, d2, d3 = stage1_outcome(k, fig_params, rng)
-            d = np.array([d1, d2, d3], dtype=float)
+            d = np.array(stage1_outcome(k, fig_params, rng), dtype=float)
             sums += d
             sq += d * d
         means = sums / n
@@ -90,15 +86,16 @@ class TestStage1Outcome:
     def test_occupancy_law_matches_enumeration(self, pool, k):
         # the exact (singleton, collided) law of k users picking one of
         # `pool` preambles each, against the empirical law of the
-        # occupancy draw under perfect detection
+        # occupancy draw under perfect detection, which detects every
+        # occupied preamble and raises no false alarm
         exact = exact_occupancy_pmf(k, pool)
         p = perfect_params(pool_size=pool)
         rng = np.random.default_rng(pool * 10 + k)
         n = 20_000
         seen = {}
         for _ in range(n):
-            s, c, d1, d2, d3 = stage1_outcome(k, p, rng)
-            assert (d1, d2, d3) == (s, c, 0)
+            s, c, d3 = stage1_outcome(k, p, rng)
+            assert d3 == 0
             seen[s, c] = seen.get((s, c), 0) + 1
         for cell in exact.keys() | seen.keys():
             prob = exact.get(cell, 0.0)
@@ -192,7 +189,7 @@ class TestRunSession:
     def test_maloha_all_orthogonal(self):
         n = perfect_params().preamble_len
         p = perfect_params(pool_size=n)  # one channel per preamble symbol
-        _, _, d1, _, _ = stage1_outcome(n, p, PickedOccupancy(range(n)))
+        d1, _, _ = stage1_outcome(n, p, PickedOccupancy(range(n)))
         # all n detected singletons book, since K = N is within the cap
         assert d1 == n
         assert _session_rule(Scheme.MC_ALOHA, p)[3] == n

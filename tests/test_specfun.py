@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cra.specfun import INV_E, lambert_w0, poisson_cdf, qfunc
+from cra.specfun import _INV_E, lambert_w0, poisson_cdf, qfunc
 
 from helpers import lambert_bisect, poisson_cdf_sum
 
@@ -14,7 +14,7 @@ class TestLambertW0:
         assert lambert_w0(0.0) == 0.0
 
     def test_branch_point(self):
-        assert lambert_w0(-INV_E) == pytest.approx(-1.0, abs=1e-7)
+        assert lambert_w0(-_INV_E) == pytest.approx(-1.0, abs=1e-7)
 
     def test_unity_against_bisection(self):
         # omega constant: bisection on w*exp(w) = 1 over [0, 1]
@@ -30,7 +30,7 @@ class TestLambertW0:
     def test_roundtrip_random(self):
         rng = np.random.default_rng(0)
         ys = np.concatenate([
-            rng.uniform(-INV_E, 0.0, 4000),
+            rng.uniform(-_INV_E, 0.0, 4000),
             rng.uniform(0.0, 1.0, 3000),
             rng.uniform(1.0, 1e3, 3000),
         ])
@@ -40,20 +40,20 @@ class TestLambertW0:
 
     def test_monotone_nondecreasing(self):
         rng = np.random.default_rng(1)
-        ys = np.sort(rng.uniform(-INV_E, 50.0, 2000))
+        ys = np.sort(rng.uniform(-_INV_E, 50.0, 2000))
         ws = [lambert_w0(float(y)) for y in ys]
         assert all(b >= a for a, b in zip(ws, ws[1:]))
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            lambert_w0(-INV_E - 1e-9)
+            lambert_w0(-_INV_E - 1e-9)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             lambert_w0(math.nan)
 
     def test_clamp_just_below_branch(self):
-        assert lambert_w0(-INV_E - 1e-13) == pytest.approx(-1.0, abs=1e-6)
+        assert lambert_w0(-_INV_E - 1e-13) == pytest.approx(-1.0, abs=1e-6)
 
 
 class TestPoissonCdf:
