@@ -81,13 +81,19 @@ class SparseScene:
 
 
 def gen_pool(n_symbols, pool_size, seed):
-    """Unit-norm pool with i.i.d. circularly-symmetric Gaussian columns."""
+    """Unit-norm pool with i.i.d. circularly-symmetric Gaussian columns; a
+    pool that cannot be allocated raises a ValueError naming pool_size."""
     if not 1 <= n_symbols <= pool_size:
         raise ValueError("need pool_size >= n_symbols >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    raw = (rng.standard_normal((n_symbols, pool_size))
-           + 1j * rng.standard_normal((n_symbols, pool_size)))
-    return PreamblePool(raw / np.linalg.norm(raw, axis=0))
+    try:
+        raw = (rng.standard_normal((n_symbols, pool_size))
+               + 1j * rng.standard_normal((n_symbols, pool_size)))
+        return PreamblePool(raw / np.linalg.norm(raw, axis=0))
+    except MemoryError as exc:
+        raise ValueError(f"pool_size {pool_size} is too large: the "
+                         f"{n_symbols} x {pool_size} pool does not fit in "
+                         f"memory ({exc})") from None
 
 
 def _noiseless_stage1(pool, scene):

@@ -28,9 +28,11 @@ and the mode:
 - CRA-2 in fast retrial (whose backlog carries over) walks the session
   chain in one loop, ``_walk``, which ``simulate_stability`` also runs.
   Per session it makes one scalar Poisson draw of K and one
-  ``stage1_outcome`` call, which draws the K users' per-preamble counts as
-  one Multinomial(K; 1/L, ..., 1/L), at O(L) cost whatever K is; the
-  K - successes users it leaves are the next session's backlog.  The tests
+  ``stage1_outcome`` call, which draws the free and singleton preamble
+  counts of the K users' uniform picks exactly (``_occupancy``: Poisson
+  splitting in a heavy session, one pick per user in a light one), at
+  O(L) cost whatever K is.  The K - successes users it leaves are the
+  next session's backlog.  The tests
   pin the walk down through degenerate runs that force the active count,
   and run it in drop mode as the conditional-on-K reference for
   ``_cra2_sessions``.
@@ -85,6 +87,13 @@ _MAX_MEAN_ACTIVE = 2.0 ** 62
 _POOL_CHUNK = 16
 _POOL_STATES = 1024
 _THETA_BLOCK = _BLOCK_CELLS // 4
+
+# The per-preamble Poisson mean from which _occupancy places users by
+# Poisson splitting: numpy draws a Poisson variate of mean 10 or more in
+# constant time (PTRS), while one pick per user costs time in K.  The two
+# ways cost the same near a mean of 6.5 at L = 31, 11.5 at L = 310 and 12.5
+# at L = 3100 and 10^4.
+_SPLIT_MEAN = 10.0
 
 # Contiguous batches of the batch-means standard error; a run that measures
 # fewer sessions takes one batch per session.
@@ -193,19 +202,15 @@ def stage1_outcome(n_active, params, rng):
     """One preamble round given K: the detected singleton, detected
     collided and false-alarm preamble counts (d1, d2, d3).
 
-    The per-preamble counts of K uniform picks are drawn as one
-    Multinomial(K; 1/L, ..., 1/L), the classical occupancy law, and the free
-    and singleton preambles are counted in O(L) time and memory whatever K
-    is.
+    The free and singleton preamble counts of the K users' uniform picks
+    come from ``_occupancy``, exact in law, in O(L) time and memory
+    whatever K is.
     """
     L = params.pool_size
     try:
-        counts = rng.multinomial(n_active, np.full(L, 1.0 / L))
+        free, singleton = _occupancy(n_active, L, rng)
     except MemoryError as exc:
         raise _pool_too_large(L, exc) from None
-    # only preambles with fewer than two users are binned, so the bins
-    # stay two whatever K is
-    free, singleton = np.bincount(counts[counts < 2], minlength=2).tolist()
     collided = L - free - singleton
 
     p_det = 1.0 - params.p_md
@@ -213,6 +218,46 @@ def stage1_outcome(n_active, params, rng):
     d2 = rng.binomial(collided, p_det) if collided else 0
     d3 = rng.binomial(free, params.p_fa) if (free and params.p_fa > 0.0) else 0
     return int(d1), int(d2), int(d3)
+
+
+def _occupancy(n_active, L, rng):
+    """(free, singleton): the numbers of the L preambles that K users, each
+    picking one uniformly, leave empty and hold exactly one user.
+
+    With lambda = (K - 3 sqrt(K)) / L at least ``_SPLIT_MEAN``, the L
+    preambles first take i.i.d. Poisson(lambda) users, redrawn while their
+    total S exceeds K; given S they are Multinomial(S; 1/L, ..., 1/L), and
+    rejecting on S alone keeps that law (Poisson splitting: Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, ch. X).  S has mean
+    K - 3 sqrt(K), so about 0.1% of draws are redrawn and about 3 sqrt(K)
+    users are left.  A lighter session takes S = 0.  The other K - S users
+    pick uniformly, and only a pick that lands on one of the ``low``
+    preambles holding fewer than two users changes the counts: there are
+    Bin(K - S, low / L) such hits, each on a low preamble picked uniformly.
+    With fewer than two users no preamble collides and nothing is drawn.
+    """
+    if n_active < 2:
+        return L - n_active, n_active
+    lam = (n_active - 3.0 * math.sqrt(n_active)) / L
+    if lam >= _SPLIT_MEAN:
+        while True:
+            counts = rng.poisson(lam, L)
+            placed = int(counts.sum())
+            if placed <= n_active:
+                break
+        free, singleton = np.bincount(counts[counts < 2],
+                                      minlength=2).tolist()
+        low = free + singleton
+        if not low:
+            return 0, 0
+        hits = rng.binomial(n_active - placed, low / L)
+    else:
+        free, singleton, low, hits = L, 0, L, n_active
+    # low preambles [0, free) held no user and [free, low) one
+    held = np.bincount(rng.integers(low, size=hits), minlength=low)
+    if singleton:
+        held[free:] += 1
+    return tuple(np.bincount(held, minlength=2)[:2].tolist())
 
 
 def _pool_too_large(L, exc):

@@ -2,10 +2,10 @@
 
 These deliberately avoid the library's own code paths: bisection instead of
 scipy's Lambert W, direct log-space summation instead of incomplete-gamma,
-exhaustive enumeration instead of closed forms and of the occupancy draw,
-damped fixed-point iteration instead of Lambert W, stationary solves of the
-session Markov chain (over K, and by Poisson splitting) instead of the
-simulator, a per-K scan of scalar drift
+exhaustive enumeration and a one-user-at-a-time recursion instead of closed
+forms and of the occupancy draw, damped fixed-point iteration instead of
+Lambert W, stationary solves of the session Markov chain (over K, and by
+Poisson splitting) instead of the simulator, a per-K scan of scalar drift
 calls instead of the array threshold scan, literal ML residual norms instead
 of the projected noise score, and one SVD per column subset instead of
 batched SVDs.  It also reads the CLI's result CSVs back into rows, and
@@ -15,6 +15,7 @@ stands in for a Generator whose occupancy draw a test forces.
 import csv
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -87,19 +88,62 @@ def exact_occupancy_means(n_active, pool_size):
             sum((s + c) * prob for (s, c), prob in pmf))
 
 
+def occupancy_pmf_dp(n_active, pool_size):
+    """Exact law of (singleton count, collided count) of ``n_active`` users
+    that each pick one of ``pool_size`` preambles uniformly, as a dict
+    {(singleton, collided): Fraction}, adding one user at a time: the next
+    user lands on a free preamble, a singleton (which then collides) or a
+    collided one with probabilities free / L, singleton / L and
+    collided / L."""
+    L = pool_size
+    law = {(0, 0): Fraction(1)}
+    for _ in range(n_active):
+        nxt = {}
+        for (s, c), prob in law.items():
+            for cell, ways in (((s + 1, c), L - s - c), ((s - 1, c + 1), s),
+                               ((s, c), c)):
+                if ways:
+                    nxt[cell] = nxt.get(cell, 0) + prob * Fraction(ways, L)
+        law = nxt
+    return law
+
+
 class PickedOccupancy:
-    """Stand-in for a numpy Generator whose ``multinomial`` returns the
-    per-preamble counts of the given preamble picks, one per user, so a test
-    can force the occupancy draw of ``stage1_outcome``; every other call
-    goes to a real Generator."""
+    """Stand-in for a numpy Generator whose ``integers`` returns the given
+    preamble picks, one per user, so a test can force the occupancy draw of
+    a light ``stage1_outcome`` session, where every user is a pick; every
+    other call goes to a real Generator."""
 
     def __init__(self, picks):
         self.picks = np.asarray(picks, dtype=np.int64)
         self.rng = np.random.default_rng(0)
 
-    def multinomial(self, n, pvals):
-        assert self.picks.size == n, "one pick per active user"
-        return np.bincount(self.picks, minlength=len(pvals))
+    def integers(self, high, size):
+        assert self.picks.size == size, "one pick per active user"
+        assert self.picks.max() < high
+        return self.picks
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class SplitDraws:
+    """Stand-in for a numpy Generator that counts the vector Poisson draws
+    of ``stage1_outcome``'s Poisson step.  With ``overfill`` every other one
+    returns 2**40 users per preamble, more than any session holds, so the
+    step must draw again; every call goes to a real Generator otherwise."""
+
+    def __init__(self, seed, overfill=False):
+        self.rng = np.random.default_rng(seed)
+        self.overfill = overfill
+        self.vector_draws = 0
+
+    def poisson(self, lam, size=None):
+        if size is not None:
+            self.vector_draws += 1
+            if self.overfill and self.vector_draws % 2:
+                return np.full(size, 2 ** 40)
+        return self.rng.poisson(lam, size)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)

@@ -369,6 +369,9 @@ class TestCommands:
           "400", "--warmup", "0"], None, "arrival_rate"),
         (["simulate", "--scheme", "cra1", "--traffic", "1e15", "--n-sessions",
           "2", "--warmup", "0"], None, "arrival_rate"),
+        # a 31 x 10^15 pool of 220 PiB
+        (["signal", "--pool-size", "1000000000000000", "--snr", "1",
+          "--trials", "10"], None, "pool_size 1000000000000000"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, argv, env,
                                       what):

@@ -24,9 +24,9 @@ from cra.sim import (
     stage1_outcome,
 )
 
-from helpers import PickedOccupancy, capped_success_moments, \
+from helpers import PickedOccupancy, SplitDraws, capped_success_moments, \
     exact_chain_means, exact_chain_throughput, exact_occupancy_pmf, \
-    split_chain, split_detect_prob
+    occupancy_pmf_dp, split_chain, split_detect_prob
 
 
 def perfect_params(**over):
@@ -101,6 +101,50 @@ class TestStage1Outcome:
             prob = exact.get(cell, 0.0)
             se = math.sqrt(prob * (1.0 - prob) / n)
             assert abs(seen.get(cell, 0) / n - prob) <= 4 * se, cell
+
+    @staticmethod
+    def assert_occupancy_law(pool, k, rng, n=20_000):
+        """The empirical (singleton, collided) law of n draws under perfect
+        detection, which detects every occupied preamble and raises no
+        false alarm, within 4 SE of the exact law in every cell, plus 1 / n
+        so that one draw of a cell far rarer than 1 / n fails no cell."""
+        exact = occupancy_pmf_dp(k, pool)
+        p = perfect_params(pool_size=pool)
+        seen = {}
+        for _ in range(n):
+            s, c, d3 = stage1_outcome(k, p, rng)
+            assert d3 == 0
+            seen[s, c] = seen.get((s, c), 0) + 1
+        for cell in exact.keys() | seen.keys():
+            prob = float(exact.get(cell, 0))
+            se = math.sqrt(prob * (1.0 - prob) / n)
+            assert abs(seen.get(cell, 0) / n - prob) <= 4 * se + 1 / n, cell
+
+    @pytest.mark.parametrize("pool, k, split", [
+        (4, 3, False), (7, 9, False), (5, 30, True), (6, 40, True),
+        (4, 60, True)])
+    def test_occupancy_law_matches_recursion(self, monkeypatch, pool, k,
+                                             split):
+        # At its own threshold, a mean of 10 users per preamble, the Poisson
+        # step leaves few preambles holding fewer than two users, so the law
+        # hardly depends on the picks that finish it.  A threshold of 1
+        # sends the split pairs through the step with many such preambles
+        # (means 2.7, 3.5 and 9.2), and leaves the light pairs, whose
+        # K - 3 sqrt(K) is at most 0, to the picks alone.
+        monkeypatch.setattr("cra.sim._SPLIT_MEAN", 1.0)
+        rng = SplitDraws(pool * 100 + k)
+        self.assert_occupancy_law(pool, k, rng)
+        assert (rng.vector_draws >= 20_000) if split \
+            else rng.vector_draws == 0
+
+    def test_occupancy_law_after_redraw(self, monkeypatch):
+        # every first Poisson step places more users than there are, so
+        # every session draws it again: rejecting on the total alone keeps
+        # the law exact
+        monkeypatch.setattr("cra.sim._SPLIT_MEAN", 1.0)
+        rng = SplitDraws(77, overfill=True)
+        self.assert_occupancy_law(5, 30, rng)
+        assert rng.vector_draws >= 2 * 20_000
 
 
 class TestRunSession:
@@ -222,8 +266,12 @@ class TestRunSession:
                 self.rng = default_rng(seed)
 
             def poisson(self, lam, size=None):
-                arrivals.append(self.rng.poisson(lam, size))
-                return arrivals[-1]
+                draw = self.rng.poisson(lam, size)
+                # one scalar draw per session's arrivals; a sized draw is
+                # the occupancy draw's Poisson step
+                if size is None:
+                    arrivals.append(draw)
+                return draw
 
             def __getattr__(self, name):
                 return getattr(self.rng, name)
