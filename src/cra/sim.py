@@ -29,11 +29,11 @@ and the mode:
   chain in one loop, ``_walk``, which ``simulate_stability`` also runs.
   Per session it makes one scalar Poisson draw of K and one
   ``stage1_outcome`` call, which draws the free and singleton preamble
-  counts of the K users' uniform picks exactly (``_occupancy``: Poisson
-  splitting in a heavy session, one pick per user in a light one), at
-  O(L) cost whatever K is.  The K - successes users it leaves are the
-  next session's backlog.  The tests
-  pin the walk down through degenerate runs that force the active count,
+  counts of the K users' uniform picks exactly (``_occupancy``: one
+  multinomial over the preamble pairs in a heavy session, one pick per
+  user in a light one), at O(L) cost whatever K is.  The K - successes
+  users it leaves are the next session's backlog.  The tests pin the walk
+  down through degenerate runs that force the active count,
   and run it in drop mode as the conditional-on-K reference for
   ``_cra2_sessions``.
 
@@ -59,6 +59,7 @@ reproduces its stream bit-exactly.  A sweep hashes each task's seed from
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,12 +89,14 @@ _POOL_CHUNK = 16
 _POOL_STATES = 1024
 _THETA_BLOCK = _BLOCK_CELLS // 4
 
-# The per-preamble Poisson mean from which _occupancy places users by
-# Poisson splitting: numpy draws a Poisson variate of mean 10 or more in
-# constant time (PTRS), while one pick per user costs time in K.  The two
-# ways cost the same near a mean of 6.5 at L = 31, 11.5 at L = 310 and 12.5
-# at L = 3100 and 10^4.
-_SPLIT_MEAN = 10.0
+# Users per preamble up to which _occupancy draws one pick per user.  Above
+# it a preamble pair's mean 2 K / L passes 30, where numpy's binomial
+# sampler, and so its multinomial, turns from inversion, whose cost grows
+# with the mean, to constant-time BTPE, and one multinomial over the pairs
+# costs less than the picks: at L = 310, 3100 and 10^4 the picks cost less
+# at 14 users per preamble and more at 16 (at L = 31 both cost about the
+# same from 10 to 14).
+_PICK_LOAD = 15
 
 # Contiguous batches of the batch-means standard error; a run that measures
 # fewer sessions takes one batch per session.
@@ -224,40 +227,60 @@ def _occupancy(n_active, L, rng):
     """(free, singleton): the numbers of the L preambles that K users, each
     picking one uniformly, leave empty and hold exactly one user.
 
-    With lambda = (K - 3 sqrt(K)) / L at least ``_SPLIT_MEAN``, the L
-    preambles first take i.i.d. Poisson(lambda) users, redrawn while their
-    total S exceeds K; given S they are Multinomial(S; 1/L, ..., 1/L), and
-    rejecting on S alone keeps that law (Poisson splitting: Devroye,
-    *Non-Uniform Random Variate Generation*, 1986, ch. X).  S has mean
-    K - 3 sqrt(K), so about 0.1% of draws are redrawn and about 3 sqrt(K)
-    users are left.  A lighter session takes S = 0.  The other K - S users
-    pick uniformly, and only a pick that lands on one of the ``low``
-    preambles holding fewer than two users changes the counts: there are
-    Bin(K - S, low / L) such hits, each on a low preamble picked uniformly.
-    With fewer than two users no preamble collides and nothing is drawn.
+    Up to ``_PICK_LOAD`` users per preamble each user draws a pick.  A
+    heavier session draws the users of the floor(L / 2) preamble pairs, and
+    of the last preamble when L is odd, as one multinomial, then finds the
+    pairs with a preamble holding fewer than two users.  A pair of G >= 3
+    users splits as Bin(G, 1/2), so its lighter preamble holds e = 0 users
+    with probability q0(G) = 2^(1 - G) and e = 1 with q1(G) = G 2^(1 - G),
+    and the pair is light with q(G) = q0(G) + q1(G), which falls as G
+    grows; q(3) = 1, and a pair of fewer users is always light, split
+    exactly by the same thresholds on one uniform, capped at 1.  With
+    a = max(min G, 3), each pair is a candidate with probability q(a) and a
+    candidate of G users is light with e = 0 or 1 with probabilities
+    q0(G) / q(a) and q1(G) / q(a): each pair is light as it should be,
+    independently of the others.  The pair counts are exchangeable given
+    their minimum, so the first Bin(floor(L / 2), q(a)) pairs serve as the
+    candidates; a heavy session has none, and its draw costs one
+    multinomial over about L / 2 categories whatever K is.
     """
     if n_active < 2:
         return L - n_active, n_active
-    lam = (n_active - 3.0 * math.sqrt(n_active)) / L
-    if lam >= _SPLIT_MEAN:
-        while True:
-            counts = rng.poisson(lam, L)
-            placed = int(counts.sum())
-            if placed <= n_active:
-                break
-        free, singleton = np.bincount(counts[counts < 2],
-                                      minlength=2).tolist()
-        low = free + singleton
-        if not low:
-            return 0, 0
-        hits = rng.binomial(n_active - placed, low / L)
-    else:
-        free, singleton, low, hits = L, 0, L, n_active
-    # low preambles [0, free) held no user and [free, low) one
-    held = np.bincount(rng.integers(low, size=hits), minlength=low)
-    if singleton:
-        held[free:] += 1
-    return tuple(np.bincount(held, minlength=2)[:2].tolist())
+    if n_active <= _PICK_LOAD * L:
+        held = np.bincount(rng.integers(L, size=n_active), minlength=L)
+        return tuple(np.bincount(held, minlength=2)[:2].tolist())
+    pairs, odd = divmod(L, 2)
+    counts = rng.multinomial(n_active, _pair_pvals(L))
+    free = singleton = 0
+    if odd:
+        last = int(counts[-1])
+        free, singleton = int(last == 0), int(last == 1)
+        counts = counts[:pairs]
+    a = max(int(counts.min()), 3)
+    n = int(rng.binomial(pairs, math.ldexp(1 + a, 1 - a)))
+    if n:
+        G = counts[:n]
+        v = rng.random(n)
+        t0 = np.ldexp(1.0 / (1 + a), a - G)     # q0(G) / q(a)
+        light = v < t0 * (1 + G)
+        e = (v >= t0)[light]
+        G = G[light]
+        halves = np.concatenate((e, G - e))
+        f, s = np.bincount(halves[halves < 2], minlength=2).tolist()
+        free += f
+        singleton += s
+    return free, singleton
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_pvals(L):
+    """The pair step's multinomial pvals, 2 / L for each preamble pair and
+    the last preamble when L is odd; numpy ignores the last entry and gives
+    it what the others leave, 1 / L for a lone preamble.  Kept for the last
+    few L, read-only since every call shares it."""
+    pvals = np.full(L // 2 + L % 2, 2.0 / L)
+    pvals.flags.writeable = False
+    return pvals
 
 
 def _pool_too_large(L, exc):

@@ -127,23 +127,24 @@ class PickedOccupancy:
         return getattr(self.rng, name)
 
 
-class SplitDraws:
-    """Stand-in for a numpy Generator that counts the vector Poisson draws
-    of ``stage1_outcome``'s Poisson step.  With ``overfill`` every other one
-    returns 2**40 users per preamble, more than any session holds, so the
-    step must draw again; every call goes to a real Generator otherwise."""
+class PairDraws:
+    """Stand-in for a numpy Generator that counts the draws of
+    ``stage1_outcome``'s pair step: its multinomials over the preamble
+    pairs (``pair_steps``) and its candidate pairs, one uniform each
+    (``candidates``); every call goes to a real Generator."""
 
-    def __init__(self, seed, overfill=False):
+    def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.overfill = overfill
-        self.vector_draws = 0
+        self.pair_steps = 0
+        self.candidates = 0
 
-    def poisson(self, lam, size=None):
-        if size is not None:
-            self.vector_draws += 1
-            if self.overfill and self.vector_draws % 2:
-                return np.full(size, 2 ** 40)
-        return self.rng.poisson(lam, size)
+    def multinomial(self, n, pvals):
+        self.pair_steps += 1
+        return self.rng.multinomial(n, pvals)
+
+    def random(self, size):
+        self.candidates += size
+        return self.rng.random(size)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)

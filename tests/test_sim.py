@@ -24,7 +24,7 @@ from cra.sim import (
     stage1_outcome,
 )
 
-from helpers import PickedOccupancy, SplitDraws, capped_success_moments, \
+from helpers import PairDraws, PickedOccupancy, capped_success_moments, \
     exact_chain_means, exact_chain_throughput, exact_occupancy_pmf, \
     occupancy_pmf_dp, split_chain, split_detect_prob
 
@@ -120,31 +120,31 @@ class TestStage1Outcome:
             se = math.sqrt(prob * (1.0 - prob) / n)
             assert abs(seen.get(cell, 0) / n - prob) <= 4 * se + 1 / n, cell
 
-    @pytest.mark.parametrize("pool, k, split", [
-        (4, 3, False), (7, 9, False), (5, 30, True), (6, 40, True),
-        (4, 60, True)])
+    @pytest.mark.parametrize("pool, k, paired", [
+        (4, 3, False), (7, 9, False), (4, 3, True), (7, 9, True),
+        (5, 30, True), (6, 40, True), (4, 60, True)])
     def test_occupancy_law_matches_recursion(self, monkeypatch, pool, k,
-                                             split):
-        # At its own threshold, a mean of 10 users per preamble, the Poisson
-        # step leaves few preambles holding fewer than two users, so the law
-        # hardly depends on the picks that finish it.  A threshold of 1
-        # sends the split pairs through the step with many such preambles
-        # (means 2.7, 3.5 and 9.2), and leaves the light pairs, whose
-        # K - 3 sqrt(K) is at most 0, to the picks alone.
-        monkeypatch.setattr("cra.sim._SPLIT_MEAN", 1.0)
-        rng = SplitDraws(pool * 100 + k)
+                                             paired):
+        # These sessions hold at most 15 users per preamble, so each user
+        # draws a pick.  A pick load of 0 sends them through the pair step
+        # instead: pairs of about 1.5 and 2.6 users (the least holds at
+        # most 3, so every pair is a candidate), of 12, 13 and 30 users (few
+        # candidates, and a candidate seldom light), with an odd last
+        # preamble at L = 5, 7.
+        if paired:
+            monkeypatch.setattr("cra.sim._PICK_LOAD", 0)
+        rng = PairDraws(pool * 100 + k)
         self.assert_occupancy_law(pool, k, rng)
-        assert (rng.vector_draws >= 20_000) if split \
-            else rng.vector_draws == 0
+        assert rng.pair_steps == (20_000 if paired else 0)
 
-    def test_occupancy_law_after_redraw(self, monkeypatch):
-        # every first Poisson step places more users than there are, so
-        # every session draws it again: rejecting on the total alone keeps
-        # the law exact
-        monkeypatch.setattr("cra.sim._SPLIT_MEAN", 1.0)
-        rng = SplitDraws(77, overfill=True)
-        self.assert_occupancy_law(5, 30, rng)
-        assert rng.vector_draws >= 2 * 20_000
+    def test_occupancy_law_with_few_candidates(self, monkeypatch):
+        # three pairs of about 13 users: each is a candidate with the
+        # probability q(a) of the least of them, about 2%, and a candidate
+        # is light with q(G) / q(a); the law stays exact
+        monkeypatch.setattr("cra.sim._PICK_LOAD", 0)
+        rng = PairDraws(77)
+        self.assert_occupancy_law(6, 40, rng)
+        assert 0 < rng.candidates < 0.1 * 3 * 20_000
 
 
 class TestRunSession:
@@ -266,12 +266,8 @@ class TestRunSession:
                 self.rng = default_rng(seed)
 
             def poisson(self, lam, size=None):
-                draw = self.rng.poisson(lam, size)
-                # one scalar draw per session's arrivals; a sized draw is
-                # the occupancy draw's Poisson step
-                if size is None:
-                    arrivals.append(draw)
-                return draw
+                arrivals.append(self.rng.poisson(lam, size))
+                return arrivals[-1]
 
             def __getattr__(self, name):
                 return getattr(self.rng, name)
