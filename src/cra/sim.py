@@ -32,10 +32,7 @@ and the mode:
   counts of the K users' uniform picks exactly (``_occupancy``: one
   multinomial over the preamble pairs in a heavy session, one pick per
   user in a light one), at O(L) cost whatever K is.  The K - successes
-  users it leaves are the next session's backlog.  The tests pin the walk
-  down through degenerate runs that force the active count,
-  and run it in drop mode as the conditional-on-K reference for
-  ``_cra2_sessions``.
+  users it leaves are the next session's backlog.
 
 Each scheme's ``_session_rule`` gives every path its session length, and
 ``_iid_sessions`` its pool and success cap: ALOHA's pool is its N channels
@@ -291,14 +288,13 @@ def _pool_too_large(L, exc):
 
 
 def _walk(cfg, horizon, backlog=0, stop_backlog=None):
-    """Walk CRA-2's sequential session chain for up to ``horizon`` sessions,
-    drawing each session's K and then its occupancy counts given K: fast
-    retrial, ``simulate_stability``, and the conditional-on-K reference that
-    the tests hold ``_cra2_sessions`` to.
+    """Walk CRA-2's fast-retrial session chain for up to ``horizon``
+    sessions, drawing each session's K and then its occupancy counts given
+    K: fast-retrial ``estimate_throughput`` and ``simulate_stability``.
 
     Session t+1's arrival mean is the arrival rate times session t's length,
-    N + tau + M D.  Each session books its detected singletons, and in fast
-    retrial session t+1 adds the K - successes users session t left.
+    N + tau + M D.  Each session books its detected singletons, and session
+    t+1 adds the K - successes users session t left.
     ``backlog`` holds the users waiting before the first session.  The walk
     stops early once the backlog after a session exceeds ``stop_backlog``,
     and raises ValueError, naming the new users and the backlog carried in,
@@ -311,7 +307,6 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
     poisson = rng.poisson
     rate = p.arrival_rate
     _, base, per_detected, _ = _session_rule(Scheme.CRA2, p)
-    retrial = cfg.mode is Mode.FAST_RETRIAL
     detected = _startup_detected(p)
     succ_out = np.empty(horizon, dtype=np.int64)
     active_out = np.empty(horizon, dtype=np.int64)
@@ -327,7 +322,7 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
                 f"{'initial_backlog' if t == 0 else 'backlog'} {backlog:.3g}")
         d1, d2, d3 = stage1_outcome(k, p, rng)
         detected = d1 + d2 + d3
-        backlog = k - d1 if retrial else 0
+        backlog = k - d1
         succ_out[t] = d1
         active_out[t] = k
         detected_out[t] = detected

@@ -5,11 +5,13 @@ scipy's Lambert W, direct log-space summation instead of incomplete-gamma,
 exhaustive enumeration and a one-user-at-a-time recursion instead of closed
 forms and of the occupancy draw, damped fixed-point iteration instead of
 Lambert W, stationary solves of the session Markov chain (over K, and by
-Poisson splitting) instead of the simulator, a per-K scan of scalar drift
-calls instead of the array threshold scan, literal ML residual norms instead
-of the projected noise score, and one SVD per column subset instead of
-batched SVDs.  It also reads the CLI's result CSVs back into rows, and
-stands in for a Generator whose occupancy draw a test forces.
+Poisson splitting) instead of the simulator, a drop-mode session walk
+that draws each session's K and its occupancy given K instead of the pooled
+chain, a per-K scan of scalar drift calls instead of the array threshold
+scan, literal ML residual norms instead of the projected noise score, and
+one SVD per column subset instead of batched SVDs.  It also reads the CLI's
+result CSVs back into rows, and stands in for a Generator whose occupancy
+draw a test forces.
 """
 
 import csv
@@ -21,6 +23,7 @@ import numpy as np
 from scipy import stats
 
 from cra.analytic import backlog_drift
+from cra.sim import stage1_outcome
 
 # largest Poisson tail mass exact_chain_means may cut off above K_max
 CHAIN_TAIL_TOL = 1e-12
@@ -301,6 +304,32 @@ def split_chain_std_error(params, n_sessions):
     g = np.linalg.solve(fundamental, h)
     var = pi @ (trans * r2).sum(axis=1) + 2.0 * pi @ (trans * r) @ g
     return math.sqrt(var / n_sessions) / mean_len
+
+
+def drop_walk(params, n_sessions, seed, first_active=None):
+    """(successes, active, detected) arrays of ``n_sessions`` CRA-2
+    drop-mode sessions walked one at a time: the conditional-on-K reference
+    for the simulator's pooled chain, which draws no K.
+
+    Session t draws K ~ Poisson(lambda * (N + tau + M*D)), D the previous
+    session's detected count (0 before the first), or takes
+    ``first_active`` as the first session's K.  One ``stage1_outcome`` call
+    gives its detected singletons, which succeed, and its detected count;
+    the users it does not serve leave.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((3, n_sessions), dtype=np.int64)
+    detected = 0
+    for t in range(n_sessions):
+        if t == 0 and first_active is not None:
+            k = first_active
+        else:
+            k = int(rng.poisson(params.arrival_rate * (
+                params.overhead_len + params.payload_len * detected)))
+        d1, d2, d3 = stage1_outcome(k, params, rng)
+        detected = d1 + d2 + d3
+        out[:, t] = d1, k, detected
+    return tuple(out)
 
 
 def threshold_scan(params, k_max):

@@ -25,8 +25,8 @@ from cra.sim import (
 )
 
 from helpers import PairDraws, PickedOccupancy, capped_success_moments, \
-    exact_chain_means, exact_chain_throughput, exact_occupancy_pmf, \
-    occupancy_pmf_dp, split_chain, split_detect_prob
+    drop_walk, exact_chain_means, exact_chain_throughput, \
+    exact_occupancy_pmf, occupancy_pmf_dp, split_chain, split_detect_prob
 
 
 def perfect_params(**over):
@@ -148,15 +148,16 @@ class TestStage1Outcome:
 
 
 class TestRunSession:
-    """Bookkeeping of one session.  At arrival rate 0 a CRA-2 walk's first
-    session holds exactly its initial backlog, which forces K; a CRA-1 or
+    """Bookkeeping of one session.  At arrival rate 0 a CRA-2 fast-retrial
+    walk's first session holds exactly its initial backlog, and the tests'
+    drop-mode walk takes its first K as given, which forces K; a CRA-1 or
     ALOHA session of the i.i.d. path gets its K and its users' picks from a
     generator that returns them."""
 
-    def walk(self, k, mode=Mode.DROP, horizon=1, seed=0, **over):
+    def walk(self, k, horizon=1, seed=0, **over):
         cfg = SimConfig(params=perfect_params(arrival_rate=0.0, **over),
-                        mode=mode, n_sessions=10, warmup_sessions=0,
-                        seed=seed)
+                        mode=Mode.FAST_RETRIAL, n_sessions=10,
+                        warmup_sessions=0, seed=seed)
         return _walk(cfg, horizon, backlog=k)
 
     @staticmethod
@@ -203,9 +204,9 @@ class TestRunSession:
         # on one preamble the session is a pure collision.  In drop mode the
         # unserved users leave, so the next session is empty
         seen = set()
+        p = perfect_params(arrival_rate=0.0, pool_size=2)
         for seed in range(20):
-            succ, active, detected = self.walk(3, horizon=2, pool_size=2,
-                                               seed=seed)
+            succ, active, detected = drop_walk(p, 2, seed, first_active=3)
             assert active[0] == 3 and succ[0] == detected[0] - 1
             assert active[1] == 0
             seen.add((int(detected[0]), int(succ[0])))
@@ -251,8 +252,7 @@ class TestRunSession:
 
     def test_fast_retrial_backlog(self, fig_params, monkeypatch):
         # the users a session leaves unserved are the next session's K
-        succ, active, _ = self.walk(3, mode=Mode.FAST_RETRIAL, horizon=50,
-                                    pool_size=2)
+        succ, active, _ = self.walk(3, horizon=50, pool_size=2)
         assert active[0] == 3
         assert np.array_equal(active[1:], (active - succ)[:-1])
         # over a 2000-session walk at load 0.8, the users waiting at the end
@@ -362,8 +362,8 @@ class TestEstimateThroughput:
         assert estimate_throughput(cfg) == estimate_throughput(cfg)
 
     def test_trace_stream_deterministic(self, fig_params):
-        cfg = SimConfig(params=fig_params, n_sessions=10, warmup_sessions=0,
-                        seed=9)
+        cfg = SimConfig(params=fig_params, mode=Mode.FAST_RETRIAL,
+                        n_sessions=10, warmup_sessions=0, seed=9)
         for a, b in zip(_walk(cfg, 50), _walk(cfg, 50)):
             assert np.array_equal(a, b)
 
@@ -466,14 +466,12 @@ class TestEstimateThroughput:
         assert abs(est.mean_active - mean) <= 4 * math.sqrt(mean / 400)
 
     def test_walk_replay_and_mean_active(self, fig_params):
-        # CRA-2 at load 1 walked with one occupancy draw per session
-        cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2,
-                        n_sessions=12_000, warmup_sessions=500, seed=23)
-        total = cfg.warmup_sessions + cfg.n_sessions
-        first = _walk(cfg, total)
-        for a, b in zip(first, _walk(cfg, total)):
+        # CRA-2 drop mode at load 1 walked with one occupancy draw per
+        # session, 500 warm-up sessions and 12 000 measured
+        first = drop_walk(fig_params, 12_500, seed=23)
+        for a, b in zip(first, drop_walk(fig_params, 12_500, seed=23)):
             assert np.array_equal(a, b)
-        active = first[1][cfg.warmup_sessions:]
+        active = first[1][500:]
         exact_active, _ = exact_chain_means(fig_params)
         assert abs(active.mean() - exact_active) <= 4 * batch_se(active)
 
@@ -529,8 +527,8 @@ class TestEstimateThroughput:
 class TestCra2Sessions:
     """CRA-2 drop mode draws each session's detected count as one Bin(L, s)
     and its successes given that count as Bin(D', theta) (Poisson
-    splitting); ``_walk``, which draws each session's K and then its
-    occupancy counts given K, is its conditional-on-K reference."""
+    splitting); ``helpers.drop_walk``, which draws each session's K and
+    then its occupancy counts given K, is its conditional-on-K reference."""
 
     # a pool small enough that every transition row is visited often
     SMALL_POOL = ProtocolParams(preamble_len=4, payload_len=8, pool_size=6,
@@ -613,8 +611,7 @@ class TestCra2Sessions:
         assert abs(est.mean_throughput - exact_eta) <= 4 * est.std_error
         assert abs(est.mean_detected - exact_detected) \
             <= 4 * est.detected_std_error
-        succ, active, detected = (
-            x[100:] for x in _walk(replace(cfg, seed=4), 40_100))
+        succ, active, detected = (x[100:] for x in drop_walk(p, 40_100, 4))
         walk = _ratio_estimate(succ, p.overhead_len + p.payload_len * detected,
                                active, detected)
         assert abs(est.mean_throughput - walk.mean_throughput) \
