@@ -15,6 +15,7 @@ counts as well as a scalar.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,12 +60,11 @@ class ProtocolParams:
     p_fa: float = 0.0
 
     def __post_init__(self):
-        if self.preamble_len < 1:
-            raise ValueError("preamble_len must be >= 1")
-        if self.payload_len < 1:
-            raise ValueError("payload_len must be >= 1")
-        if self.pool_size < 2:
-            raise ValueError("pool_size must be >= 2")
+        for key, least in (("preamble_len", 1), ("payload_len", 1),
+                           ("pool_size", 2)):
+            if not isinstance(getattr(self, key), numbers.Integral) \
+                    or getattr(self, key) < least:
+                raise ValueError(f"{key} must be an integer >= {least}")
         # NaN compares False with everything, so test finiteness first
         if not math.isfinite(self.feedback_len) or self.feedback_len < 0:
             raise ValueError("feedback_len must be finite and >= 0")

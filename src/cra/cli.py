@@ -405,7 +405,7 @@ def _cmd_signal(s, args):
 
 def _cmd_stability(s, args):
     params = _params(s)
-    rows = []
+    runs = []
     for seed in s["replicate_seeds"]:
         cfg = SimConfig(params=params, scheme=Scheme.CRA2,
                         mode=Mode.FAST_RETRIAL, warmup_sessions=0, seed=seed)
@@ -413,8 +413,10 @@ def _cmd_stability(s, args):
                                   initial_backlog=s["initial_backlog"],
                                   stop_backlog=s["stop_backlog"])
         print(f"seed {seed}: {traj.size} sessions, final backlog {traj[-1]}")
-        rows.extend(_row("session", t, "backlog", "sim", float(z), None,
-                         traj.size, seed) for t, z in enumerate(traj))
+        runs.append((seed, traj))
+    # rows are made as they are written; the runs hold 8 bytes per session
+    rows = (_row("session", t, "backlog", "sim", float(z), None, traj.size,
+                 seed) for seed, traj in runs for t, z in enumerate(traj))
     return rows, {**asdict(params), "seeds": s["replicate_seeds"],
                   **{k: s[k] for k in _STABILITY_KEYS}}
 

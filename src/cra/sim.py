@@ -16,15 +16,12 @@ and the mode:
   mean and nothing carries over.  ``_iid_sessions`` draws them in blocks of
   vector operations.
 - CRA-2 in drop mode is a chain: a session's arrival mean mu is the arrival
-  rate times the previous session's length.  Its K ~ Poisson(mu) users pick
-  preambles uniformly, so by Poisson splitting each preamble independently
-  holds Poisson(mu / L) users and is detected with one probability s.
-  Since s depends on the previous detected count D alone,
-  ``_cra2_sessions`` takes a session's detected count D' ~ Bin(L, s(D))
-  from a pool of pre-drawn variates kept for state D (the random-mapping
-  construction, exact in law) and, after the loop, draws its successes
-  given that count as Bin(D', theta), at a cost that grows with neither K
-  nor L; it records mu in place of K.
+  rate times the previous session's length.  By Poisson splitting its
+  detected count is D' ~ Bin(L, s(D)), s depending on the previous detected
+  count D alone, so ``_cra2_sessions`` takes D' from a pool of pre-drawn
+  variates kept for state D (the random-mapping construction, exact in law)
+  and then draws the successes given D' block by block, at a cost that
+  grows with neither K nor L; it records mu in place of K.
 - CRA-2 in fast retrial (whose backlog carries over) walks the session
   chain in one loop, ``_walk``, which ``simulate_stability`` also runs.
   Per session it makes one scalar Poisson draw of K and one
@@ -36,17 +33,17 @@ and the mode:
 
 Each scheme's ``_session_rule`` gives every path its session length, and
 ``_iid_sessions`` its pool and success cap: ALOHA's pool is its N channels
-whatever ``pool_size`` says.  Every path returns (successes, active,
-detected) arrays and allocates 24 bytes per session before the first draw
-(``_cra2_sessions`` draws its successes, 8 more, after the loop), so a run
-too long to allocate fails at once (``cra`` prints one ``error:`` line).  The
-variate pools of ``_cra2_sessions`` hold at most ``_POOL_STATES`` states of
-at most ``_POOL_CHUNK`` variates each, and its theta temporaries at most
-``_THETA_BLOCK`` sessions, whatever the run length and L.  A pool whose
-per-preamble arrays (``_iid_sessions``, ``stage1_outcome``) cannot be
-allocated raises a ValueError that names ``pool_size``.
-``estimate_throughput`` alone drops the warm-up sessions and builds the
-session lengths.
+whatever ``pool_size`` says.  Each per-session number is held once: a path
+allocates its (successes, active, detected) arrays, 24 bytes per session,
+before its first draw, and ``estimate_throughput`` times each batch from
+its detected sum, so nothing else grows with the run (tracemalloc reads 24
+bytes per session on every path) and a run too long to allocate fails at
+once (``cra`` prints one ``error:`` line).  The variate pools of
+``_cra2_sessions`` hold at most ``_POOL_STATES`` x ``_POOL_CHUNK`` variates
+and its theta temporaries ``_THETA_BLOCK`` sessions, whatever the run
+length and L.  A pool whose per-preamble arrays (``_iid_sessions``,
+``stage1_outcome``) cannot be allocated raises a ValueError naming
+``pool_size``.
 
 Each run seeds numpy's default PCG64 bit generator through
 ``numpy.random.SeedSequence(cfg.seed)``, so a fixed (seed, config) pair
@@ -397,10 +394,10 @@ def _cra2_sessions(cfg, total):
     exact.  Once ``_POOL_STATES`` states hold pools, all pools are emptied;
     that too is exact, because unused variates are independent of the path
     drawn so far, and it bounds the pooled memory whatever L is.  After the
-    loop, mu, s and theta follow from the recorded path by vector
-    operations, and one vector draw gives every session's successes.  The
-    active, detected and theta arrays (24 bytes per session) are allocated
-    before the first draw; the vector draw returns the successes (8 more).
+    loop, mu follows from the recorded path, and each ``_THETA_BLOCK``
+    sessions compute their theta and draw their successes at once, in the
+    order of one vector draw.  The successes, active and detected arrays
+    (24 bytes per session) are allocated before the first draw.
     """
     p = cfg.params
     L = p.pool_size
@@ -411,7 +408,7 @@ def _cra2_sessions(cfg, total):
     keep, p_fa = 1.0 - p.p_md, p.p_fa
     active_out = np.empty(total)
     detected_out = np.empty(total, dtype=np.int64)
-    theta = np.empty(total)
+    succ_out = np.empty(total, dtype=np.int64)
     # active_out holds each session's previous detected count until the
     # loop ends, then its arrival mean
     detected = _startup_detected(p)
@@ -440,35 +437,38 @@ def _cra2_sessions(cfg, total):
     active_out += overhead
     active_out *= rate
     for start in range(0, total, _THETA_BLOCK):
-        m = active_out[start:start + _THETA_BLOCK] / L
+        block = slice(start, start + _THETA_BLOCK)
+        m = active_out[block] / L
         p0 = np.exp(-m)
         s = p0 * p_fa - keep * np.expm1(-m)
-        block = theta[start:start + _THETA_BLOCK]
-        # where s is 0 nothing is detected and theta is immaterial: 0
-        block.fill(0.0)
-        np.divide(keep * m * p0, s, out=block, where=s > 0.0)
-    # q m e^-m / s may round above 1 as m -> 0
-    np.minimum(theta, 1.0, out=theta)
-    return binomial(detected_out, theta), active_out, detected_out
+        # 0 where nothing is detected (s = 0); q m e^-m / s may round past 1
+        theta = np.divide(keep * m * p0, s, out=np.zeros_like(m),
+                          where=s > 0.0)
+        succ_out[block] = binomial(detected_out[block], np.minimum(theta, 1.0))
+    return succ_out, active_out, detected_out
 
 
-def _ratio_estimate(succ, lengths, active, detected):
-    """Ratio estimator sum(succ)/sum(lengths) over the measured sessions,
-    with the standard error of the means of min(_BATCHES, n) contiguous
-    batch ratios; the mean detected count gets the standard error of its
-    means over the same batches."""
+def _ratio_estimate(succ, active, detected, base, per_detected):
+    """Ratio estimator sum(succ)/sum(session length) over the measured
+    sessions, a session lasting base + per_detected * D symbols, with the
+    standard error of the means of min(_BATCHES, n) contiguous batch ratios;
+    the mean detected count gets the standard error of its means over the
+    same batches.  A batch's time is base * size + per_detected * sum(D), so
+    nothing is built per session (5 KB traced on 10^6 sessions)."""
     n = succ.size
     n_batches = min(_BATCHES, n)
     edges = [round(i * n / n_batches) for i in range(n_batches)]
     sizes = np.diff([*edges, n])
-    rates = np.add.reduceat(succ, edges) / np.add.reduceat(lengths, edges)
-    det_means = np.add.reduceat(detected, edges) / sizes
+    det_sums = np.add.reduceat(detected, edges)
+    times = base * sizes + float(per_detected) * det_sums
+    rates = np.add.reduceat(succ, edges) / times
+    det_means = det_sums / sizes
 
     def batch_se(means):
         return float(means.std(ddof=1) / math.sqrt(n_batches)) \
             if n_batches > 1 else 0.0
 
-    tot_time = float(lengths.sum())
+    tot_time = base * n + per_detected * int(detected.sum())
     return ThroughputEstimate(
         mean_throughput=int(succ.sum()) / tot_time,
         std_error=batch_se(rates),
@@ -487,7 +487,6 @@ def estimate_throughput(cfg):
     In drop mode CRA-1 and ALOHA take the block path for i.i.d. sessions
     and CRA-2 its chain of pooled Bin(L, s(D)) transitions; CRA-2's fast
     retrial walks the session chain with one occupancy draw per session.
-    Session lengths follow the scheme's rule from the detected counts.
     """
     total = cfg.warmup_sessions + cfg.n_sessions
     if cfg.mode is Mode.FAST_RETRIAL:
@@ -496,10 +495,9 @@ def estimate_throughput(cfg):
         sessions = _cra2_sessions(cfg, total)
     else:
         sessions = _iid_sessions(cfg, total)
-    succ, active, detected = (x[cfg.warmup_sessions:] for x in sessions)
     _, base, per_detected, _ = _session_rule(cfg.scheme, cfg.params)
-    lengths = base + per_detected * detected
-    return _ratio_estimate(succ, lengths, active, detected)
+    return _ratio_estimate(*(x[cfg.warmup_sessions:] for x in sessions),
+                           base, per_detected)
 
 
 def simulate_stability(cfg, horizon, initial_backlog=0, stop_backlog=None):

@@ -62,12 +62,22 @@ class TestProtocolParams:
         dict(preamble_len=0), dict(payload_len=0), dict(pool_size=1),
         dict(feedback_len=-1.0), dict(arrival_rate=-1e-3),
         dict(p_md=1.2), dict(p_fa=-0.1), dict(p_md=0.6, p_fa=0.6),
+        # counts are integers: inf gave a NaN CRA-2 throughput, NaN failed
+        # inside lambert_w0 and 310.5 a CRA-1 TypeError
+        dict(pool_size=math.inf), dict(preamble_len=math.nan),
+        dict(pool_size=310.5),
     ])
     def test_validation(self, kwargs):
         base = dict(preamble_len=31, payload_len=256, pool_size=310,
                     feedback_len=4.0, arrival_rate=0.01)
         with pytest.raises(ValueError):
             ProtocolParams(**{**base, **kwargs})
+
+    def test_numpy_integer_counts(self):
+        p = ProtocolParams(preamble_len=np.int32(31),
+                           payload_len=np.int64(256), pool_size=np.uint16(310),
+                           feedback_len=4.0, arrival_rate=0.01)
+        assert p.txn_len == 287
 
 
 class TestOccupancyProbs:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -525,6 +526,24 @@ class TestCommands:
         rows = read_results(str(out))
         assert all(r["metric"] == "backlog" for r in rows)
         assert {r["seed"] for r in rows} == {0, 1}
+
+    def test_stability_rows_written_as_made(self, tmp_path, capsys):
+        # the rows are made as they are written, so a run holds its walk's
+        # arrays and trajectory, 32 bytes per session; a list of row dicts
+        # took about 370
+        argv = ["stability", "--traffic", "0", "--seeds", "0",
+                "--output", str(tmp_path / "stab.csv")]
+        assert main(argv + ["--horizon", "10"]) == 0   # warm-up
+        horizon = 10_000
+        tracemalloc.start()
+        try:
+            rc = main(argv + ["--horizon", str(horizon)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 64 * horizon
+        assert len(read_results(str(tmp_path / "stab.csv"))) == horizon
 
     def test_analytic_output_independent_of_nothing(self, tmp_path):
         out1 = tmp_path / "a1.csv"

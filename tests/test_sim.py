@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -380,6 +381,21 @@ class TestEstimateThroughput:
             time, rel=1e-12)
         assert est.std_error >= 0.0
 
+    def test_ratio_estimate_builds_nothing_per_session(self):
+        # a batch's time comes from its detected sum: 10^6 sessions take a
+        # few KB, where an array of session lengths took 16 MB
+        n = 10 ** 6
+        succ, detected = np.ones(n, np.int64), np.full(n, 3, np.int64)
+        tracemalloc.start()
+        try:
+            est = _ratio_estimate(succ, succ, detected, 35.0, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert est.mean_session_len == 35.0 + 256 * 3
+        assert est.mean_throughput == 1 / (35.0 + 256 * 3)
+
     def test_short_run_se_has_one_batch_per_session(self, fig_params):
         # fewer than 30 measured sessions: each session is its own batch
         n = 10
@@ -612,8 +628,8 @@ class TestCra2Sessions:
         assert abs(est.mean_detected - exact_detected) \
             <= 4 * est.detected_std_error
         succ, active, detected = (x[100:] for x in drop_walk(p, 40_100, 4))
-        walk = _ratio_estimate(succ, p.overhead_len + p.payload_len * detected,
-                               active, detected)
+        walk = _ratio_estimate(succ, active, detected, p.overhead_len,
+                               p.payload_len)
         assert abs(est.mean_throughput - walk.mean_throughput) \
             <= 4 * math.hypot(est.std_error, walk.std_error)
         assert abs(est.mean_detected - walk.mean_detected) \
@@ -662,6 +678,21 @@ class TestCra2Sessions:
             <= 4 * est.std_error
         assert abs(est.mean_detected - exact_chain_means(p)[1]) \
             <= 4 * est.detected_std_error
+
+    def test_successes_do_not_depend_on_theta_block(self, monkeypatch,
+                                                    fig_params):
+        # each block draws its successes once it has its theta, and numpy's
+        # binomial draws element by element in order, so 2500 sessions in
+        # one block and in blocks of 1000, the last one partial, draw alike
+        cfg = SimConfig(params=fig_params, n_sessions=2_500,
+                        warmup_sessions=0, seed=31)
+        runs = []
+        for block in (2 ** 18, 1_000):
+            monkeypatch.setattr("cra.sim._THETA_BLOCK", block)
+            runs.append(_cra2_sessions(cfg, cfg.n_sessions))
+        for one, blocked in zip(*runs):
+            assert np.array_equal(one, blocked)
+        assert runs[0][0].sum() > 0
 
     def test_huge_pool_bounds_pooled_states(self, fig_params):
         # with L = 10^12 nearly every session lands on a new state; the
