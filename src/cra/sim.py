@@ -13,8 +13,9 @@ and the mode:
 
 - CRA-1 and multichannel ALOHA sessions in drop mode are i.i.d.: their
   length is fixed, so every session's active count is Poisson with the same
-  mean and nothing carries over.  ``_iid_sessions`` draws them in blocks of
-  vector operations.
+  mean and nothing carries over.  By Poisson splitting a preamble's users
+  are i.i.d. Poisson(lambda T / L), so ``_iid_sessions`` draws no picks:
+  one six-way multinomial per session and its collided preambles' users.
 - CRA-2 in drop mode is a chain: a session's arrival mean mu is the arrival
   rate times the previous session's length.  By Poisson splitting its
   detected count is D' ~ Bin(L, s(D)), s depending on the previous detected
@@ -41,9 +42,8 @@ bytes per session on every path) and a run too long to allocate fails at
 once (``cra`` prints one ``error:`` line).  The variate pools of
 ``_cra2_sessions`` hold at most ``_POOL_STATES`` x ``_POOL_CHUNK`` variates
 and its theta temporaries ``_THETA_BLOCK`` sessions, whatever the run
-length and L.  A pool whose per-preamble arrays (``_iid_sessions``,
-``stage1_outcome``) cannot be allocated raises a ValueError naming
-``pool_size``.
+length and L.  A pool whose per-preamble arrays (``stage1_outcome``)
+cannot be allocated raises a ValueError naming ``pool_size``.
 
 Each run seeds numpy's default PCG64 bit generator through
 ``numpy.random.SeedSequence(cfg.seed)``, so a fixed (seed, config) pair
@@ -61,9 +61,9 @@ import numpy as np
 
 from .analytic import ProtocolParams
 
-# A block of the i.i.d. path holds about this many (session, preamble)
-# occupancy counts and averages at most 4 times as many user picks, down to
-# one session, which bounds its memory whatever n_sessions and the load are.
+# A block of the i.i.d. path holds about this many counts (six per session
+# plus its expected collided preambles), down to one session, and draws its
+# collided users this many at a time: bounded whatever the pool and load.
 _BLOCK_CELLS = 1 << 20
 
 # Largest pool and largest mean active count per session that a config may
@@ -206,8 +206,9 @@ def stage1_outcome(n_active, params, rng):
     L = params.pool_size
     try:
         free, singleton = _occupancy(n_active, L, rng)
-    except MemoryError as exc:
-        raise _pool_too_large(L, exc) from None
+    except MemoryError as exc:   # the drop-mode paths need no such arrays
+        raise ValueError(f"pool_size {L} is too large: its per-preamble "
+                         f"arrays do not fit in memory ({exc})") from None
     collided = L - free - singleton
 
     p_det = 1.0 - params.p_md
@@ -277,13 +278,6 @@ def _pair_pvals(L):
     return pvals
 
 
-def _pool_too_large(L, exc):
-    """The error of a session whose per-preamble arrays cannot be allocated;
-    CRA-2 in drop mode needs none and takes any pool SimConfig accepts."""
-    return ValueError(f"pool_size {L} is too large: its per-preamble arrays "
-                      f"do not fit in memory ({exc})")
-
-
 def _walk(cfg, horizon, backlog=0, stop_backlog=None):
     """Walk CRA-2's fast-retrial session chain for up to ``horizon``
     sessions, drawing each session's K and then its occupancy counts given
@@ -334,42 +328,67 @@ def _iid_sessions(cfg, total):
     in drop mode; returns their (successes, active, detected) arrays, as
     ``_walk`` does.
 
-    The run's arrays are allocated before the first draw, then filled in
-    blocks sized by ``_BLOCK_CELLS``: one Poisson draw of every session's
-    active count, one draw of all picks (a ValueError naming arrival_rate
-    if they do not fit), and one ``bincount`` over (session, preamble)
-    cells that yields each session's singleton and occupied counts; the
-    detection coin flips are three vector binomial draws.
+    A preamble is free, a singleton or collided with probabilities
+    p0 = e^-m, p1 = m e^-m and p2 = 1 - p0 - p1 (m = lambda T / L),
+    independently of the others, then detected or not: one multinomial
+    gives a session's detected and missed singletons, false alarms, quiet
+    free, and detected and missed collided preambles.  K adds the collided
+    preambles' users, each Poisson(m) given >= 2 (``_collided_draw``).  The
+    arrays are allocated before the first draw, then filled block by block.
     """
     p = cfg.params
     L, length, _, cap = _session_rule(cfg.scheme, p)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     out = np.empty((3, total), dtype=np.int64)
-    mean = p.arrival_rate * length
-    block = max(1, _BLOCK_CELLS // max(L, math.ceil(mean) // 4))
+    m = p.arrival_rate * length / L
+    p0, p1 = math.exp(-m), m * math.exp(-m)
+    p2 = max(-math.expm1(-m) - p1, 0.0)
     keep = 1.0 - p.p_md
+    pvals = [p1 * keep, p1 * p.p_md, p0 * p.p_fa, p0 * (1.0 - p.p_fa),
+             p2 * keep, p2 * p.p_md]
+    draw = _collided_draw(m, rng)
+    block = max(1, _BLOCK_CELLS // math.ceil(6 + L * p2))
     for start in range(0, total, block):
         b = min(block, total - start)
-        active = rng.poisson(mean, size=b)
-        try:
-            cells = rng.integers(0, L, size=int(active.sum()))
-            cells += np.repeat(np.arange(0, b * L, L), active)
-        except MemoryError as exc:
-            raise ValueError(
-                f"arrival_rate {p.arrival_rate:.3g} (traffic "
-                f"{p.traffic_intensity:.3g}) is too large: {active.sum():.3g} "
-                f"user picks do not fit in memory ({exc})") from None
-        try:
-            counts = np.bincount(cells, minlength=b * L).reshape(b, L)
-        except MemoryError as exc:
-            raise _pool_too_large(L, exc) from None
-        singleton = np.count_nonzero(counts == 1, axis=1)
-        occupied = np.count_nonzero(counts, axis=1)
-        d1 = rng.binomial(singleton, keep)
-        d2 = rng.binomial(occupied - singleton, keep)
-        d3 = rng.binomial(L - occupied, p.p_fa)
+        d1, missed1, d3, _, d2, missed2 = rng.multinomial(L, pvals, b).T
+        active = d1 + missed1 + _collided_users(d2 + missed2, draw)
         out[:, start:start + b] = d1 * (active <= cap), active, d1 + d2 + d3
     return tuple(out)
+
+
+def _collided_draw(m, rng):
+    """A sampler of n i.i.d. Poisson(m) counts given >= 2: below m = 2 by
+    inversion on the pmf at 2, 3, ..., normalized by its own sum, since
+    1 - e^-m (1 + m) cancels at small m; else by redrawing values < 2."""
+    if m < 2.0:
+        terms = [1.0]
+        while terms[-1] > 2.0 ** -64:
+            terms.append(terms[-1] * m / (len(terms) + 2))
+        cdf = np.cumsum(terms)
+        cdf /= cdf[-1]
+        return lambda n: np.searchsorted(cdf, rng.random(n), "right") + 2
+
+    def draw(n):
+        counts = rng.poisson(m, n)
+        while (low := np.flatnonzero(counts < 2)).size:
+            counts[low] = rng.poisson(m, low.size)
+        return counts
+    return draw
+
+
+def _collided_users(collided, draw):
+    """Each session's users on its ``collided`` preambles, drawn
+    ``_BLOCK_CELLS`` at a time; a block with none draws nothing."""
+    ends = np.cumsum(collided)
+    at_ends = np.zeros(ends.size, dtype=np.int64)
+    users = 0
+    for start in range(0, int(ends[-1]), _BLOCK_CELLS):
+        running = np.cumsum(draw(min(_BLOCK_CELLS, int(ends[-1]) - start)))
+        running += users
+        lo, hi = np.searchsorted(ends, (start, start + running.size), "right")
+        at_ends[lo:hi] = running[ends[lo:hi] - start - 1]
+        users = int(running[-1])
+    return np.diff(at_ends, prepend=0)
 
 
 def _cra2_sessions(cfg, total):
@@ -459,22 +478,28 @@ def _ratio_estimate(succ, active, detected, base, per_detected):
     n_batches = min(_BATCHES, n)
     edges = [round(i * n / n_batches) for i in range(n_batches)]
     sizes = np.diff([*edges, n])
-    det_sums = np.add.reduceat(detected, edges)
+    if detected.max() < 2.0 ** 63 / n:
+        sums = lambda x: np.add.reduceat(x, edges)
+    else:   # an int64 batch sum could wrap (pools near 2^62): sum in float
+        sums = lambda x: np.array([x[a:b].sum(dtype=float)
+                                   for a, b in zip(edges, [*edges[1:], n])])
+    det_sums = sums(detected)
     times = base * sizes + float(per_detected) * det_sums
-    rates = np.add.reduceat(succ, edges) / times
+    rates = sums(succ) / times
     det_means = det_sums / sizes
 
     def batch_se(means):
         return float(means.std(ddof=1) / math.sqrt(n_batches)) \
             if n_batches > 1 else 0.0
 
-    tot_time = base * n + per_detected * int(detected.sum())
+    det_total = float(detected.sum(dtype=float))
+    tot_time = base * n + per_detected * det_total
     return ThroughputEstimate(
-        mean_throughput=int(succ.sum()) / tot_time,
+        mean_throughput=float(succ.sum(dtype=float)) / tot_time,
         std_error=batch_se(rates),
         sessions_run=n,
-        mean_active=float(active.sum()) / n,
-        mean_detected=int(detected.sum()) / n,
+        mean_active=float(active.sum(dtype=float)) / n,
+        mean_detected=det_total / n,
         mean_session_len=tot_time / n,
         detected_std_error=batch_se(det_means),
     )

@@ -18,7 +18,7 @@ from cra.cli import (
     main,
     run_sweep,
 )
-from cra.analytic import ProtocolParams
+from cra.analytic import ProtocolParams, throughput_cra1
 from cra.sim import Scheme, SimConfig, estimate_throughput
 
 from helpers import read_results
@@ -336,11 +336,11 @@ class TestCommands:
          None, "arrival_rate"),
         (["sweep", "--spec", {"warmup_sessions": 10**400}], None,
          "warmup_sessions must be an integer within float range"),
-        # per-preamble arrays of 7.28 TiB; CRA-2 drop mode needs none
-        (["simulate", "--scheme", "cra1", "--pool-size", "1000000000000",
-          "--n-sessions", "10", "--warmup", "1"], None, "pool_size"),
+        # per-preamble arrays of 7.28 TiB, which only fast retrial builds
         (["simulate", "--pool-size", "1000000000000", "--n-sessions", "10",
           "--warmup", "1", "--mode", "fast_retrial"], None, "pool_size"),
+        (["stability", "--pool-size", "1000000000000", "--horizon", "3",
+          "--seeds", "0"], None, "pool_size"),
         # a dict after --config is the whole file; scheme and mode are
         # checked against their choices wherever the command uses them
         (["analytic", "--config", {"scheme": "x"}], None,
@@ -365,11 +365,6 @@ class TestCommands:
         # least values hold for settings files as for flags
         (["simulate", "--config", {"seed": -1}], None, "seed must be >= 0"),
         (["analytic", "--config", {"pool_size": 1}], None, "pool_size"),
-        # the picks of one session at load 1e15 cannot be allocated
-        (["simulate", "--scheme", "cra1", "--traffic", "1e15", "--n-sessions",
-          "400", "--warmup", "0"], None, "arrival_rate"),
-        (["simulate", "--scheme", "cra1", "--traffic", "1e15", "--n-sessions",
-          "2", "--warmup", "0"], None, "arrival_rate"),
         # a 31 x 10^15 pool of 220 PiB
         (["signal", "--pool-size", "1000000000000000", "--snr", "1",
           "--trials", "10"], None, "pool_size 1000000000000000"),
@@ -390,6 +385,33 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1 and what in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--traffic", "1e15", "--n-sessions", "400", "--warmup", "0"],
+        ["--traffic", "1e15", "--n-sessions", "2", "--warmup", "0"],
+        ["--pool-size", "1000000000000", "--n-sessions", "10", "--warmup",
+         "1"],
+    ])
+    def test_cra1_any_pool_and_load_runs(self, tmp_path, capsys, argv):
+        # CRA-1 draws no picks and builds no per-preamble arrays: at load
+        # 1e15 every session holds about 2.8e16 users, above its cap, and
+        # books nothing (400 of them pass 2^63 users in all, which the mean
+        # must not wrap); 10^12 preambles run like any pool
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--scheme", "cra1", *argv,
+                     "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        (row,) = read_results(out)
+        if "--traffic" in argv:
+            assert row["estimate"] == 0.0
+            assert "mean_active = 2.77666e+16\n" in captured.out
+            return
+        p = ProtocolParams(preamble_len=31, payload_len=256,
+                           pool_size=10 ** 12, feedback_len=4.0,
+                           arrival_rate=1.0 / 287, p_md=0.01, p_fa=0.01)
+        exact = throughput_cra1(p) * p.txn_len
+        assert abs(row["estimate"] - exact) <= 4 * row["std_error"]
 
     @pytest.mark.parametrize("argv", [
         ["stability", "--horizon", "1000000000000000000", "--seeds", "0"],

@@ -152,8 +152,9 @@ class TestRunSession:
     """Bookkeeping of one session.  At arrival rate 0 a CRA-2 fast-retrial
     walk's first session holds exactly its initial backlog, and the tests'
     drop-mode walk takes its first K as given, which forces K; a CRA-1 or
-    ALOHA session of the i.i.d. path gets its K and its users' picks from a
-    generator that returns them."""
+    ALOHA session of the i.i.d. path gets the preamble counts of given
+    picks from a generator that returns them as its multinomial row, and
+    its collided preambles' users from a forced collided draw."""
 
     def walk(self, k, horizon=1, seed=0, **over):
         cfg = SimConfig(params=perfect_params(arrival_rate=0.0, **over),
@@ -164,26 +165,37 @@ class TestRunSession:
     @staticmethod
     def iid_session(monkeypatch, scheme, picks):
         """(successes, active, detected) of one ``_iid_sessions`` session
-        under perfect detection whose K = len(picks) users pick ``picks``."""
+        under perfect detection whose K = len(picks) users pick ``picks``:
+        its multinomial row holds their singleton and collided preambles,
+        all detected, and their free ones, all quiet, and its collided draw
+        returns the collided preambles' users."""
+        cfg = SimConfig(params=perfect_params(), scheme=scheme, n_sessions=1,
+                        warmup_sessions=0)
+        held = np.bincount(picks, minlength=cfg.pool_size)
+        assert held.size == cfg.pool_size
+        row = [np.sum(held == 1), 0, 0, np.sum(held == 0), np.sum(held > 1),
+               0]
         default_rng = np.random.default_rng
 
         class Forced:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
 
-            def poisson(self, lam, size=None):
-                return np.full(size, len(picks))
-
-            def integers(self, low, high, size=None):
-                assert size == len(picks) and max(picks) < high
-                return np.array(picks, dtype=np.int64)
+            def multinomial(self, n, pvals, size):
+                assert n == cfg.pool_size and size == 1
+                return np.array([row])
 
             def __getattr__(self, name):
                 return getattr(self.rng, name)
 
+        def collided_draw(m, rng):
+            def draw(n):
+                assert n == row[4]
+                return held[held > 1]
+            return draw
+
         monkeypatch.setattr("cra.sim.np.random.default_rng", Forced)
-        cfg = SimConfig(params=perfect_params(), scheme=scheme, n_sessions=1,
-                        warmup_sessions=0)
+        monkeypatch.setattr("cra.sim._collided_draw", collided_draw)
         return tuple(int(x[0]) for x in _iid_sessions(cfg, 1))
 
     def test_cra2_single_user(self):
@@ -334,18 +346,36 @@ class TestSimConfig:
                     SimConfig(params=p, scheme=scheme, mode=Mode.FAST_RETRIAL)
 
     @pytest.mark.parametrize("scheme, mode", [
-        (Scheme.CRA1, Mode.DROP), (Scheme.CRA2, Mode.FAST_RETRIAL)],
-        ids=lambda v: v.value)
+        (Scheme.CRA2, Mode.FAST_RETRIAL)], ids=lambda v: v.value)
     def test_pool_beyond_memory_names_pool_size(self, fig_params, scheme,
                                                 mode):
         # 10^12 preambles: per-preamble arrays of 7.28 TiB, which numpy
-        # refuses at once; CRA-2 drop mode allocates none and runs
+        # refuses at once; the drop-mode paths allocate none and run
         cfg = SimConfig(params=replace(fig_params, pool_size=10 ** 12),
                         scheme=scheme, mode=mode, n_sessions=10,
                         warmup_sessions=1)
         with pytest.raises(ValueError, match="pool_size 1000000000000"):
             estimate_throughput(cfg)
-        estimate_throughput(replace(cfg, scheme=Scheme.CRA2, mode=Mode.DROP))
+
+    @pytest.mark.parametrize("scheme", [Scheme.CRA1, Scheme.CRA2],
+                             ids=lambda s: s.value)
+    def test_drop_mode_takes_any_pool(self, fig_params, scheme):
+        # 10^12 preambles run in drop mode.  With 4e18 and no arrivals a
+        # session raises about p_fa L = 4e16 false alarms, so the detected
+        # counts of a batch of 333 sessions pass 2^63: neither the totals
+        # nor the batch sums may wrap in int64
+        cfg = SimConfig(params=replace(fig_params, pool_size=10 ** 12),
+                        scheme=scheme, n_sessions=10, warmup_sessions=1)
+        assert estimate_throughput(cfg).mean_detected > 0.0
+        pool = 4 * 10 ** 18
+        cfg = SimConfig(params=replace(fig_params, pool_size=pool,
+                                       arrival_rate=0.0),
+                        scheme=scheme, n_sessions=10_000, warmup_sessions=10)
+        est = estimate_throughput(cfg)
+        assert est.mean_detected == pytest.approx(fig_params.p_fa * pool,
+                                                  rel=0.01)
+        assert 0.0 < est.detected_std_error < 1e-6 * est.mean_detected
+        assert est.mean_session_len > 0.0
 
 
 class TestEstimateThroughput:
@@ -440,23 +470,73 @@ class TestEstimateThroughput:
 
     @pytest.mark.parametrize("scheme", [Scheme.CRA1, Scheme.MC_ALOHA],
                              ids=lambda s: s.value)
-    def test_iid_blocks_replay_and_mean_active(self, fig_params, scheme):
-        # 3 full blocks of 3382 sessions (L = 310) and a partial fourth
-        block = _BLOCK_CELLS // fig_params.pool_size
+    def test_iid_blocks_replay_and_mean_active(self, fig_params, scheme,
+                                               monkeypatch):
+        # blocks of 2^14 counts: several full blocks and a partial last one
+        monkeypatch.setattr("cra.sim._BLOCK_CELLS", 1 << 14)
+        default_rng = np.random.default_rng
+        sizes = []
+
+        class Recorder:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def multinomial(self, n, pvals, size):
+                sizes.append(size)
+                return self.rng.multinomial(n, pvals, size)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr("cra.sim.np.random.default_rng", Recorder)
         cfg = SimConfig(params=fig_params, scheme=scheme, n_sessions=10_000,
                         warmup_sessions=500, seed=21)
-        total = cfg.warmup_sessions + cfg.n_sessions
-        assert total > 3 * block and total % block
         est = estimate_throughput(cfg)
+        assert len(set(sizes[:-1])) == 1 and len(sizes) > 3
+        assert 0 < sizes[-1] < sizes[0] and sum(sizes) == 10_500
         assert est == estimate_throughput(cfg)
         mean = fig_params.arrival_rate * fig_params.fixed_session_len
         se = math.sqrt(mean / cfg.n_sessions)  # Poisson variance = mean
         assert abs(est.mean_active - mean) <= 4 * se
 
-    def test_iid_block_picks_bounded(self, fig_params, monkeypatch):
-        # at load 1000 an ALOHA session averages about 27 800 picks, 900
-        # times its 31 channels: a block is sized by its picks as well as
-        # by its cells, so no draw asks for more than about 4 * _BLOCK_CELLS
+    @pytest.mark.parametrize("pool, m", [(4, 1.0), (5, 0.3), (6, 0.05),
+                                         (3, 2.5), (2, 4.0)])
+    def test_iid_joint_law_matches_picks(self, pool, m):
+        # the (K, singleton, collided) law of 100 000 sessions under perfect
+        # detection, with a cap no K reaches, against K ~ Poisson(m L)
+        # times the exact occupancy law of K picks, below m = 2 (the
+        # inverted table) and above it (redrawn Poisson values); a chi^2
+        # test over the cells expecting at least 5 sessions, the rest
+        # pooled, fails a correct kernel with probability 10^-3 per case
+        n = 100_000
+        p = perfect_params(pool_size=pool, preamble_len=1000)
+        p = replace(p, arrival_rate=m * pool / p.fixed_session_len)
+        cfg = SimConfig(params=p, scheme=Scheme.CRA1, n_sessions=n,
+                        warmup_sessions=0, seed=pool)
+        succ, active, detected = _iid_sessions(cfg, n)
+        assert active.max() < 999
+        seen = {}
+        for cell in zip(active.tolist(), succ.tolist(),
+                        (detected - succ).tolist()):
+            seen[cell] = seen.get(cell, 0) + 1
+        expected = {}
+        poisson = stats.poisson(m * pool)
+        for k in range(int(poisson.isf(1e-12)) + 1):
+            for (s, c), prob in occupancy_pmf_dp(k, pool).items():
+                expected[k, s, c] = n * poisson.pmf(k) * float(prob)
+        big = [cell for cell, e in expected.items() if e >= 5]
+        obs = [seen.pop(cell, 0) for cell in big]
+        exp = [expected[cell] for cell in big]
+        obs.append(n - sum(obs))
+        exp.append(n - sum(exp))
+        assert exp[-1] >= 5
+        assert stats.chisquare(obs, exp).pvalue > 1e-3
+
+    def test_iid_block_draws_bounded(self, fig_params, monkeypatch):
+        # 10^9 preambles at 0.1 users each: about 4.7e6 collided preambles
+        # per session, more than a block's counts, so a block is one session
+        # whose collided users are drawn and summed chunk by chunk; no draw
+        # asks for more than _BLOCK_CELLS values
         default_rng = np.random.default_rng
         sizes = []
 
@@ -464,22 +544,29 @@ class TestEstimateThroughput:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
 
-            def integers(self, low, high, size=None):
-                assert size <= 5 * _BLOCK_CELLS   # before any allocation
+            def random(self, size):
+                assert size <= _BLOCK_CELLS   # before any allocation
                 sizes.append(size)
-                return self.rng.integers(low, high, size)
+                return self.rng.random(size)
+
+            def multinomial(self, n, pvals, size):
+                assert size == 1
+                return self.rng.multinomial(n, pvals, size)
 
             def __getattr__(self, name):
                 return getattr(self.rng, name)
 
         monkeypatch.setattr("cra.sim.np.random.default_rng", Checked)
-        p = fig_params.with_traffic(1000.0)
-        cfg = SimConfig(params=p, scheme=Scheme.MC_ALOHA, n_sessions=400,
+        pool = 10 ** 9
+        p = replace(fig_params, pool_size=pool)
+        p = replace(p, arrival_rate=0.1 * pool / p.fixed_session_len)
+        cfg = SimConfig(params=p, scheme=Scheme.CRA1, n_sessions=2,
                         warmup_sessions=0, seed=8)
-        est = estimate_throughput(cfg)
-        assert len(sizes) > 1
-        mean = p.arrival_rate * p.fixed_session_len
-        assert abs(est.mean_active - mean) <= 4 * math.sqrt(mean / 400)
+        active = _iid_sessions(cfg, 2)[1]
+        assert len(sizes) > 2 * 4
+        # K ~ Poisson(10^8): within 5 SD of its mean, the collided users
+        # included
+        assert np.all(np.abs(active - 10 ** 8) <= 5 * 10 ** 4)
 
     def test_walk_replay_and_mean_active(self, fig_params):
         # CRA-2 drop mode at load 1 walked with one occupancy draw per
