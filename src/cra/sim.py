@@ -15,14 +15,15 @@ and the mode:
   length is fixed, so every session's active count is Poisson with the same
   mean and nothing carries over.  By Poisson splitting a preamble's users
   are i.i.d. Poisson(lambda T / L), so ``_iid_sessions`` draws no picks:
-  one six-way multinomial per session and its collided preambles' users.
+  one six-way multinomial per session, and its collided preambles' users
+  only where its cap can still hold them.
 - CRA-2 in drop mode is a chain: a session's arrival mean mu is the arrival
   rate times the previous session's length.  By Poisson splitting its
   detected count is D' ~ Bin(L, s(D)), s depending on the previous detected
   count D alone, so ``_cra2_sessions`` takes D' from a pool of pre-drawn
   variates kept for state D (the random-mapping construction, exact in law)
   and then draws the successes given D' block by block, at a cost that
-  grows with neither K nor L; it records mu in place of K.
+  grows with neither K nor L.
 - CRA-2 in fast retrial (whose backlog carries over) walks the session
   chain in one loop, ``_walk``, which ``simulate_stability`` also runs.
   Per session it makes one scalar Poisson draw of K and one
@@ -34,16 +35,17 @@ and the mode:
 
 Each scheme's ``_session_rule`` gives every path its session length, and
 ``_iid_sessions`` its pool and success cap: ALOHA's pool is its N channels
-whatever ``pool_size`` says.  Each per-session number is held once: a path
-allocates its (successes, active, detected) arrays, 24 bytes per session,
-before its first draw, and ``estimate_throughput`` times each batch from
-its detected sum, so nothing else grows with the run (tracemalloc reads 24
-bytes per session on every path) and a run too long to allocate fails at
-once (``cra`` prints one ``error:`` line).  The variate pools of
+whatever ``pool_size`` says.  Each per-session number is held once: a
+drop-mode kernel allocates its (successes, detected) arrays, 16 bytes per
+session, before its first draw (``_walk`` adds K), and drop mode reports
+``mean_active`` as lambda times the mean session length, E[K] at
+stationarity.  ``estimate_throughput`` times each batch from its detected
+sum, so nothing else grows with the run and a run too long to allocate
+fails at once (``cra`` prints one ``error:`` line).  The variate pools of
 ``_cra2_sessions`` hold at most ``_POOL_STATES`` x ``_POOL_CHUNK`` variates
 and its theta temporaries ``_THETA_BLOCK`` sessions, whatever the run
-length and L.  A pool whose per-preamble arrays (``stage1_outcome``)
-cannot be allocated raises a ValueError naming ``pool_size``.
+length and L.  An occupancy draw (``stage1_outcome``) too large to
+allocate raises a ValueError naming ``pool_size``.
 
 Each run seeds numpy's default PCG64 bit generator through
 ``numpy.random.SeedSequence(cfg.seed)``, so a fixed (seed, config) pair
@@ -61,9 +63,9 @@ import numpy as np
 
 from .analytic import ProtocolParams
 
-# A block of the i.i.d. path holds about this many counts (six per session
-# plus its expected collided preambles), down to one session, and draws its
-# collided users this many at a time: bounded whatever the pool and load.
+# A block of the i.i.d. path holds about this many counts: six per session
+# plus one per collided preamble it may draw for (at most cap / 2 and L),
+# down to one session, whose draws then go this many at a time.
 _BLOCK_CELLS = 1 << 20
 
 # Largest pool and largest mean active count per session that a config may
@@ -123,13 +125,14 @@ def _session_rule(scheme, params):
     the session lasts base + per_detected * D symbols, D its detected count,
     and books its detected singletons only while K <= cap.  CRA-2 sends one
     packet per detected preamble; CRA-1's multiuser detection fails once K
-    reaches the spreading gain N; ALOHA's pool is its N orthogonal channels,
-    one per preamble symbol, which decode nothing once K passes N."""
+    reaches the spreading gain N, a cap held within int64 (no K reaches
+    2^63); ALOHA's pool is its N orthogonal channels, one per preamble
+    symbol, which decode nothing once K passes N."""
     L, n = params.pool_size, params.preamble_len
     if scheme is Scheme.CRA2:
         return L, params.overhead_len, params.payload_len, math.inf
     if scheme is Scheme.CRA1:
-        return L, params.fixed_session_len, 0, n - 1
+        return L, params.fixed_session_len, 0, min(n - 1, _MAX_POOL_SIZE)
     return n, params.fixed_session_len, 0, n
 
 
@@ -181,10 +184,9 @@ class SimConfig:
 class ThroughputEstimate:
     """Ratio estimator sum(successes)/sum(session length) with batch-means
     standard error; ``detected_std_error`` is the batch-means standard error
-    of ``mean_detected``.  For CRA-2 in drop mode ``mean_active`` is the mean
-    of each session's arrival mean lambda * (previous session length), which
-    is E[K | past]: unbiased for E[K], with a lower variance than the mean of
-    drawn counts."""
+    of ``mean_detected``.  In drop mode ``mean_active`` is lambda times
+    ``mean_session_len``, unbiased for E[K] = lambda E[length] at
+    stationarity; in fast retrial it is the mean of the drawn K."""
 
     mean_throughput: float
     std_error: float
@@ -206,9 +208,10 @@ def stage1_outcome(n_active, params, rng):
     L = params.pool_size
     try:
         free, singleton = _occupancy(n_active, L, rng)
-    except MemoryError as exc:   # the drop-mode paths need no such arrays
-        raise ValueError(f"pool_size {L} is too large: its per-preamble "
-                         f"arrays do not fit in memory ({exc})") from None
+    except MemoryError as exc:   # the drop-mode paths draw no occupancy
+        raise ValueError(f"pool_size {L} is too large: the occupancy draw "
+                         f"of {n_active} users over {L} preambles does not "
+                         f"fit in memory ({exc})") from None
     collided = L - free - singleton
 
     p_det = 1.0 - params.p_md
@@ -325,21 +328,23 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
 
 def _iid_sessions(cfg, total):
     """Run ``total`` i.i.d. sessions of a fixed-length scheme (CRA-1, ALOHA)
-    in drop mode; returns their (successes, active, detected) arrays, as
-    ``_walk`` does.
+    in drop mode; returns their (successes, detected) arrays.
 
     A preamble is free, a singleton or collided with probabilities
     p0 = e^-m, p1 = m e^-m and p2 = 1 - p0 - p1 (m = lambda T / L),
     independently of the others, then detected or not: one multinomial
     gives a session's detected and missed singletons, false alarms, quiet
-    free, and detected and missed collided preambles.  K adds the collided
-    preambles' users, each Poisson(m) given >= 2 (``_collided_draw``).  The
-    arrays are allocated before the first draw, then filled block by block.
+    free, and detected and missed collided preambles.  A session books its
+    detected singletons while K <= cap; K adds to them the collided
+    preambles' users, each Poisson(m) given >= 2 (``_collided_draw``), so
+    only a session with 2 collided <= cap - singletons can book, and only
+    it draws them, at most cap / 2: the law stays exact.  The arrays are
+    allocated before the first draw, then filled block by block.
     """
     p = cfg.params
     L, length, _, cap = _session_rule(cfg.scheme, p)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    out = np.empty((3, total), dtype=np.int64)
+    out = np.empty((2, total), dtype=np.int64)
     m = p.arrival_rate * length / L
     p0, p1 = math.exp(-m), m * math.exp(-m)
     p2 = max(-math.expm1(-m) - p1, 0.0)
@@ -347,12 +352,23 @@ def _iid_sessions(cfg, total):
     pvals = [p1 * keep, p1 * p.p_md, p0 * p.p_fa, p0 * (1.0 - p.p_fa),
              p2 * keep, p2 * p.p_md]
     draw = _collided_draw(m, rng)
-    block = max(1, _BLOCK_CELLS // math.ceil(6 + L * p2))
+    block = max(1, _BLOCK_CELLS // (6 + min(cap // 2, L)))
     for start in range(0, total, block):
         b = min(block, total - start)
         d1, missed1, d3, _, d2, missed2 = rng.multinomial(L, pvals, b).T
-        active = d1 + missed1 + _collided_users(d2 + missed2, draw)
-        out[:, start:start + b] = d1 * (active <= cap), active, d1 + d2 + d3
+        room = cap - d1 - missed1
+        collided = d2 + missed2
+        fit = np.flatnonzero(2 * collided <= room)
+        need = collided[fit]
+        if fit.size == 1:   # a lone session may hold more than a block
+            users = sum(int(draw(min(_BLOCK_CELLS, need[0] - i)).sum())
+                        for i in range(0, need[0], _BLOCK_CELLS))
+        else:
+            running = np.concatenate(([0], np.cumsum(draw(int(need.sum())))))
+            users = np.diff(running[np.cumsum(need)], prepend=0)
+        books = np.zeros(b, dtype=bool)
+        books[fit] = users <= room[fit]
+        out[:, start:start + b] = d1 * books, d1 + d2 + d3
     return tuple(out)
 
 
@@ -376,31 +392,16 @@ def _collided_draw(m, rng):
     return draw
 
 
-def _collided_users(collided, draw):
-    """Each session's users on its ``collided`` preambles, drawn
-    ``_BLOCK_CELLS`` at a time; a block with none draws nothing."""
-    ends = np.cumsum(collided)
-    at_ends = np.zeros(ends.size, dtype=np.int64)
-    users = 0
-    for start in range(0, int(ends[-1]), _BLOCK_CELLS):
-        running = np.cumsum(draw(min(_BLOCK_CELLS, int(ends[-1]) - start)))
-        running += users
-        lo, hi = np.searchsorted(ends, (start, start + running.size), "right")
-        at_ends[lo:hi] = running[ends[lo:hi] - start - 1]
-        users = int(running[-1])
-    return np.diff(at_ends, prepend=0)
-
-
 def _cra2_sessions(cfg, total):
     """Run ``total`` CRA-2 drop-mode sessions; returns their (successes,
-    active, detected) arrays, as ``_walk`` does, except that ``active`` holds
-    each session's arrival mean mu = lambda * (previous session length).
+    detected) arrays.
 
-    With m = mu / L, a preamble holds no user with probability e^-m and one
-    with m e^-m, independently of the others.  It is detected with
-    probability s = q (1 - e^-m) + e^-m p_fa (q = 1 - p_md), so a session's
-    detected count is D' ~ Bin(L, s), and given D' its successes (detected
-    singletons) are Bin(D', theta) with theta = q m e^-m / s.
+    With m = mu / L, mu = lambda * (previous session length), a preamble
+    holds no user with probability e^-m and one with m e^-m, independently
+    of the others.  It is detected with probability s = q (1 - e^-m) +
+    e^-m p_fa (q = 1 - p_md), so a session's detected count is
+    D' ~ Bin(L, s), and given D' its successes (detected singletons) are
+    Bin(D', theta) with theta = q m e^-m / s.
 
     mu, and so s, depends on the previous detected count D alone, so the
     loop only looks D up and takes the next variate of Bin(L, s(D)) from
@@ -413,10 +414,10 @@ def _cra2_sessions(cfg, total):
     exact.  Once ``_POOL_STATES`` states hold pools, all pools are emptied;
     that too is exact, because unused variates are independent of the path
     drawn so far, and it bounds the pooled memory whatever L is.  After the
-    loop, mu follows from the recorded path, and each ``_THETA_BLOCK``
-    sessions compute their theta and draw their successes at once, in the
-    order of one vector draw.  The successes, active and detected arrays
-    (24 bytes per session) are allocated before the first draw.
+    loop, each ``_THETA_BLOCK`` sessions compute their m from the detected
+    count before each, then their theta, and draw their successes at once,
+    in the order of one vector draw.  The successes and detected arrays
+    (16 bytes per session) are allocated before the first draw.
     """
     p = cfg.params
     L = p.pool_size
@@ -425,13 +426,9 @@ def _cra2_sessions(cfg, total):
     rate = p.arrival_rate
     _, overhead, payload, _ = _session_rule(Scheme.CRA2, p)
     keep, p_fa = 1.0 - p.p_md, p.p_fa
-    active_out = np.empty(total)
     detected_out = np.empty(total, dtype=np.int64)
     succ_out = np.empty(total, dtype=np.int64)
-    # active_out holds each session's previous detected count until the
-    # loop ends, then its arrival mean
-    detected = _startup_detected(p)
-    active_out[0] = detected
+    detected = before = _startup_detected(p)
     pools = {}
     pool_of = pools.get
     for t in range(total):
@@ -451,29 +448,30 @@ def _cra2_sessions(cfg, total):
                 pool += binomial(L, s, _POOL_CHUNK).tolist()
                 detected = pool.pop()
         detected_out[t] = detected
-    active_out[1:] = detected_out[:-1]
-    active_out *= payload
-    active_out += overhead
-    active_out *= rate
     for start in range(0, total, _THETA_BLOCK):
         block = slice(start, start + _THETA_BLOCK)
-        m = active_out[block] / L
+        now = detected_out[block]
+        prev = np.concatenate(([before], now[:-1]), dtype=float)
+        before = now[-1]
+        m = rate * (overhead + payload * prev) / L
         p0 = np.exp(-m)
         s = p0 * p_fa - keep * np.expm1(-m)
         # 0 where nothing is detected (s = 0); q m e^-m / s may round past 1
         theta = np.divide(keep * m * p0, s, out=np.zeros_like(m),
                           where=s > 0.0)
-        succ_out[block] = binomial(detected_out[block], np.minimum(theta, 1.0))
-    return succ_out, active_out, detected_out
+        succ_out[block] = binomial(now, np.minimum(theta, 1.0))
+    return succ_out, detected_out
 
 
-def _ratio_estimate(succ, active, detected, base, per_detected):
+def _ratio_estimate(succ, detected, base, per_detected, rate, active=None):
     """Ratio estimator sum(succ)/sum(session length) over the measured
     sessions, a session lasting base + per_detected * D symbols, with the
     standard error of the means of min(_BATCHES, n) contiguous batch ratios;
     the mean detected count gets the standard error of its means over the
-    same batches.  A batch's time is base * size + per_detected * sum(D), so
-    nothing is built per session (5 KB traced on 10^6 sessions)."""
+    same batches.  ``mean_active`` is the mean of ``active`` (fast retrial's
+    K) where given, else ``rate`` times the mean session length.  A batch's
+    time is base * size + per_detected * sum(D), so nothing is built per
+    session (5 KB traced on 10^6 sessions)."""
     n = succ.size
     n_batches = min(_BATCHES, n)
     edges = [round(i * n / n_batches) for i in range(n_batches)]
@@ -498,7 +496,8 @@ def _ratio_estimate(succ, active, detected, base, per_detected):
         mean_throughput=float(succ.sum(dtype=float)) / tot_time,
         std_error=batch_se(rates),
         sessions_run=n,
-        mean_active=float(active.sum(dtype=float)) / n,
+        mean_active=rate * tot_time / n if active is None
+        else float(active.sum(dtype=float)) / n,
         mean_detected=det_total / n,
         mean_session_len=tot_time / n,
         detected_std_error=batch_se(det_means),
@@ -513,16 +512,16 @@ def estimate_throughput(cfg):
     and CRA-2 its chain of pooled Bin(L, s(D)) transitions; CRA-2's fast
     retrial walks the session chain with one occupancy draw per session.
     """
-    total = cfg.warmup_sessions + cfg.n_sessions
+    w = cfg.warmup_sessions
     if cfg.mode is Mode.FAST_RETRIAL:
-        sessions = _walk(cfg, total)
-    elif cfg.scheme is Scheme.CRA2:
-        sessions = _cra2_sessions(cfg, total)
+        succ, active, detected = _walk(cfg, w + cfg.n_sessions)
+        active = active[w:]
     else:
-        sessions = _iid_sessions(cfg, total)
+        kernel = _cra2_sessions if cfg.scheme is Scheme.CRA2 else _iid_sessions
+        (succ, detected), active = kernel(cfg, w + cfg.n_sessions), None
     _, base, per_detected, _ = _session_rule(cfg.scheme, cfg.params)
-    return _ratio_estimate(*(x[cfg.warmup_sessions:] for x in sessions),
-                           base, per_detected)
+    return _ratio_estimate(succ[w:], detected[w:], base, per_detected,
+                           cfg.params.arrival_rate, active)
 
 
 def simulate_stability(cfg, horizon, initial_backlog=0, stop_backlog=None):

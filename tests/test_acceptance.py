@@ -448,8 +448,9 @@ def test_criterion_15_stable_fast_retrial_serves_the_load():
                 failures.append(f"load={lt} seed={seed}: backlog reached "
                                 f"{backlog}, threshold {k0}")
                 continue
-            est = _ratio_estimate(succ[500:], active[500:], detected[500:],
-                                  p.overhead_len, p.payload_len)
+            est = _ratio_estimate(succ[500:], detected[500:],
+                                  p.overhead_len, p.payload_len,
+                                  p.arrival_rate, active[500:])
             if lt == STABLE_LOADS[0] and seed == 0:
                 assert est == estimate_throughput(cfg)
             eta, se = p.txn_len * est.mean_throughput, \

@@ -336,7 +336,8 @@ class TestCommands:
          None, "arrival_rate"),
         (["sweep", "--spec", {"warmup_sessions": 10**400}], None,
          "warmup_sessions must be an integer within float range"),
-        # per-preamble arrays of 7.28 TiB, which only fast retrial builds
+        # an occupancy draw over 10^12 preambles (7.28 TiB of counts),
+        # which only fast retrial makes
         (["simulate", "--pool-size", "1000000000000", "--n-sessions", "10",
           "--warmup", "1", "--mode", "fast_retrial"], None, "pool_size"),
         (["stability", "--pool-size", "1000000000000", "--horizon", "3",
@@ -395,8 +396,8 @@ class TestCommands:
     def test_cra1_any_pool_and_load_runs(self, tmp_path, capsys, argv):
         # CRA-1 draws no picks and builds no per-preamble arrays: at load
         # 1e15 every session holds about 2.8e16 users, above its cap, and
-        # books nothing (400 of them pass 2^63 users in all, which the mean
-        # must not wrap); 10^12 preambles run like any pool
+        # books nothing, and mean_active is lambda T (400 sessions hold
+        # more than 2^63 users in all); 10^12 preambles run like any pool
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--scheme", "cra1", *argv,
                      "--output", str(out)]) == 0

@@ -138,6 +138,24 @@ class TestStage1Outcome:
         self.assert_occupancy_law(pool, k, rng)
         assert rng.pair_steps == (20_000 if paired else 0)
 
+    @pytest.mark.parametrize("k, what", [(5, "picks"), (200, "pairs")])
+    def test_occupancy_beyond_memory_names_the_draw(self, k, what):
+        # 5 users on 6 preambles draw one pick each, 200 take the pair
+        # step; a stand-in generator refuses both draws, so nothing is
+        # allocated, and the error names the draw and pool_size
+        class Refusing:
+            def integers(self, *args, **kwargs):
+                raise MemoryError("no room for the picks")
+
+            def multinomial(self, *args, **kwargs):
+                raise MemoryError("no room for the pairs")
+
+        with pytest.raises(ValueError) as err:
+            stage1_outcome(k, perfect_params(), Refusing())
+        assert str(err.value) == (
+            f"pool_size 6 is too large: the occupancy draw of {k} users over "
+            f"6 preambles does not fit in memory (no room for the {what})")
+
     def test_occupancy_law_with_few_candidates(self, monkeypatch):
         # three pairs of about 13 users: each is a candidate with the
         # probability q(a) of the least of them, about 2%, and a candidate
@@ -154,7 +172,8 @@ class TestRunSession:
     drop-mode walk takes its first K as given, which forces K; a CRA-1 or
     ALOHA session of the i.i.d. path gets the preamble counts of given
     picks from a generator that returns them as its multinomial row, and
-    its collided preambles' users from a forced collided draw."""
+    its collided preambles' users, if its cap can hold them, from a forced
+    collided draw."""
 
     def walk(self, k, horizon=1, seed=0, **over):
         cfg = SimConfig(params=perfect_params(arrival_rate=0.0, **over),
@@ -164,11 +183,12 @@ class TestRunSession:
 
     @staticmethod
     def iid_session(monkeypatch, scheme, picks):
-        """(successes, active, detected) of one ``_iid_sessions`` session
-        under perfect detection whose K = len(picks) users pick ``picks``:
-        its multinomial row holds their singleton and collided preambles,
-        all detected, and their free ones, all quiet, and its collided draw
-        returns the collided preambles' users."""
+        """(successes, detected) of one ``_iid_sessions`` session under
+        perfect detection whose K = len(picks) users pick ``picks``: its
+        multinomial row holds their singleton and collided preambles, all
+        detected, and their free ones, all quiet, and its collided draw
+        returns the collided preambles' users, or none when asked for
+        none."""
         cfg = SimConfig(params=perfect_params(), scheme=scheme, n_sessions=1,
                         warmup_sessions=0)
         held = np.bincount(picks, minlength=cfg.pool_size)
@@ -190,8 +210,8 @@ class TestRunSession:
 
         def collided_draw(m, rng):
             def draw(n):
-                assert n == row[4]
-                return held[held > 1]
+                assert n in (0, row[4])
+                return held[held > 1][:n]
             return draw
 
         monkeypatch.setattr("cra.sim.np.random.default_rng", Forced)
@@ -205,11 +225,14 @@ class TestRunSession:
     def test_cra2_session_len_follows_detected(self, fig_params):
         cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2, n_sessions=300,
                         warmup_sessions=20, seed=4)
-        detected = _cra2_sessions(cfg, 320)[2][20:]
+        detected = _cra2_sessions(cfg, 320)[1][20:]
         p = cfg.params
         lengths = p.overhead_len + p.payload_len * detected
-        assert estimate_throughput(cfg).mean_session_len == \
-            float(lengths.sum()) / 300
+        est = estimate_throughput(cfg)
+        assert est.mean_session_len == float(lengths.sum()) / 300
+        # drop mode's mean active count is lambda times the mean length
+        assert est.mean_active == pytest.approx(
+            p.arrival_rate * est.mean_session_len, rel=1e-15)
 
     def test_cra2_pure_collision(self):
         # three users on two preambles: one preamble always collides, is
@@ -228,15 +251,22 @@ class TestRunSession:
     def test_cra1_overload_fails(self, monkeypatch):
         # CRA-1's multiuser detection decodes up to N - 1 users: K = N - 1
         # users on distinct preambles all book, while K = N detected
-        # singletons book nothing
+        # singletons book nothing.  A collided preamble's users count in K:
+        # a pair beside a singleton makes K = 3 = N - 1 and books, three
+        # users beside it make K = 4 and book nothing
         n = perfect_params().preamble_len
         assert self.iid_session(monkeypatch, Scheme.CRA1, range(n - 1)) \
-            == (n - 1, n - 1, n - 1)
+            == (n - 1, n - 1)
         assert self.iid_session(monkeypatch, Scheme.CRA1, range(n)) \
-            == (0, n, n)
+            == (0, n)
+        assert n == 4
+        assert self.iid_session(monkeypatch, Scheme.CRA1, [0, 0, 1]) \
+            == (1, 2)
+        assert self.iid_session(monkeypatch, Scheme.CRA1, [0, 0, 0, 1]) \
+            == (0, 2)
 
     def test_cra1_single_user(self, monkeypatch):
-        assert self.iid_session(monkeypatch, Scheme.CRA1, [5]) == (1, 1, 1)
+        assert self.iid_session(monkeypatch, Scheme.CRA1, [5]) == (1, 1)
 
     def test_fixed_session_len(self, fig_params):
         cfg = SimConfig(params=fig_params, scheme=Scheme.CRA1, n_sessions=100,
@@ -259,9 +289,9 @@ class TestRunSession:
         # detected singletons book nothing
         n = perfect_params().preamble_len
         assert self.iid_session(monkeypatch, Scheme.MC_ALOHA, range(n)) \
-            == (n, n, n)
+            == (n, n)
         assert self.iid_session(monkeypatch, Scheme.MC_ALOHA,
-                                [*range(n), 0]) == (0, n + 1, n)
+                                [*range(n), 0]) == (0, n)
 
     def test_fast_retrial_backlog(self, fig_params, monkeypatch):
         # the users a session leaves unserved are the next session's K
@@ -357,6 +387,18 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="pool_size 1000000000000"):
             estimate_throughput(cfg)
 
+    def test_cra1_cap_past_int64(self):
+        # a spreading gain of 10^19 puts CRA-1's cap past int64, where no K
+        # reaches, so the cap is held at 2^63 - 1 and never binds: every
+        # session books its detected singletons, one session per block
+        p = perfect_params(preamble_len=10 ** 19, arrival_rate=2e-19)
+        assert _session_rule(Scheme.CRA1, p)[3] == 2 ** 63 - 1
+        cfg = SimConfig(params=p, scheme=Scheme.CRA1, n_sessions=2_000,
+                        warmup_sessions=0, seed=2)
+        est = estimate_throughput(cfg)
+        assert abs(est.mean_throughput - throughput_cra1(p)) \
+            <= 4 * est.std_error
+
     @pytest.mark.parametrize("scheme", [Scheme.CRA1, Scheme.CRA2],
                              ids=lambda s: s.value)
     def test_drop_mode_takes_any_pool(self, fig_params, scheme):
@@ -401,7 +443,7 @@ class TestEstimateThroughput:
     def test_throughput_is_ratio(self, fig_params):
         cfg = SimConfig(params=fig_params, n_sessions=500, warmup_sessions=0,
                         seed=5)
-        succ, _, detected = _cra2_sessions(cfg, 500)
+        succ, detected = _cra2_sessions(cfg, 500)
         time = float((fig_params.overhead_len
                       + fig_params.payload_len * detected).sum())
         est = estimate_throughput(cfg)
@@ -418,20 +460,21 @@ class TestEstimateThroughput:
         succ, detected = np.ones(n, np.int64), np.full(n, 3, np.int64)
         tracemalloc.start()
         try:
-            est = _ratio_estimate(succ, succ, detected, 35.0, 256)
+            est = _ratio_estimate(succ, detected, 35.0, 256, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
         assert est.mean_session_len == 35.0 + 256 * 3
         assert est.mean_throughput == 1 / (35.0 + 256 * 3)
+        assert est.mean_active == 0.5 * (35.0 + 256 * 3)
 
     def test_short_run_se_has_one_batch_per_session(self, fig_params):
         # fewer than 30 measured sessions: each session is its own batch
         n = 10
         cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2, n_sessions=n,
                         warmup_sessions=0, seed=12)
-        succ, _, detected = _cra2_sessions(cfg, n)
+        succ, detected = _cra2_sessions(cfg, n)
         lengths = fig_params.overhead_len + fig_params.payload_len * detected
         est = estimate_throughput(cfg)
         assert est.std_error == pytest.approx(
@@ -443,7 +486,7 @@ class TestEstimateThroughput:
         # 90 measured sessions make 30 contiguous batches of 3
         cfg = SimConfig(params=fig_params, scheme=Scheme.CRA2, n_sessions=90,
                         warmup_sessions=10, seed=13)
-        succ, _, detected = (x[10:].reshape(30, 3)
+        succ, detected = (x[10:].reshape(30, 3)
                              for x in _cra2_sessions(cfg, 100))
         lengths = fig_params.overhead_len + fig_params.payload_len * detected
         rates = succ.sum(axis=1) / lengths.sum(axis=1)
@@ -495,48 +538,61 @@ class TestEstimateThroughput:
         assert len(set(sizes[:-1])) == 1 and len(sizes) > 3
         assert 0 < sizes[-1] < sizes[0] and sum(sizes) == 10_500
         assert est == estimate_throughput(cfg)
+        # lambda T, the mean of every session's Poisson K
         mean = fig_params.arrival_rate * fig_params.fixed_session_len
-        se = math.sqrt(mean / cfg.n_sessions)  # Poisson variance = mean
-        assert abs(est.mean_active - mean) <= 4 * se
+        assert est.mean_active == pytest.approx(mean, rel=1e-15)
 
-    @pytest.mark.parametrize("pool, m", [(4, 1.0), (5, 0.3), (6, 0.05),
-                                         (3, 2.5), (2, 4.0)])
-    def test_iid_joint_law_matches_picks(self, pool, m):
-        # the (K, singleton, collided) law of 100 000 sessions under perfect
-        # detection, with a cap no K reaches, against K ~ Poisson(m L)
-        # times the exact occupancy law of K picks, below m = 2 (the
-        # inverted table) and above it (redrawn Poisson values); a chi^2
-        # test over the cells expecting at least 5 sessions, the rest
-        # pooled, fails a correct kernel with probability 10^-3 per case
+    @pytest.mark.parametrize("pool, m, cap", [
+        pytest.param(pool, m, cap, id=f"{pool}-{m}") for pool, m, cap in
+        [(4, 1.0, 4), (5, 0.3, 2), (6, 0.05, 1), (3, 2.5, 7), (2, 4.0, 8)]])
+    def test_iid_joint_law_matches_picks(self, pool, m, cap):
+        # the (successes, detected) law of 100 000 CRA-1 sessions under
+        # perfect detection, with a cap near the mean K = m L, against
+        # K ~ Poisson(m L) times the exact occupancy law of K picks, the
+        # singletons booked only while K <= cap; below m = 2 (the inverted
+        # table) and above it (redrawn Poisson values).  A chi^2 test over
+        # the cells expecting at least 5 sessions, the rest pooled, fails a
+        # correct kernel with probability 10^-3 per case; a rest expecting
+        # fewer than 5 joins the last cell
         n = 100_000
-        p = perfect_params(pool_size=pool, preamble_len=1000)
+        p = perfect_params(pool_size=pool, preamble_len=cap + 1)
         p = replace(p, arrival_rate=m * pool / p.fixed_session_len)
         cfg = SimConfig(params=p, scheme=Scheme.CRA1, n_sessions=n,
                         warmup_sessions=0, seed=pool)
-        succ, active, detected = _iid_sessions(cfg, n)
-        assert active.max() < 999
+        assert _session_rule(Scheme.CRA1, p)[3] == cap
+        succ, detected = _iid_sessions(cfg, n)
         seen = {}
-        for cell in zip(active.tolist(), succ.tolist(),
-                        (detected - succ).tolist()):
+        for cell in zip(succ.tolist(), detected.tolist()):
             seen[cell] = seen.get(cell, 0) + 1
         expected = {}
         poisson = stats.poisson(m * pool)
         for k in range(int(poisson.isf(1e-12)) + 1):
             for (s, c), prob in occupancy_pmf_dp(k, pool).items():
-                expected[k, s, c] = n * poisson.pmf(k) * float(prob)
+                cell = (s if k <= cap else 0, s + c)
+                expected[cell] = expected.get(cell, 0.0) \
+                    + n * poisson.pmf(k) * float(prob)
         big = [cell for cell, e in expected.items() if e >= 5]
         obs = [seen.pop(cell, 0) for cell in big]
         exp = [expected[cell] for cell in big]
         obs.append(n - sum(obs))
         exp.append(n - sum(exp))
-        assert exp[-1] >= 5
+        if exp[-1] < 5:   # the rest is too rare to stand as a cell
+            rest = obs.pop(), exp.pop()
+            obs[-1] += rest[0]
+            exp[-1] += rest[1]
+        assert len(exp) > 2
         assert stats.chisquare(obs, exp).pvalue > 1e-3
 
     def test_iid_block_draws_bounded(self, fig_params, monkeypatch):
-        # 10^9 preambles at 0.1 users each: about 4.7e6 collided preambles
-        # per session, more than a block's counts, so a block is one session
-        # whose collided users are drawn and summed chunk by chunk; no draw
-        # asks for more than _BLOCK_CELLS values
+        # 10^9 preambles at 1 user each: about 3.7e8 singletons a session,
+        # far above CRA-1's cap of 30, so no session can book, none draws a
+        # collided user, and each books 0.  Then ALOHA on 4000 channels at
+        # 1 user each with blocks of 2^8 counts: every session fits (its
+        # singletons and collided pairs hold about 0.9 N users), a block is
+        # one session, and its 1060 or so collided preambles' users are
+        # drawn 2^8 at a time; no draw asks for more than a block, and the
+        # estimate matches the closed form, whose cap binds in half the
+        # sessions
         default_rng = np.random.default_rng
         sizes = []
 
@@ -545,28 +601,65 @@ class TestEstimateThroughput:
                 self.rng = default_rng(seed)
 
             def random(self, size):
-                assert size <= _BLOCK_CELLS   # before any allocation
+                assert size <= cells   # before any allocation
                 sizes.append(size)
                 return self.rng.random(size)
 
             def multinomial(self, n, pvals, size):
-                assert size == 1
+                assert 6 * size <= cells
                 return self.rng.multinomial(n, pvals, size)
 
             def __getattr__(self, name):
                 return getattr(self.rng, name)
 
         monkeypatch.setattr("cra.sim.np.random.default_rng", Checked)
+        cells = _BLOCK_CELLS
         pool = 10 ** 9
         p = replace(fig_params, pool_size=pool)
-        p = replace(p, arrival_rate=0.1 * pool / p.fixed_session_len)
-        cfg = SimConfig(params=p, scheme=Scheme.CRA1, n_sessions=2,
+        p = replace(p, arrival_rate=pool / p.fixed_session_len)
+        cfg = SimConfig(params=p, scheme=Scheme.CRA1, n_sessions=2_000,
                         warmup_sessions=0, seed=8)
-        active = _iid_sessions(cfg, 2)[1]
-        assert len(sizes) > 2 * 4
-        # K ~ Poisson(10^8): within 5 SD of its mean, the collided users
-        # included
-        assert np.all(np.abs(active - 10 ** 8) <= 5 * 10 ** 4)
+        succ, detected = _iid_sessions(cfg, 2_000)
+        assert not succ.any() and not any(sizes)
+        # Bin(L, s) with s = q (1 - e^-1) + p_fa e^-1: within 6 SD
+        s = 0.99 * -math.expm1(-1.0) + 0.01 * math.exp(-1.0)
+        assert np.all(np.abs(detected - s * pool)
+                      <= 6 * math.sqrt(pool * s * (1.0 - s)))
+
+        cells = 1 << 8
+        monkeypatch.setattr("cra.sim._BLOCK_CELLS", cells)
+        n = 4_000
+        p = replace(perfect_params(), preamble_len=n, p_md=0.01)
+        p = replace(p, arrival_rate=n / p.fixed_session_len)
+        cfg = SimConfig(params=p, scheme=Scheme.MC_ALOHA, n_sessions=2_000,
+                        warmup_sessions=0, seed=8)
+        est = estimate_throughput(cfg)
+        assert len(sizes) > 4 * 2_000
+        m1, m2 = capped_success_moments(n, n, n, p.p_md)
+        se = math.sqrt((m2 - m1 * m1) / cfg.n_sessions) / p.fixed_session_len
+        assert abs(est.mean_throughput - throughput_maloha(p)) <= 4 * se
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_drop_mode_holds_16_bytes_per_session(self, fig_params, scheme,
+                                                  monkeypatch):
+        # the traced peak of a drop-mode estimate grows by its successes
+        # and detected arrays alone, 16 bytes per session, from 10^5 to
+        # 3 * 10^5 sessions (24 with an active-count array); blocks of 2^14
+        # counts and 2^12 theta sessions, so that both runs fill many
+        monkeypatch.setattr("cra.sim._BLOCK_CELLS", 1 << 14)
+        monkeypatch.setattr("cra.sim._THETA_BLOCK", 1 << 12)
+        peaks = []
+        for n in (10 ** 5, 3 * 10 ** 5):
+            cfg = SimConfig(params=fig_params, scheme=scheme, n_sessions=n,
+                            warmup_sessions=0, seed=1)
+            tracemalloc.start()
+            try:
+                estimate_throughput(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (2 * 10 ** 5) == pytest.approx(
+            16.0, abs=0.5)
 
     def test_walk_replay_and_mean_active(self, fig_params):
         # CRA-2 drop mode at load 1 walked with one occupancy draw per
@@ -666,7 +759,7 @@ class TestCra2Sessions:
         cfg = SimConfig(params=perfect_params(arrival_rate=rate, p_md=p_md,
                                               p_fa=p_fa),
                         n_sessions=200, warmup_sessions=0, seed=7)
-        succ, active, detected = _cra2_sessions(cfg, 200)
+        succ, detected = _cra2_sessions(cfg, 200)
         L = cfg.params.pool_size
         # the loop's draws of D' (one scalar, or one pool refill, per draw),
         # then the one vector draw of every session's successes
@@ -678,7 +771,6 @@ class TestCra2Sessions:
         for prob in (s, theta):
             assert not np.isnan(prob).any()
             assert np.all((prob >= 0.0) & (prob <= 1.0))
-        assert np.all(np.isfinite(active)) and np.all(active >= 0.0)
         if p_md == 1.0 or rate in (1e-300, 1e15):
             # nothing is detected, or a singleton is all but impossible
             assert not succ.any()
@@ -715,8 +807,8 @@ class TestCra2Sessions:
         assert abs(est.mean_detected - exact_detected) \
             <= 4 * est.detected_std_error
         succ, active, detected = (x[100:] for x in drop_walk(p, 40_100, 4))
-        walk = _ratio_estimate(succ, active, detected, p.overhead_len,
-                               p.payload_len)
+        walk = _ratio_estimate(succ, detected, p.overhead_len,
+                               p.payload_len, p.arrival_rate, active)
         assert abs(est.mean_throughput - walk.mean_throughput) \
             <= 4 * math.hypot(est.std_error, walk.std_error)
         assert abs(est.mean_detected - walk.mean_detected) \
@@ -731,7 +823,7 @@ class TestCra2Sessions:
         p = self.SMALL_POOL
         cfg = SimConfig(params=p, scheme=Scheme.CRA2, n_sessions=200_000,
                         warmup_sessions=0, seed=23)
-        detected = _cra2_sessions(cfg, cfg.n_sessions)[2]
+        detected = _cra2_sessions(cfg, cfg.n_sessions)[1]
         states, _, s = split_detect_prob(p)
         L = p.pool_size
         moves = np.bincount(detected[:-1] * (L + 1) + detected[1:],
@@ -798,13 +890,12 @@ class TestCra2Sessions:
 
         sys.settrace(tracer)
         try:
-            succ, active, detected = _cra2_sessions(cfg, cfg.n_sessions)
+            succ, detected = _cra2_sessions(cfg, cfg.n_sessions)
         finally:
             sys.settrace(None)
         assert max(held) == _POOL_STATES
         assert np.all((0 <= detected) & (detected <= p.pool_size))
         assert np.all((0 <= succ) & (succ <= detected))
-        assert np.all(np.isfinite(active))
 
 
 class TestBinomialApproximationCalibration:
