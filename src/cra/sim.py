@@ -28,10 +28,12 @@ and the mode:
   chain in one loop, ``_walk``, which ``simulate_stability`` also runs.
   Per session it makes one scalar Poisson draw of K and one
   ``stage1_outcome`` call, which draws the free and singleton preamble
-  counts of the K users' uniform picks exactly (``_occupancy``: one
-  multinomial over the preamble pairs in a heavy session, one pick per
-  user in a light one), at O(L) cost whatever K is.  The K - successes
-  users it leaves are the next session's backlog.
+  counts of the K users' uniform picks exactly (``_occupancy``).  A heavy
+  session, one whose chance of any preamble with at most one user is
+  small, takes the union-of-events sampler of Karp, Luby & Madras (1989)
+  at O(1) expected cost; a light one draws one pick per user, in O(L)
+  memory whatever K is.  The K - successes users it leaves are the next
+  session's backlog.
 
 Each scheme's ``_session_rule`` gives every path its session length, and
 ``_iid_sessions`` its pool and success cap: ALOHA's pool is its N channels
@@ -55,7 +57,6 @@ reproduces its stream bit-exactly.  A sweep hashes each task's seed from
 """
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -85,13 +86,12 @@ _POOL_CHUNK = 16
 _POOL_STATES = 1024
 _THETA_BLOCK = _BLOCK_CELLS // 4
 
-# Users per preamble up to which _occupancy draws one pick per user.  Above
-# it a preamble pair's mean 2 K / L passes 30, where numpy's binomial
-# sampler, and so its multinomial, turns from inversion, whose cost grows
-# with the mean, to constant-time BTPE, and one multinomial over the pairs
-# costs less than the picks: at L = 310, 3100 and 10^4 the picks cost less
-# at 14 users per preamble and more at 16 (at L = 31 both cost about the
-# same from 10 to 14).
+# Users per preamble up to which a light _occupancy session (u > 1/2)
+# draws one pick per user, so its picks hold at most 15 int64 per preamble;
+# a session above it halves its pool.  At this load u = L (1 + K / L)
+# e^(-K / L) roughly stays above 1/2 only in pools over about 10^5, so
+# smaller pools never halve, and the halves of a larger one soon take the
+# O(1) proposal.
 _PICK_LOAD = 15
 
 # Contiguous batches of the batch-means standard error; a run that measures
@@ -164,8 +164,10 @@ class SimConfig:
         p = self.params
         if p.pool_size > _MAX_POOL_SIZE:
             raise ValueError("pool_size must be at most 2**63 - 1")
-        # a session is longest when all its preambles are detected
         pool, base, per_detected, _ = _session_rule(self.scheme, p)
+        if pool > _MAX_POOL_SIZE:   # MC-ALOHA's pool is its N channels
+            raise ValueError("preamble_len must be at most 2**63 - 1")
+        # a session is longest when all its preambles are detected
         longest = base + per_detected * float(pool)
         if p.arrival_rate * longest > _MAX_MEAN_ACTIVE:
             raise ValueError(
@@ -202,8 +204,8 @@ def stage1_outcome(n_active, params, rng):
     collided and false-alarm preamble counts (d1, d2, d3).
 
     The free and singleton preamble counts of the K users' uniform picks
-    come from ``_occupancy``, exact in law, in O(L) time and memory
-    whatever K is.
+    come from ``_occupancy``, exact in law, at O(1) expected cost in a
+    heavy session and in O(L) memory whatever K is.
     """
     L = params.pool_size
     try:
@@ -225,60 +227,43 @@ def _occupancy(n_active, L, rng):
     """(free, singleton): the numbers of the L preambles that K users, each
     picking one uniformly, leave empty and hold exactly one user.
 
-    Up to ``_PICK_LOAD`` users per preamble each user draws a pick.  A
-    heavier session draws the users of the floor(L / 2) preamble pairs, and
-    of the last preamble when L is odd, as one multinomial, then finds the
-    pairs with a preamble holding fewer than two users.  A pair of G >= 3
-    users splits as Bin(G, 1/2), so its lighter preamble holds e = 0 users
-    with probability q0(G) = 2^(1 - G) and e = 1 with q1(G) = G 2^(1 - G),
-    and the pair is light with q(G) = q0(G) + q1(G), which falls as G
-    grows; q(3) = 1, and a pair of fewer users is always light, split
-    exactly by the same thresholds on one uniform, capped at 1.  With
-    a = max(min G, 3), each pair is a candidate with probability q(a) and a
-    candidate of G users is light with e = 0 or 1 with probabilities
-    q0(G) / q(a) and q1(G) / q(a): each pair is light as it should be,
-    independently of the others.  The pair counts are exchangeable given
-    their minimum, so the first Bin(floor(L / 2), q(a)) pairs serve as the
-    candidates; a heavy session has none, and its draw costs one
-    multinomial over about L / 2 categories whatever K is.
+    A preamble is light, holding at most one user, with probability
+    (1 - 1/L)^(K - 1) (L - 1 + K) / L, so u, L times that, bounds the chance
+    that any is.  A session with u <= 1/2 takes the union-of-events sampler
+    of Karp, Luby & Madras ("Monte-Carlo approximation algorithms for
+    enumeration problems", J. Algorithms 10, 1989): with probability u it
+    proposes one light preamble, holding one user with probability
+    K / (K + L - 1), and the other L - 1 preambles drawn by this function.
+    That proposes a session with c light preambles with c times its own
+    probability, so keeping it with probability 1 / c, and else taking no
+    light preamble, as with probability 1 - u, is exact in law.  A proposal
+    recurses with probability u <= 1/2, so the draw costs O(1) on average
+    and a chain deeper than 60 has probability below 2^-60.  A lighter
+    session draws one pick per user up to ``_PICK_LOAD`` users per
+    preamble; above it one binomial splits the users between the two
+    halves of the pool, each drawn by this function (at most log2 L deep),
+    so memory stays O(L) whatever K is.
     """
     if n_active < 2:
         return L - n_active, n_active
+    if L == 1:
+        return 0, 0
+    u = (L - 1 + n_active) * math.exp((n_active - 1) * math.log1p(-1.0 / L))
+    if u <= 0.5:
+        if rng.random() >= u:
+            return 0, 0
+        one = int(rng.random() * (n_active + L - 1) < n_active)
+        free, singleton = _occupancy(n_active - one, L - 1, rng)
+        keep = rng.random() * (free + singleton + 1) < 1.0
+        return (free + 1 - one, singleton + one) if keep else (0, 0)
     if n_active <= _PICK_LOAD * L:
         held = np.bincount(rng.integers(L, size=n_active), minlength=L)
         return tuple(np.bincount(held, minlength=2)[:2].tolist())
-    pairs, odd = divmod(L, 2)
-    counts = rng.multinomial(n_active, _pair_pvals(L))
-    free = singleton = 0
-    if odd:
-        last = int(counts[-1])
-        free, singleton = int(last == 0), int(last == 1)
-        counts = counts[:pairs]
-    a = max(int(counts.min()), 3)
-    n = int(rng.binomial(pairs, math.ldexp(1 + a, 1 - a)))
-    if n:
-        G = counts[:n]
-        v = rng.random(n)
-        t0 = np.ldexp(1.0 / (1 + a), a - G)     # q0(G) / q(a)
-        light = v < t0 * (1 + G)
-        e = (v >= t0)[light]
-        G = G[light]
-        halves = np.concatenate((e, G - e))
-        f, s = np.bincount(halves[halves < 2], minlength=2).tolist()
-        free += f
-        singleton += s
-    return free, singleton
-
-
-@functools.lru_cache(maxsize=16)
-def _pair_pvals(L):
-    """The pair step's multinomial pvals, 2 / L for each preamble pair and
-    the last preamble when L is odd; numpy ignores the last entry and gives
-    it what the others leave, 1 / L for a lone preamble.  Kept for the last
-    few L, read-only since every call shares it."""
-    pvals = np.full(L // 2 + L % 2, 2.0 / L)
-    pvals.flags.writeable = False
-    return pvals
+    half = L // 2
+    k = int(rng.binomial(n_active, half / L))
+    f1, s1 = _occupancy(k, half, rng)
+    f2, s2 = _occupancy(n_active - k, L - half, rng)
+    return f1 + f2, s1 + s2
 
 
 def _walk(cfg, horizon, backlog=0, stop_backlog=None):

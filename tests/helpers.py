@@ -11,7 +11,7 @@ chain, a per-K scan of scalar drift calls instead of the array threshold
 scan, literal ML residual norms instead of the projected noise score, and
 one SVD per column subset instead of batched SVDs.  It also reads the CLI's
 result CSVs back into rows, and stands in for a Generator whose occupancy
-draw a test forces.
+draw a test forces or whose draws it counts.
 """
 
 import csv
@@ -23,6 +23,7 @@ import numpy as np
 from scipy import stats
 
 from cra.analytic import backlog_drift
+from cra.signals import _NOISE_CHUNK
 from cra.sim import stage1_outcome
 
 # largest Poisson tail mass exact_chain_means may cut off above K_max
@@ -130,27 +131,21 @@ class PickedOccupancy:
         return getattr(self.rng, name)
 
 
-class PairDraws:
-    """Stand-in for a numpy Generator that counts the draws of
-    ``stage1_outcome``'s pair step: its multinomials over the preamble
-    pairs (``pair_steps``) and its candidate pairs, one uniform each
-    (``candidates``); every call goes to a real Generator."""
+class CountedDraws:
+    """Stand-in for a numpy Generator that counts the calls of each of its
+    methods (``calls``, by name); every call goes to a real Generator."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.pair_steps = 0
-        self.candidates = 0
-
-    def multinomial(self, n, pvals):
-        self.pair_steps += 1
-        return self.rng.multinomial(n, pvals)
-
-    def random(self, size):
-        self.candidates += size
-        return self.rng.random(size)
+        self.calls = {}
 
     def __getattr__(self, name):
-        return getattr(self.rng, name)
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+        return counted
 
 
 def _stationary_chain(params):
@@ -369,16 +364,16 @@ def capped_success_moments(mean_active, pool_size, cap, p_md):
     return m1, m2
 
 
-def pairwise_rate_residuals(base, alt, noise_var, rng, n_trials,
-                            chunk=100_000):
+def pairwise_rate_residuals(base, alt, noise_var, rng, n_trials):
     """Fraction of trials in which the true hypothesis ``base`` has the larger
     residual norm on y = base + noise, exact ties counting one half.  Each
-    chunk of trials draws its (m, N) noise as real then imaginary normals."""
+    chunk of ``signals._NOISE_CHUNK`` trials draws its (m, N) noise as real
+    then imaginary normals."""
     scale = math.sqrt(noise_var / 2.0)
     losses = 0.0
     left = n_trials
     while left > 0:
-        m = min(chunk, left)
+        m = min(_NOISE_CHUNK, left)
         noise = scale * (rng.standard_normal((m, base.size))
                          + 1j * rng.standard_normal((m, base.size)))
         y = base + noise

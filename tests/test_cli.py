@@ -368,7 +368,10 @@ class TestCommands:
         (["analytic", "--config", {"pool_size": 1}], None, "pool_size"),
         # a 31 x 10^15 pool of 220 PiB
         (["signal", "--pool-size", "1000000000000000", "--snr", "1",
-          "--trials", "10"], None, "pool_size 1000000000000000"),
+          "--trials", "10"], None, "pool_size 1000000000000000"),        # MC-ALOHA's pool is its N channels, past int64 here
+        (["simulate", "--scheme", "maloha", "--preamble-len",
+          "10000000000000000000", "--arrival-rate", "0", "--n-sessions",
+          "10", "--warmup", "1"], None, "preamble_len must be at most"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, argv, env,
                                       what):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cra.signals import (
+    _NOISE_CHUNK,
     PreamblePool,
     SparseScene,
     gen_pool,
@@ -128,8 +129,11 @@ class TestPairwiseMlTrials:
                            2_000)
         assert rate == 0.0
 
-    # n_trials below, equal to and across the 100k trial chunk
-    @pytest.mark.parametrize("n_trials", [99_999, 100_000, 250_001])
+    # n_trials below, equal to and across one noise chunk, then across
+    # many with a partial last one
+    @pytest.mark.parametrize("n_trials", [
+        _NOISE_CHUNK - 1, _NOISE_CHUNK, 2 * _NOISE_CHUNK + 1,
+        99_999, 100_000, 250_001])
     @pytest.mark.parametrize("snr", [0.0, 2.5])
     def test_equal_to_residual_oracle(self, snr, n_trials):
         pool = gen_pool(8, 16, seed=12)

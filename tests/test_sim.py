@@ -25,7 +25,7 @@ from cra.sim import (
     stage1_outcome,
 )
 
-from helpers import PairDraws, PickedOccupancy, capped_success_moments, \
+from helpers import CountedDraws, PickedOccupancy, capped_success_moments, \
     drop_walk, exact_chain_means, exact_chain_throughput, \
     exact_occupancy_pmf, occupancy_pmf_dp, split_chain, split_detect_prob
 
@@ -121,49 +121,62 @@ class TestStage1Outcome:
             se = math.sqrt(prob * (1.0 - prob) / n)
             assert abs(seen.get(cell, 0) / n - prob) <= 4 * se + 1 / n, cell
 
-    @pytest.mark.parametrize("pool, k, paired", [
-        (4, 3, False), (7, 9, False), (4, 3, True), (7, 9, True),
-        (5, 30, True), (6, 40, True), (4, 60, True)])
+    @pytest.mark.parametrize("pool, k, forced", [
+        (4, 3, False), (7, 9, False), (3, 9, False), (5, 18, False),
+        (4, 3, True), (7, 9, True), (2, 3, True), (5, 30, True),
+        (6, 40, True), (4, 60, True)])
     def test_occupancy_law_matches_recursion(self, monkeypatch, pool, k,
-                                             paired):
-        # These sessions hold at most 15 users per preamble, so each user
-        # draws a pick.  A pick load of 0 sends them through the pair step
-        # instead: pairs of about 1.5 and 2.6 users (the least holds at
-        # most 3, so every pair is a candidate), of 12, 13 and 30 users (few
-        # candidates, and a candidate seldom light), with an odd last
-        # preamble at L = 5, 7.
-        if paired:
+                                             forced):
+        # Unforced, (4, 3) and (7, 9) have u > 1/2 and hold at most 15
+        # users per preamble, so each user draws a pick, while (3, 9) and
+        # (5, 18) have u = 0.43 and 0.50 and take the proposal, which finds
+        # two light preambles in 1.4% and 4.7% of draws.  A pick load of 0
+        # forces the u > 1/2 sessions to halve their pools, down to pools
+        # of 2 and 1 preambles; (5, 30), (6, 40) and (4, 60) have u <= 1/2
+        # and take the proposal whatever the pick load.
+        if forced:
             monkeypatch.setattr("cra.sim._PICK_LOAD", 0)
-        rng = PairDraws(pool * 100 + k)
+        rng = CountedDraws(pool * 100 + k)
         self.assert_occupancy_law(pool, k, rng)
-        assert rng.pair_steps == (20_000 if paired else 0)
+        picks = not forced and (pool, k) in ((4, 3), (7, 9))
+        assert rng.calls.get("integers", 0) == (20_000 if picks else 0)
+        assert "multinomial" not in rng.calls
 
-    @pytest.mark.parametrize("k, what", [(5, "picks"), (200, "pairs")])
-    def test_occupancy_beyond_memory_names_the_draw(self, k, what):
-        # 5 users on 6 preambles draw one pick each, 200 take the pair
-        # step; a stand-in generator refuses both draws, so nothing is
-        # allocated, and the error names the draw and pool_size
+    def test_occupancy_beyond_memory_names_the_draw(self):
+        # 5 users on 6 preambles draw one pick each; a stand-in generator
+        # refuses the draw, so nothing is allocated, and the error names
+        # the draw and pool_size
         class Refusing:
             def integers(self, *args, **kwargs):
                 raise MemoryError("no room for the picks")
 
-            def multinomial(self, *args, **kwargs):
-                raise MemoryError("no room for the pairs")
-
         with pytest.raises(ValueError) as err:
-            stage1_outcome(k, perfect_params(), Refusing())
+            stage1_outcome(5, perfect_params(), Refusing())
         assert str(err.value) == (
-            f"pool_size 6 is too large: the occupancy draw of {k} users over "
-            f"6 preambles does not fit in memory (no room for the {what})")
+            "pool_size 6 is too large: the occupancy draw of 5 users over "
+            "6 preambles does not fit in memory (no room for the picks)")
 
-    def test_occupancy_law_with_few_candidates(self, monkeypatch):
-        # three pairs of about 13 users: each is a candidate with the
-        # probability q(a) of the least of them, about 2%, and a candidate
-        # is light with q(G) / q(a); the law stays exact
-        monkeypatch.setattr("cra.sim._PICK_LOAD", 0)
-        rng = PairDraws(77)
-        self.assert_occupancy_law(6, 40, rng)
-        assert 0 < rng.candidates < 0.1 * 3 * 20_000
+    def test_heavy_session_draws_no_picks(self, fig_params):
+        # the retrial_backlog sessions, K of 5000 and more over 310
+        # preambles, all take the proposal: a few uniforms, no picks and
+        # no multinomial
+        rng = CountedDraws(3)
+        for k in (2694, 5000, 50_000, 250_000):
+            for _ in range(500):
+                d1, d2, d3 = stage1_outcome(k, fig_params, rng)
+                assert d1 + 2 * d2 <= k and d1 + d2 + d3 <= 310
+        assert "integers" not in rng.calls
+        assert "multinomial" not in rng.calls
+
+    def test_heavy_session_over_huge_pool(self):
+        # 4e13 users over 10^12 preambles have u = 1.7e-4: the proposal
+        # draws nothing per preamble, where a draw over the preamble pairs
+        # would not fit in memory
+        rng = CountedDraws(5)
+        k, pool = 4 * 10 ** 13, 10 ** 12
+        d1, d2, d3 = stage1_outcome(k, perfect_params(pool_size=pool), rng)
+        assert d3 == 0 and d1 + 2 * d2 <= k and d1 + d2 <= pool
+        assert set(rng.calls) <= {"random", "binomial"}
 
 
 class TestRunSession:
@@ -365,6 +378,10 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="pool_size"):
             SimConfig(params=replace(fig_params, pool_size=2 ** 63),
                       scheme=scheme, mode=mode)
+        if scheme is Scheme.MC_ALOHA:   # its pool is its N channels
+            with pytest.raises(ValueError, match="preamble_len"):
+                SimConfig(params=replace(fig_params, preamble_len=2 ** 63),
+                          scheme=scheme, mode=mode)
 
     def test_fast_retrial_needs_cra2(self, fig_params):
         # above its cap a CRA-1 or ALOHA session serves no one and keeps
