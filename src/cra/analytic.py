@@ -70,13 +70,11 @@ class ProtocolParams:
             raise ValueError("feedback_len must be finite and >= 0")
         if not math.isfinite(self.arrival_rate) or self.arrival_rate < 0:
             raise ValueError("arrival_rate must be finite and >= 0")
-        if not 0.0 <= self.p_md <= 1.0:
-            raise ValueError("p_md must be in [0, 1]")
-        if not 0.0 <= self.p_fa <= 1.0:
-            raise ValueError("p_fa must be in [0, 1]")
         # keeps the Lambert W argument of the CRA-2 fixed point in [-1/e, 0]
-        if self.p_md + self.p_fa > 1.0:
-            raise ValueError("p_md + p_fa must not exceed 1")
+        if not (self.p_md >= 0.0 and self.p_fa >= 0.0   # False for NaN
+                and self.p_md + self.p_fa <= 1.0):
+            raise ValueError(f"need p_md, p_fa >= 0 and p_md + p_fa <= 1, "
+                             f"got p_md {self.p_md} and p_fa {self.p_fa}")
 
     @property
     def overhead_len(self):

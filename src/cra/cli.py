@@ -383,9 +383,9 @@ def _cmd_signal(s, args):
     pool = signals.gen_pool(n_symbols, n_pool, seed)
     rows = []
     for i, snr in enumerate(snrs):
-        # the pool draws SeedSequence(seed), and numpy drops trailing zero
-        # words, so [seed, 0] would repeat its stream
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i + 1]))
+        # the pool draws default_rng(seed), and numpy's SeedSequence drops
+        # trailing zero words, so [seed, 0] would repeat its stream
+        rng = np.random.default_rng([seed, i + 1])
         scene = signals.SparseScene(support=(0,),
                                     coefficients=np.array([math.sqrt(snr)],
                                                           dtype=complex),

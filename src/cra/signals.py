@@ -87,7 +87,7 @@ def gen_pool(n_symbols, pool_size, seed):
     pool that cannot be allocated raises a ValueError naming pool_size."""
     if not 1 <= n_symbols <= pool_size:
         raise ValueError("need pool_size >= n_symbols >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     try:
         raw = (rng.standard_normal((n_symbols, pool_size))
                + 1j * rng.standard_normal((n_symbols, pool_size)))
@@ -98,32 +98,27 @@ def gen_pool(n_symbols, pool_size, seed):
                          f"memory ({exc})") from None
 
 
-def _noiseless_stage1(pool, scene):
-    return pool.matrix[:, list(scene.support)] @ scene.coefficients
-
-
 def received_stage1(pool, scene, rng):
     """y = (sum of active preambles weighted by sqrt(P)*h) + CSCG noise."""
     n = pool.n_symbols
     scale = math.sqrt(scene.noise_var / 2.0)
     noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return _noiseless_stage1(pool, scene) + noise
+    return pool.matrix[:, list(scene.support)] @ scene.coefficients + noise
 
 
-def _pairwise_rate(base, alt, noise_var, rng, n_trials):
-    """Fraction of noise draws for which the true hypothesis ``base`` loses
-    the ML residual comparison against ``alt`` on y = base + noise; one normal
-    draw gives the real then the imaginary noise parts, in the order
-    ``received_stage1`` draws them."""
+def _pairwise_rate(d, noise_var, rng, n_trials):
+    """Fraction of noise draws n on which ML prefers the alternative
+    hypothesis, d being the true one minus it: the score |d|^2 + 2 Re(d^H n)
+    is negative.  One normal draw gives the real then the imaginary noise
+    parts, in the order ``received_stage1`` draws them."""
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValueError(f"n_trials must be an integer >= 1: {n_trials!r}")
-    d = base - alt
     d_sq = float(np.vdot(d, d).real)
     two_s = 2.0 * math.sqrt(noise_var / 2.0)
     losses = 0.0
     for done in range(0, n_trials, _NOISE_CHUNK):
         z = rng.standard_normal(
-            (2, min(_NOISE_CHUNK, n_trials - done), base.size))
+            (2, min(_NOISE_CHUNK, n_trials - done), d.size))
         score = d_sq + two_s * (z[0] @ d.real + z[1] @ d.imag)
         # a zero score (identical hypotheses) breaks by fair coin
         losses += np.count_nonzero(score < 0) + 0.5 * np.count_nonzero(score == 0)
@@ -138,9 +133,8 @@ def ml_md_trial(pool, scene, user, rng, n_trials):
     """
     if not 0 <= user < scene.n_active:
         raise ValueError("user must index into the scene support")
-    base = _noiseless_stage1(pool, scene)
-    alt = base - pool.matrix[:, scene.support[user]] * scene.coefficients[user]
-    return _pairwise_rate(base, alt, scene.noise_var, rng, n_trials)
+    d = pool.matrix[:, scene.support[user]] * scene.coefficients[user]
+    return _pairwise_rate(d, scene.noise_var, rng, n_trials)
 
 
 def ml_fa_trial(pool, scene, virtual_index, virtual_snr, rng, n_trials):
@@ -153,10 +147,9 @@ def ml_fa_trial(pool, scene, virtual_index, virtual_snr, rng, n_trials):
         raise ValueError("virtual_index must not be in the active support")
     if not (math.isfinite(virtual_snr) and virtual_snr >= 0):
         raise ValueError(f"virtual_snr must be finite and >= 0: {virtual_snr}")
-    base = _noiseless_stage1(pool, scene)
     amp = math.sqrt(virtual_snr * scene.noise_var)
-    alt = base + pool.matrix[:, virtual_index] * amp
-    return _pairwise_rate(base, alt, scene.noise_var, rng, n_trials)
+    return _pairwise_rate(-pool.matrix[:, virtual_index] * amp,
+                          scene.noise_var, rng, n_trials)
 
 
 def ml_support_search(pool, y, n_active):

@@ -65,8 +65,6 @@ def poisson_cdf(n, mu):
         raise ValueError("poisson_cdf: mu must be nonnegative")
     if n < 0:
         return 0.0
-    if mu == 0.0:
-        return 1.0
     if _gammaincc is None:
         _load_scipy()
     # Pr(X <= n) = Gamma(n+1, mu) / n! = gammaincc(n+1, mu)

@@ -66,6 +66,8 @@ class TestProtocolParams:
         # inside lambert_w0 and 310.5 a CRA-1 TypeError
         dict(pool_size=math.inf), dict(preamble_len=math.nan),
         dict(pool_size=310.5),
+        # NaN fails every comparison of the one probability check
+        dict(p_md=math.nan),
     ])
     def test_validation(self, kwargs):
         base = dict(preamble_len=31, payload_len=256, pool_size=310,
@@ -406,6 +408,8 @@ class TestDetectionErrorBounds:
         with pytest.raises(ValueError):
             ErrorBoundInputs(active_snrs=(-1.0,), virtual_snrs=(1.0,),
                              pool_size=4)
+        with pytest.raises(ValueError, match="virtual_snrs"):
+            ErrorBoundInputs(active_snrs=(1.0,), virtual_snrs=(), pool_size=4)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 ErrorBoundInputs(active_snrs=(1.0,), virtual_snrs=(bad,),

@@ -29,6 +29,10 @@ CONFIG_KEYS = ("preamble_len", "payload_len", "pool_size", "feedback_len",
                "n_sessions", "warmup_sessions", "seed")
 
 
+# stands for a settings file path that does not exist
+MISSING = object()
+
+
 def tiny_spec_file(tmp_path, **over):
     spec = {
         "preamble_len": 8, "payload_len": 16, "pool_size": 24,
@@ -368,19 +372,30 @@ class TestCommands:
         (["analytic", "--config", {"pool_size": 1}], None, "pool_size"),
         # a 31 x 10^15 pool of 220 PiB
         (["signal", "--pool-size", "1000000000000000", "--snr", "1",
-          "--trials", "10"], None, "pool_size 1000000000000000"),        # MC-ALOHA's pool is its N channels, past int64 here
+          "--trials", "10"], None, "pool_size 1000000000000000"),
+        # MC-ALOHA's pool is its N channels, past int64 here
         (["simulate", "--scheme", "maloha", "--preamble-len",
           "10000000000000000000", "--arrival-rate", "0", "--n-sessions",
           "10", "--warmup", "1"], None, "preamble_len must be at most"),
+        # settings files that cannot be read: a missing path (a name in
+        # the test's own directory) and a file that is not JSON
+        (["simulate", "--config", MISSING], None, "config: cannot read"),
+        (["sweep", "--spec", MISSING], None, "spec: cannot read"),
+        (["analytic", "--config", b"{not json"], None, "config: cannot read"),
     ])
     def test_bad_input_one_error_line(self, tmp_path, capsys, argv, env,
                                       what):
+        path = tmp_path / "file.json"
         if isinstance(argv[-1], dict) and argv[-2] == "--spec":
             argv = argv[:-1] + [str(tiny_spec_file(tmp_path, **argv[-1]))]
         elif isinstance(argv[-1], (dict, list)):
-            path = tmp_path / "file.json"
             path.write_text(json.dumps(argv[-1]))
             argv = argv[:-1] + [str(path)]
+        elif isinstance(argv[-1], bytes):
+            path.write_bytes(argv[-1])
+            argv = argv[:-1] + [str(path)]
+        elif argv[-1] is MISSING:
+            argv = argv[:-1] + [str(tmp_path / "missing.json")]
         if argv[0] == "sweep":
             argv = argv + ["--output", str(tmp_path / "o.csv"),
                            "--n-sessions", "20", "--warmup", "2"]
@@ -478,6 +493,18 @@ class TestCommands:
                      "--output", str(out)]) == 0
         prov = json.loads((tmp_path / "ma.csv.provenance.json").read_text())
         assert prov["pool_size"] == prov["preamble_len"] == 31
+
+    def test_maloha_runs_whatever_pool_size(self, tmp_path, capsys):
+        # L past int64 takes no part in an ALOHA run, which draws from its
+        # N channels
+        out = tmp_path / "ma.csv"
+        assert main(["simulate", "--scheme", "maloha", "--pool-size",
+                     "10000000000000000000", "--arrival-rate", "0",
+                     "--n-sessions", "10", "--warmup", "1",
+                     "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        prov = json.loads((tmp_path / "ma.csv.provenance.json").read_text())
+        assert prov["pool_size"] == 31
 
     def test_config_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

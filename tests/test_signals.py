@@ -51,6 +51,10 @@ class TestGenPool:
         with pytest.raises(ValueError):
             PreamblePool(np.ones((3, 4), dtype=complex))
 
+    def test_rejects_one_dimensional_array(self):
+        with pytest.raises(ValueError, match="2-D"):
+            PreamblePool(np.ones(3, dtype=complex) / math.sqrt(3.0))
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             gen_pool(8, 4, seed=0)
@@ -163,6 +167,13 @@ class TestPairwiseMlTrials:
                  "noise_var": 1.0, **kwargs}
         with pytest.raises(ValueError, match=field):
             SparseScene(**given)
+
+    @pytest.mark.parametrize("support, what", [
+        ((3, 3), "distinct"), ((3, 4, 5), "one coefficient per support")])
+    def test_scene_rejects_bad_support(self, support, what):
+        with pytest.raises(ValueError, match=what):
+            SparseScene(support=support, coefficients=np.ones(2, complex),
+                        noise_var=1.0)
 
     @pytest.mark.parametrize("virtual_snr", [math.nan, math.inf, -1.0])
     def test_fa_rejects_bad_virtual_snr(self, virtual_snr):

@@ -344,6 +344,10 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(params=fig_params, n_sessions=10, warmup_sessions=10)
 
+    def test_no_sessions_names_n_sessions(self, fig_params):
+        with pytest.raises(ValueError, match="n_sessions"):
+            SimConfig(params=fig_params, n_sessions=0)
+
     def test_maloha_forces_pool_size(self, fig_params):
         # ALOHA draws from its N channels and leaves the params as given
         cfg = SimConfig(params=fig_params, scheme=Scheme.MC_ALOHA)
@@ -375,13 +379,21 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="arrival_rate"):
             SimConfig(params=replace(fig_params, arrival_rate=1e300),
                       scheme=scheme, mode=mode)
-        with pytest.raises(ValueError, match="pool_size"):
-            SimConfig(params=replace(fig_params, pool_size=2 ** 63),
-                      scheme=scheme, mode=mode)
-        if scheme is Scheme.MC_ALOHA:   # its pool is its N channels
-            with pytest.raises(ValueError, match="preamble_len"):
-                SimConfig(params=replace(fig_params, preamble_len=2 ** 63),
+        if scheme is not Scheme.MC_ALOHA:
+            with pytest.raises(ValueError, match="pool_size"):
+                SimConfig(params=replace(fig_params, pool_size=2 ** 63),
                           scheme=scheme, mode=mode)
+            return
+        # ALOHA's pool is its N channels: an L past int64 takes no part in
+        # its run, which is the run at any other L
+        cfg = SimConfig(params=replace(fig_params, pool_size=2 ** 63),
+                        scheme=scheme, mode=mode, n_sessions=10,
+                        warmup_sessions=1)
+        assert estimate_throughput(cfg) == estimate_throughput(
+            replace(cfg, params=fig_params))
+        with pytest.raises(ValueError, match="preamble_len"):
+            SimConfig(params=replace(fig_params, preamble_len=2 ** 63),
+                      scheme=scheme, mode=mode)
 
     def test_fast_retrial_needs_cra2(self, fig_params):
         # above its cap a CRA-1 or ALOHA session serves no one and keeps
