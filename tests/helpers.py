@@ -23,11 +23,13 @@ import numpy as np
 from scipy import stats
 
 from cra.analytic import backlog_drift
-from cra.signals import _NOISE_CHUNK
 from cra.sim import stage1_outcome
 
 # largest Poisson tail mass exact_chain_means may cut off above K_max
 CHAIN_TAIL_TOL = 1e-12
+# trials per noise draw in pairwise_rate_residuals: (4096, 31) complex noise
+# is 2 MB
+RESIDUAL_CHUNK = 4096
 
 
 def lambert_bisect(y, lo=-1.0, hi=700.0, tol=1e-14):
@@ -366,14 +368,13 @@ def capped_success_moments(mean_active, pool_size, cap, p_md):
 
 def pairwise_rate_residuals(base, alt, noise_var, rng, n_trials):
     """Fraction of trials in which the true hypothesis ``base`` has the larger
-    residual norm on y = base + noise, exact ties counting one half.  Each
-    chunk of ``signals._NOISE_CHUNK`` trials draws its (m, N) noise as real
-    then imaginary normals."""
+    residual norm on y = base + noise, exact ties counting one half.  Every
+    trial draws its full N-dimensional complex noise."""
     scale = math.sqrt(noise_var / 2.0)
     losses = 0.0
     left = n_trials
     while left > 0:
-        m = min(_NOISE_CHUNK, left)
+        m = min(RESIDUAL_CHUNK, left)
         noise = scale * (rng.standard_normal((m, base.size))
                          + 1j * rng.standard_normal((m, base.size)))
         y = base + noise

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cra.signals import (
     _NOISE_CHUNK,
@@ -17,6 +18,22 @@ from cra.signals import (
 )
 from cra.specfun import qfunc
 from helpers import pairwise_rate_residuals, spark_per_subset
+
+
+LAW_SNRS = (0.5, 2.5, 8.0)
+LAW_SEEDS = (0, 1)
+LAW_TRIALS = 200_000
+LAW_K = stats.norm.isf(0.001 / (2 * len(LAW_SNRS) * len(LAW_SEEDS) * 2))
+
+
+def pairwise_scene(snr):
+    """Two users on an 8 x 16 pool at noise_var 2, the first at ``snr``."""
+    pool = gen_pool(8, 16, seed=12)
+    scene = SparseScene(support=(2, 11),
+                        coefficients=np.array([math.sqrt(2.0 * snr),
+                                               0.8 - 0.3j]),
+                        noise_var=2.0)
+    return pool, scene
 
 
 def scene_with_snr(snr, support=(0,), noise_var=1.0):
@@ -133,27 +150,57 @@ class TestPairwiseMlTrials:
                            2_000)
         assert rate == 0.0
 
-    # n_trials below, equal to and across one noise chunk, then across
-    # many with a partial last one
+    # below, at and across one noise chunk, then across many with a partial
+    # last one: the chunks together draw one standard_normal(n_trials)
     @pytest.mark.parametrize("n_trials", [
-        _NOISE_CHUNK - 1, _NOISE_CHUNK, 2 * _NOISE_CHUNK + 1,
-        99_999, 100_000, 250_001])
+        _NOISE_CHUNK - 1, _NOISE_CHUNK, 2 * _NOISE_CHUNK + 1, 250_001])
     @pytest.mark.parametrize("snr", [0.0, 2.5])
-    def test_equal_to_residual_oracle(self, snr, n_trials):
-        pool = gen_pool(8, 16, seed=12)
-        scene = SparseScene(support=(2, 11),
-                            coefficients=np.array([math.sqrt(2.0 * snr),
-                                                   0.8 - 0.3j]),
-                            noise_var=2.0)
-        base = pool.matrix[:, [2, 11]] @ scene.coefficients
+    def test_chunks_draw_one_normal_stream(self, snr, n_trials):
+        pool, scene = pairwise_scene(snr)
         md = ml_md_trial(pool, scene, 0, np.random.default_rng(1), n_trials)
         fa = ml_fa_trial(pool, scene, 5, snr, np.random.default_rng(2),
                          n_trials)
-        for rate, alt, seed in (
-                (md, base - pool.matrix[:, 2] * scene.coefficients[0], 1),
-                (fa, base + pool.matrix[:, 5] * math.sqrt(snr * 2.0), 2)):
-            assert rate == pairwise_rate_residuals(
-                base, alt, 2.0, np.random.default_rng(seed), n_trials)
+        for rate, d, seed in (
+                (md, pool.matrix[:, 2] * scene.coefficients[0], 1),
+                (fa, -pool.matrix[:, 5] * math.sqrt(snr * 2.0), 2)):
+            d_sq = float(np.vdot(d, d).real)
+            g = np.random.default_rng(seed).standard_normal(n_trials)
+            score = d_sq + math.sqrt(2.0 * scene.noise_var * d_sq) * g
+            assert rate == (np.count_nonzero(score < 0)
+                            + 0.5 * np.count_nonzero(score == 0)) / n_trials
+        if snr == 0.0:
+            assert md == fa == 0.5
+
+    # 3 SNRs x 2 seeds x (md, fa) cases, each a two-sample z of the kernel
+    # against the residual oracle on independent seeds, near N(0, 1): a bound
+    # of k with 12 * 2 * Q(k) = 0.001 keeps the family-wise false-alarm rate
+    # at 0.1%: k = 3.93.  |d|^2 = 2 snr, so the SNR-0.5 case alone cannot
+    # tell a spread that lacks its |d| factor.
+    @pytest.mark.parametrize("snr", LAW_SNRS)
+    def test_same_law_as_residual_oracle(self, snr):
+        pool, scene = pairwise_scene(snr)
+        base = pool.matrix[:, [2, 11]] @ scene.coefficients
+        md_alt = base - pool.matrix[:, 2] * scene.coefficients[0]
+        fa_alt = base + pool.matrix[:, 5] * math.sqrt(snr * 2.0)
+        n = LAW_TRIALS
+        failures = []
+        for seed in LAW_SEEDS:
+            cases = (
+                ("md", ml_md_trial(pool, scene, 0,
+                                   np.random.default_rng((seed, 0)), n),
+                 md_alt),
+                ("fa", ml_fa_trial(pool, scene, 5, snr,
+                                   np.random.default_rng((seed, 1)), n),
+                 fa_alt))
+            for name, rate, alt in cases:
+                oracle = pairwise_rate_residuals(
+                    base, alt, 2.0, np.random.default_rng((seed, 2)), n)
+                p = 0.5 * (rate + oracle)
+                z = (rate - oracle) / math.sqrt(2.0 * p * (1.0 - p) / n)
+                if not abs(z) <= LAW_K:
+                    failures.append(f"{name} seed={seed}: {rate:.5f} vs "
+                                    f"oracle {oracle:.5f} (z {z:+.2f})")
+        assert not failures, failures
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"noise_var": math.nan}, "noise_var"),
