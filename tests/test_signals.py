@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cra import signals
 from cra.signals import (
     _NOISE_CHUNK,
     PreamblePool,
@@ -42,6 +43,24 @@ def scene_with_snr(snr, support=(0,), noise_var=1.0):
                        noise_var=noise_var)
 
 
+def degenerate_matrix(shape, fill):
+    """Complex Gaussian matrix with a planted dependency: "duplicate i j"
+    copies column i to j, "zero i" (or "zero all") zeroes it, "block r"
+    makes the first 4 columns span a space of rank r, "full" plants none."""
+    rng = np.random.default_rng(22)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kind, *where = fill.split()
+    if kind == "duplicate":
+        i, j = map(int, where)
+        m[:, j] = m[:, i]
+    elif kind == "zero":
+        m[:, slice(None) if where == ["all"] else int(where[0])] = 0
+    elif kind == "block":
+        r = int(where[0])
+        m[:, :4] = m[:, :r] @ rng.standard_normal((r, 4))
+    return m
+
+
 class TestGenPool:
     def test_unit_norm_columns(self):
         pool = gen_pool(8, 32, seed=0)
@@ -68,6 +87,12 @@ class TestGenPool:
         with pytest.raises(ValueError):
             PreamblePool(np.ones((3, 4), dtype=complex))
 
+    def test_rejects_nan_column(self):
+        m = gen_pool(4, 8, seed=0).matrix.copy()
+        m[:, 3] = math.nan
+        with pytest.raises(ValueError, match="unit norm"):
+            PreamblePool(m)
+
     def test_rejects_one_dimensional_array(self):
         with pytest.raises(ValueError, match="2-D"):
             PreamblePool(np.ones(3, dtype=complex) / math.sqrt(3.0))
@@ -93,6 +118,21 @@ class TestReceivedStage1:
         y = received_stage1(pool, scene, rng)
         assert y.shape == (6,)
         assert np.linalg.norm(y) > 0
+
+    @pytest.mark.parametrize("support", [(-1, 7), (12,), (1.0,), (True,)])
+    def test_rejects_support_outside_pool(self, support):
+        # -1 would alias column 11, so (-1, 11) would sum one column twice
+        pool = gen_pool(6, 12, seed=3)
+        with pytest.raises(ValueError, match="support index"):
+            received_stage1(pool, scene_with_snr(1.0, support=support),
+                            np.random.default_rng(0))
+
+    def test_numpy_integer_support(self):
+        pool = gen_pool(6, 12, seed=3)
+        scene = SparseScene(support=(np.int64(7),),
+                            coefficients=np.array([1.0 + 0j]), noise_var=1e-30)
+        y = received_stage1(pool, scene, np.random.default_rng(0))
+        assert np.allclose(y, pool.matrix[:, 7], atol=1e-12)
 
     def test_deterministic_in_seed(self):
         pool = gen_pool(6, 12, seed=3)
@@ -247,6 +287,32 @@ class TestPairwiseMlTrials:
         with pytest.raises(ValueError):
             ml_fa_trial(pool, scene, 3, 1.0, np.random.default_rng(0), 10)
 
+    @pytest.mark.parametrize("virtual_index", [-1, 8, True, 3.0])
+    def test_fa_rejects_virtual_index_outside_pool(self, virtual_index):
+        # -1 aliases the active column 7; True and 3.0 pass for indices
+        pool = gen_pool(4, 8, seed=9)
+        scene = scene_with_snr(1.0, support=(7,))
+        with pytest.raises(ValueError, match="virtual_index"):
+            ml_fa_trial(pool, scene, virtual_index, 2.0,
+                        np.random.default_rng(0), 1000)
+
+    @pytest.mark.parametrize("user", [-1, True, 0.0])
+    def test_md_rejects_non_index_user(self, user):
+        pool = gen_pool(4, 8, seed=9)
+        scene = scene_with_snr(1.0, support=(2, 7))
+        with pytest.raises(ValueError, match="user"):
+            ml_md_trial(pool, scene, user, np.random.default_rng(0), 10)
+
+    @pytest.mark.parametrize("trial", ["md", "fa"])
+    def test_trials_reject_support_outside_pool(self, trial):
+        pool = gen_pool(4, 8, seed=9)
+        scene = scene_with_snr(1.0, support=(-1, 2))
+        with pytest.raises(ValueError, match="support index"):
+            if trial == "md":
+                ml_md_trial(pool, scene, 1, np.random.default_rng(0), 10)
+            else:
+                ml_fa_trial(pool, scene, 7, 1.0, np.random.default_rng(0), 10)
+
 
 class TestExhaustiveSupportSearch:
     def test_recovers_support_at_high_snr(self):
@@ -286,6 +352,66 @@ class TestSpark:
         with pytest.raises(ValueError):
             spark_bruteforce(np.ones((2, 25)))
 
+    @pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 2, 2)),
+                                   np.float64(1.0)])
+    def test_rejects_non_matrix(self, m):
+        with pytest.raises(ValueError, match="2-D"):
+            spark_bruteforce(m)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                     complex(1.0, math.inf)])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            spark_bruteforce(m)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 5)])
+    def test_empty_matrix(self, shape):
+        assert spark_bruteforce(np.zeros(shape)) == 1
+
+    @pytest.mark.parametrize("n, L", [(4, 8), (6, 16)])
+    def test_full_spark_pool_takes_no_svd(self, n, L, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a det-certified pool reached the SVD")
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert spark_bruteforce(gen_pool(n, L, seed=1)) == n + 1
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_scale(self, scale):
+        # the det certificate must neither overflow nor warn
+        m = gen_pool(4, 8, seed=3).matrix * scale
+        assert spark_bruteforce(m) == spark_per_subset(m) == 5
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-11, 1e-13])
+    @pytest.mark.parametrize("direction", ["column 1", "fresh"])
+    def test_near_tolerance_columns(self, delta, direction):
+        # column 2 = column 0 + delta * v: the pair (0, 2) has sigma ratio
+        # about delta / 2, on either side of _RANK_TOL; with v = column 1
+        # the triple (0, 1, 2) is dependent as well, and with a fresh v
+        # the 4-column subsets through 0 and 2 are left to the SVD
+        rng = np.random.default_rng(23)
+        m = gen_pool(4, 8, seed=4).matrix.copy()
+        v = m[:, 1] if direction == "column 1" else (
+            rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        m[:, 2] = m[:, 0] + delta * v
+        expected = spark_per_subset(m)
+        assert spark_bruteforce(m) == expected
+        if delta <= 1e-11:
+            assert expected == 2
+        else:
+            assert expected == (3 if direction == "column 1" else 5)
+
+    @pytest.mark.parametrize("batch", [1, 40, 200, 1200])
+    @pytest.mark.parametrize("fill", ["full", "duplicate 0 7",
+                                      "duplicate 3 4", "zero 7", "block 3"])
+    def test_stack_edges(self, batch, fill, monkeypatch):
+        # a 4 x 8 pool in stacks of 1 to 71 subsets: at 1200 entries its 70
+        # four-column subsets fit one stack, below it they cross edges
+        monkeypatch.setattr(signals, "_SVD_BATCH", batch)
+        m = degenerate_matrix((4, 8), fill)
+        assert spark_bruteforce(m) == spark_per_subset(m)
+
     def test_random_pools_match_per_subset_oracle(self):
         rng = np.random.default_rng(21)
         mats = [gen_pool(n, L, seed=s).matrix
@@ -308,21 +434,18 @@ class TestSpark:
         ((3, 6), "full", 4),
         # fewer columns than rows, all independent: spark L + 1
         ((6, 2), "full", 3),
+        # dependencies only below size r = min(L, n), in wide and tall pools
+        ((6, 12), "duplicate 2 9", 2),
+        ((6, 12), "zero 11", 1),
+        ((6, 12), "block 2", 3),
+        ((6, 4), "duplicate 0 3", 2),
+        ((6, 5), "block 2", 3),
+        ((8, 4), "block 3", 4),
+        ((6, 4), "full", 5),
     ])
     def test_degenerate_matrices_match_per_subset_oracle(self, shape, fill,
                                                          expected):
-        rng = np.random.default_rng(22)
-        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        kind, *where = fill.split()
-        if kind == "duplicate":
-            i, j = map(int, where)
-            m[:, j] = m[:, i]
-        elif kind == "zero":
-            m[:, slice(None) if where == ["all"] else int(where[0])] = 0
-        elif kind == "block":
-            # the first 4 columns span a space of the given rank
-            r = int(where[0])
-            m[:, :4] = m[:, :r] @ rng.standard_normal((r, 4))
+        m = degenerate_matrix(shape, fill)
         assert spark_bruteforce(m) == spark_per_subset(m) == expected
 
 
