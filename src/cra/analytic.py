@@ -17,10 +17,11 @@ counts as well as a scalar.
 import math
 import numbers
 from dataclasses import dataclass, replace
+from math import erfc, sqrt
 
 import numpy as np
 
-from .specfun import lambert_w0, poisson_cdf, qfunc
+from .specfun import lambert_w0, poisson_cdf
 
 __all__ = [
     "ProtocolParams",
@@ -37,6 +38,11 @@ __all__ = [
     "detection_error_bounds",
     "support_error_prob",
 ]
+
+# values of K per array pass of instability_threshold's scan below L - 1
+_SCAN_CHUNK = 1 << 16
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -247,17 +253,48 @@ def backlog_drift(n_active, params):
 def instability_threshold(params):
     """Smallest K0 such that backlog_drift(K) > 0 for all K in [K0, 10 L].
 
-    Evaluates the drift once over the array K = 0..10 * pool_size: K0 is one
-    past the last K whose drift is nonpositive.  Returns None if the drift is
-    still nonpositive at 10 * pool_size (no threshold found in range).  The
-    drift limit for large K is
+    Returns None if the drift is still nonpositive at 10 * pool_size (no
+    threshold found in range).  The drift limit for large K is
     arrival_rate * (overhead_len + payload_len * (1 - p_md) * pool_size) > 0,
     so a finite threshold always exists for arrival_rate > 0.
+
+    With a1 = prob_singleton, a2 = prob_unused and q = 1 - p_md the drift
+    is exactly
+
+        lambda (N + tau) + lambda M q L
+            - q L a1(K) - lambda M L (q - p_fa) a2(K),
+
+    and both coefficients q L and lambda M L (q - p_fa) are >= 0 because
+    p_md + p_fa <= 1.  a1(K + 1) / a1(K) = (1 + 1/K)(1 - 1/L) <= 1 exactly
+    when K >= L - 1, and a2 always falls, so the drift is nondecreasing on
+    [L - 1, 10 L].  If drift(L - 1) <= 0, K0 lies in that tail and is found
+    by bisection, about log2(9 L) scalar drift calls.  Otherwise the drift
+    is positive on the whole tail, and K0 is one past the last nonpositive
+    K below L - 1: the array form is scanned from the top down, _SCAN_CHUNK
+    values of K at a time, so memory is bounded whatever L is.
     """
-    k_max = 10 * params.pool_size
-    stable = np.flatnonzero(backlog_drift(np.arange(k_max + 1), params) <= 0)
-    last = stable[-1] if stable.size else -1
-    return None if last == k_max else int(last) + 1
+    L = int(params.pool_size)
+    k_max = 10 * L
+    if backlog_drift(k_max, params) <= 0:
+        return None
+    lo = L - 1
+    if backlog_drift(lo, params) <= 0:
+        hi = k_max   # drift(lo) <= 0 < drift(hi), nondecreasing in between
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if backlog_drift(mid, params) <= 0:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+    while lo > 0:
+        start = max(0, lo - _SCAN_CHUNK)
+        stable = np.flatnonzero(
+            backlog_drift(np.arange(start, lo), params) <= 0)
+        if stable.size:
+            return start + int(stable[-1]) + 1
+        lo = start
+    return 0
 
 
 def detection_error_bounds(inputs):
@@ -265,10 +302,13 @@ def detection_error_bounds(inputs):
 
     Each pairwise error is a Gaussian tail Q(sqrt(snr/2)); the bounds are
     the means over active users (missed detection) and virtual users
-    (false alarm).
+    (false alarm).  Each term is ``qfunc``'s own arithmetic, summed in the
+    same order, without a call per SNR, so the bounds are bit-identical to
+    summing ``qfunc`` calls.  The 0.5 stays on each term: halving a sum of
+    subnormal terms rounds differently from summing their halves.
     """
-    md = sum(qfunc(math.sqrt(s / 2.0)) for s in inputs.active_snrs)
-    fa = sum(qfunc(math.sqrt(s / 2.0)) for s in inputs.virtual_snrs)
+    md = sum([0.5 * erfc(sqrt(s / 2.0) / _SQRT2) for s in inputs.active_snrs])
+    fa = sum([0.5 * erfc(sqrt(s / 2.0) / _SQRT2) for s in inputs.virtual_snrs])
     return md / len(inputs.active_snrs), fa / len(inputs.virtual_snrs)
 
 

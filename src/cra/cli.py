@@ -414,6 +414,14 @@ def _cmd_stability(s, args):
                                   stop_backlog=s["stop_backlog"])
         print(f"seed {seed}: {traj.size} sessions, final backlog {traj[-1]}")
         runs.append((seed, traj))
+    # at or above the threshold the drift is positive for good, so the
+    # backlog was still growing when the run ended
+    k0 = analytic.instability_threshold(params)
+    for seed, traj in runs:
+        if k0 is not None and traj[-1] >= k0:
+            print(f"seed {seed}: transient, not a steady state: final "
+                  f"backlog {traj[-1]} is at or above the instability "
+                  f"threshold {k0}", file=sys.stderr)
     # rows are made as they are written; the runs hold 8 bytes per session
     rows = (_row("session", t, "backlog", "sim", float(z), None, traj.size,
                  seed) for seed, traj in runs for t, z in enumerate(traj))

@@ -39,6 +39,26 @@ def random_valid_params(rng):
     )
 
 
+def edge_params(rng, pool_size):
+    """Random valid params at a load drawn log-uniformly over 1e-5..2 or
+    uniformly over 0.4..1, the loads at which K0 can lie below L - 1; one
+    in five left as drawn and the others at the drift's edges: L = 2, no
+    arrivals, p_md = 1 (so p_fa = 0) or p_md + p_fa = 1."""
+    p = replace(random_valid_params(rng), pool_size=pool_size)
+    p = p.with_traffic(float(10 ** rng.uniform(-5.0, 0.3) if rng.integers(2)
+                             else rng.uniform(0.4, 1.0)))
+    edge = rng.integers(5)
+    if edge == 1:
+        p = replace(p, pool_size=2)
+    elif edge == 2:
+        p = replace(p, arrival_rate=0.0)
+    elif edge == 3:
+        p = replace(p, p_md=1.0, p_fa=0.0)
+    elif edge == 4:
+        p = replace(p, p_fa=1.0 - p.p_md)
+    return p
+
+
 def mean_successes(ss, params):
     """Mean detected singletons per session at a CRA-2 operating point: a
     Poisson(K) active count over L preambles leaves (1 - p_md) K e^(-K/L)."""
@@ -351,6 +371,58 @@ class TestBacklogDrift:
         assert 0 in found
         assert any(type(k0) is int and k0 > 0 for k0 in found)
 
+    def test_drift_nondecreasing_on_tail(self):
+        # the lemma instability_threshold bisects on: both coefficients of
+        # a1 and a2 are >= 0, a1 falls from K = L - 1 on and a2 always falls
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            p = edge_params(rng, int(rng.integers(2, 2000)))
+            L = p.pool_size
+            drift_scale = p.arrival_rate * (
+                p.overhead_len + p.payload_len * L) + L
+            drifts = backlog_drift(np.arange(L - 1, 10 * L + 1), p)
+            assert np.diff(drifts).min() >= -1e-12 * drift_scale
+
+    @pytest.mark.parametrize("chunk", [1, 3, analytic._SCAN_CHUNK])
+    def test_threshold_matches_scan_on_every_branch(self, monkeypatch,
+                                                    chunk):
+        monkeypatch.setattr(analytic, "_SCAN_CHUNK", chunk)
+        rng = np.random.default_rng(12)
+        branches = set()
+        for _ in range(1000):
+            p = edge_params(rng, int(rng.integers(2, 40)))
+            L = p.pool_size
+            k0 = instability_threshold(p)
+            assert k0 == threshold_scan(p, 10 * L)
+            if k0 is None:
+                branches.add("none" if p.arrival_rate > 0 else "idle")
+            else:
+                assert type(k0) is int
+                branches.add("zero" if k0 == 0 else "below" if k0 < L - 1
+                             else "L - 1 or L" if k0 <= L else "tail")
+        assert branches == {"none", "idle", "zero", "below", "L - 1 or L",
+                            "tail"}
+
+    @pytest.mark.parametrize("last_zero", [-1, 0, 7, 48, 49, 50, 300, 499,
+                                           500])
+    def test_zero_drift_counts_as_stable(self, monkeypatch, fig_params,
+                                         last_zero):
+        # K0 is one past the last K whose drift is <= 0, so a drift of
+        # exactly 0 is stable on every branch; the step is nondecreasing
+        monkeypatch.setattr(analytic, "backlog_drift", lambda k, params:
+                            np.where(np.asarray(k) > last_zero, 1.0, 0.0))
+        p = replace(fig_params, pool_size=50)
+        assert instability_threshold(p) == (
+            None if last_zero == 500 else last_zero + 1)
+
+    def test_threshold_huge_pool(self, fig_params):
+        # a tail case, where an array scan of K = 0..10 L held 8 GB per
+        # temporary
+        p = replace(fig_params, pool_size=10**8).with_traffic(0.2)
+        k0 = instability_threshold(p)
+        assert k0 == 282182984
+        assert backlog_drift(k0 - 1, p) <= 0 < backlog_drift(k0, p)
+
     def test_array_matches_scalar_calls(self):
         # The terms are L times a probability, and the collided share
         # L * (1 - a1 - a2) cancels at small K, so a one-ulp difference
@@ -398,6 +470,31 @@ class TestDetectionErrorBounds:
         assert md == pytest.approx(
             0.5 * (0.5 + qfunc(math.sqrt(8.0))), rel=1e-12)
         assert fa == pytest.approx(qfunc(math.sqrt(2.0)), rel=1e-12)
+
+    def test_bit_identical_to_qfunc_mean(self):
+        # SNR 2800..2990 puts Q in the subnormal range.  Where every term
+        # is that small, halving the sum rounds differently from summing
+        # halves, so one tuple in two is drawn from there and 1e6 (Q = 0)
+        rng = np.random.default_rng(13)
+
+        def snrs():
+            tiny = rng.integers(2)
+            return tuple(float(rng.choice(
+                [1e6, rng.uniform(2800.0, 2990.0)] if tiny else
+                [0.0, 1e6, 5e-324, rng.uniform(2800.0, 2990.0),
+                 10 ** rng.uniform(-6.0, 6.0)]))
+                for _ in range(int(rng.integers(1, 40))))
+
+        def qfunc_mean(values):
+            return sum(qfunc(math.sqrt(s / 2.0)) for s in values) \
+                / len(values)
+
+        for _ in range(500):
+            active, virtual = snrs(), snrs()
+            md, fa = detection_error_bounds(ErrorBoundInputs(
+                active_snrs=active, virtual_snrs=virtual,
+                pool_size=len(active) + 1))
+            assert md == qfunc_mean(active) and fa == qfunc_mean(virtual)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -580,6 +580,27 @@ class TestCommands:
         assert all(r["metric"] == "backlog" for r in rows)
         assert {r["seed"] for r in rows} == {0, 1}
 
+    @pytest.mark.parametrize("argv, diverged", [
+        # the retrial_backlog trajectory: load 3 from backlog 5000, where
+        # the threshold is 0
+        (["--traffic", "3", "--initial-backlog", "5000", "--horizon", "300"],
+         True),
+        (["--traffic", "0.5", "--horizon", "2000"], False),
+    ])
+    def test_stability_says_when_a_run_diverged(self, tmp_path, capsys, argv,
+                                                diverged):
+        out = tmp_path / "stab.csv"
+        assert main(["stability", "--seeds", "0", "--output", str(out),
+                     *argv]) == 0
+        captured = capsys.readouterr()
+        final = read_results(str(out))[-1]["estimate"]
+        line = (f"seed 0: transient, not a steady state: final backlog "
+                f"{final:.0f} is at or above the instability threshold")
+        assert (line in captured.err) is diverged
+        assert "transient" not in captured.out
+        if not diverged:
+            assert captured.err == ""
+
     def test_stability_rows_written_as_made(self, tmp_path, capsys):
         # the rows are made as they are written, so a run holds its walk's
         # arrays and trajectory, 32 bytes per session; a list of row dicts
