@@ -19,8 +19,6 @@ import numbers
 from dataclasses import dataclass, replace
 from math import erfc, sqrt
 
-import numpy as np
-
 from .specfun import lambert_w0, poisson_cdf
 
 __all__ = [
@@ -38,9 +36,6 @@ __all__ = [
     "detection_error_bounds",
     "support_error_prob",
 ]
-
-# values of K per array pass of instability_threshold's scan below L - 1
-_SCAN_CHUNK = 1 << 16
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -251,50 +246,52 @@ def backlog_drift(n_active, params):
 
 
 def instability_threshold(params):
-    """Smallest K0 such that backlog_drift(K) > 0 for all K in [K0, 10 L].
+    """Smallest K0 such that backlog_drift(K) > 0 for all K in [K0, 10 L],
+    or None if the drift is still nonpositive at 10 L.
 
-    Returns None if the drift is still nonpositive at 10 * pool_size (no
-    threshold found in range).  The drift limit for large K is
-    arrival_rate * (overhead_len + payload_len * (1 - p_md) * pool_size) > 0,
-    so a finite threshold always exists for arrival_rate > 0.
+    With q = 1 - p_md and r = 1 - 1/L, prob_singleton is K r^(K - 1) / L
+    and prob_unused is r^K, so the drift is exactly
 
-    With a1 = prob_singleton, a2 = prob_unused and q = 1 - p_md the drift
-    is exactly
+        A - r^K (q K / r + B),   A = lambda (N + tau + M q L),
+                                 B = lambda M L (q - p_fa) >= 0
 
-        lambda (N + tau) + lambda M q L
-            - q L a1(K) - lambda M L (q - p_fa) a2(K),
-
-    and both coefficients q L and lambda M L (q - p_fa) are >= 0 because
-    p_md + p_fa <= 1.  a1(K + 1) / a1(K) = (1 + 1/K)(1 - 1/L) <= 1 exactly
-    when K >= L - 1, and a2 always falls, so the drift is nondecreasing on
-    [L - 1, 10 L].  If drift(L - 1) <= 0, K0 lies in that tail and is found
-    by bisection, about log2(9 L) scalar drift calls.  Otherwise the drift
-    is positive on the whole tail, and K0 is one past the last nonpositive
-    K below L - 1: the array form is scanned from the top down, _SCAN_CHUNK
-    values of K at a time, so memory is bounded whatever L is.
+    (p_md + p_fa <= 1).  It tends to A > 0, so a finite threshold exists
+    for arrival_rate > 0.  The K-derivative of r^K (q K / r + B) is
+    r^K (q / r + (q K / r + B) ln r): positive below K* = -1/ln r - B r / q
+    and negative above it.  So the drift falls up to K* and rises after it,
+    and K* < L - 1/2, as -1/ln(1 - x) < 1/x - 1/2.  The K with drift <= 0
+    thus form one run around K*, and the drift's least integer value is at
+    floor(K*) or floor(K*) + 1.  If both drifts are positive, K0 = 0.
+    Otherwise the drift is nondecreasing from floor(K*) + 1 on, and K0 is
+    found by bisection above the nonpositive one of the two (the upper if
+    both are): at most 3 + ceil(log2(10 L)) scalar drift calls in all.  K*
+    is taken as 0 at q = 0, where the drift is constant, and where it is
+    negative or NaN (B overflowed).
     """
     L = int(params.pool_size)
     k_max = 10 * L
     if backlog_drift(k_max, params) <= 0:
         return None
-    lo = L - 1
-    if backlog_drift(lo, params) <= 0:
-        hi = k_max   # drift(lo) <= 0 < drift(hi), nondecreasing in between
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if backlog_drift(mid, params) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-    while lo > 0:
-        start = max(0, lo - _SCAN_CHUNK)
-        stable = np.flatnonzero(
-            backlog_drift(np.arange(start, lo), params) <= 0)
-        if stable.size:
-            return start + int(stable[-1]) + 1
-        lo = start
-    return 0
+    q = 1.0 - params.p_md
+    k_star = 0.0
+    if q > 0.0:
+        b = params.arrival_rate * params.payload_len * L * (q - params.p_fa)
+        k_star = -1.0 / math.log1p(-1.0 / L) - b * (1.0 - 1.0 / L) / q
+    k = int(k_star) if k_star > 0.0 else 0   # False for NaN
+    if backlog_drift(k + 1, params) <= 0:
+        lo = k + 1
+    elif backlog_drift(k, params) <= 0:
+        lo = k
+    else:
+        return 0
+    hi = k_max   # drift(lo) <= 0 < drift(hi), nondecreasing on [k + 1, hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if backlog_drift(mid, params) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def detection_error_bounds(inputs):

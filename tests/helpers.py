@@ -8,7 +8,7 @@ Lambert W, stationary solves of the session Markov chain (over K, and by
 Poisson splitting) instead of the simulator, a drop-mode session walk
 that draws each session's K and its occupancy given K instead of the pooled
 chain, a per-K scan of scalar drift calls instead of the threshold's
-bisection and chunked array scan, literal ML residual norms instead of the
+turning point and bisection, literal ML residual norms instead of the
 projected noise score, and one SVD per column subset instead of batched
 SVDs.  It also reads the CLI's result CSVs back into rows, and stands in
 for a Generator whose occupancy draw a test forces or whose draws it

@@ -59,6 +59,18 @@ def edge_params(rng, pool_size):
     return p
 
 
+def turning_point(p):
+    """K* = -1/ln r - B r / q, where the drift A - r^K (q K / r + B) turns
+    from falling to rising (q = 1 - p_md, r = 1 - 1/L, B = lambda M L
+    (q - p_fa)); taken as 0 at q = 0, where the drift is constant."""
+    q = 1.0 - p.p_md
+    if q == 0.0:
+        return 0.0
+    L = p.pool_size
+    b = p.arrival_rate * p.payload_len * L * (q - p.p_fa)
+    return -1.0 / math.log1p(-1.0 / L) - b * (1.0 - 1.0 / L) / q
+
+
 def mean_successes(ss, params):
     """Mean detected singletons per session at a CRA-2 operating point: a
     Poisson(K) active count over L preambles leaves (1 - p_md) K e^(-K/L)."""
@@ -372,21 +384,27 @@ class TestBacklogDrift:
         assert any(type(k0) is int and k0 > 0 for k0 in found)
 
     def test_drift_nondecreasing_on_tail(self):
-        # the lemma instability_threshold bisects on: both coefficients of
-        # a1 and a2 are >= 0, a1 falls from K = L - 1 on and a2 always falls
+        # the lemma instability_threshold searches on: on the whole of
+        # [0, 10 L] the drift falls up to K* and rises from there on, and
+        # K* < L - 1/2, so it is nondecreasing on the tail [L - 1, 10 L]
         rng = np.random.default_rng(11)
+        shapes = set()
         for _ in range(300):
             p = edge_params(rng, int(rng.integers(2, 2000)))
             L = p.pool_size
-            drift_scale = p.arrival_rate * (
-                p.overhead_len + p.payload_len * L) + L
-            drifts = backlog_drift(np.arange(L - 1, 10 * L + 1), p)
-            assert np.diff(drifts).min() >= -1e-12 * drift_scale
+            k_star = turning_point(p)
+            tol = 1e-12 * (p.arrival_rate * (
+                p.overhead_len + p.payload_len * L) + L)
+            # steps[k] = drift(k + 1) - drift(k)
+            steps = np.diff(backlog_drift(np.arange(0, 10 * L + 1), p))
+            assert steps[:max(math.floor(k_star), 0)].max(initial=0.0) <= tol
+            assert steps[max(math.ceil(k_star), 0):].min() >= -tol
+            assert k_star < L - 0.5
+            shapes.add("p_md = 1" if p.p_md == 1.0 else
+                       "K* < 0" if k_star < 0 else "falls first")
+        assert shapes == {"p_md = 1", "K* < 0", "falls first"}
 
-    @pytest.mark.parametrize("chunk", [1, 3, analytic._SCAN_CHUNK])
-    def test_threshold_matches_scan_on_every_branch(self, monkeypatch,
-                                                    chunk):
-        monkeypatch.setattr(analytic, "_SCAN_CHUNK", chunk)
+    def test_threshold_matches_scan_on_every_branch(self):
         rng = np.random.default_rng(12)
         branches = set()
         for _ in range(1000):
@@ -402,18 +420,81 @@ class TestBacklogDrift:
                              else "L - 1 or L" if k0 <= L else "tail")
         assert branches == {"none", "idle", "zero", "below", "L - 1 or L",
                             "tail"}
+        # The least drift rises with the load.  Bisecting the load down to
+        # adjacent floats puts it at 0 to the last float, where the array
+        # form and scalar calls can round to different signs.
+        zero = []
+        for _ in range(25):
+            p = replace(random_valid_params(rng),
+                        pool_size=int(rng.integers(2, 400)))
+            ks = np.arange(0, p.pool_size + 1)   # K* < L - 1/2
+
+            def stable_at(lam):
+                return backlog_drift(ks, replace(p, arrival_rate=lam)).min() \
+                    <= 0
+
+            # at lambda M = 1 the drift is at least lambda (N + tau) > 0
+            lo, hi = 0.0, 1.0 / p.payload_len
+            assert stable_at(lo) and not stable_at(hi)
+            while lo < (lo + hi) / 2 < hi:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if stable_at(mid) else (lo, mid)
+            for lam in (lo, hi):
+                q = replace(p, arrival_rate=lam)
+                k0 = instability_threshold(q)
+                assert k0 == threshold_scan(q, 10 * q.pool_size)
+                zero.append(k0 == 0)
+        assert any(zero) and not all(zero)
+
+    def test_threshold_where_array_and_scalar_round_apart(self):
+        # The least drift is 0 to the last float here, and the array form
+        # of backlog_drift rounds it one ulp apart from the scalar calls: an
+        # array scan read it as positive everywhere and returned 0
+        p = ProtocolParams(191, 1111, 815, 43.98255866674611,
+                           0.0006564728312027587, 0.676689351831066,
+                           0.019658164536898743)
+        assert instability_threshold(p) == threshold_scan(p, 10 * 815) == 258
 
     @pytest.mark.parametrize("last_zero", [-1, 0, 7, 48, 49, 50, 300, 499,
                                            500])
     def test_zero_drift_counts_as_stable(self, monkeypatch, fig_params,
                                          last_zero):
         # K0 is one past the last K whose drift is <= 0, so a drift of
-        # exactly 0 is stable on every branch; the step is nondecreasing
+        # exactly 0 is stable on every branch.  The stub is 0 on
+        # [0, last_zero] and 1 above, a run holding floor(K*) = 0, so it
+        # has the drift's shape.  The run ends at floor(K*) (0), below
+        # L - 1 (7, 48), at L - 1, at L, in the tail (300, 499) or at 10 L
+        # (None), or there is none (-1, so K0 = 0).
+        p = replace(fig_params, pool_size=50).with_traffic(1.13)
+        assert 0 < turning_point(p) < 1
         monkeypatch.setattr(analytic, "backlog_drift", lambda k, params:
-                            np.where(np.asarray(k) > last_zero, 1.0, 0.0))
-        p = replace(fig_params, pool_size=50)
+                            0.0 if k <= last_zero else 1.0)
         assert instability_threshold(p) == (
             None if last_zero == 500 else last_zero + 1)
+
+    @pytest.mark.parametrize("case, k0", [("load 3", 0),
+                                          ("load 0.2", 282182984),
+                                          ("B inf", 0), ("B NaN", 0)])
+    def test_threshold_in_few_scalar_calls(self, monkeypatch, fig_params,
+                                           case, k0):
+        # L = 10^8, where a scan of K would take seconds, and lambda M =
+        # 1e320, where B overflows to inf and, at p_md = p_fa, to inf * 0
+        huge = replace(fig_params, pool_size=10**8)
+        p = {"load 3": huge.with_traffic(3.0),
+             "load 0.2": huge.with_traffic(0.2),
+             "B inf": ProtocolParams(31, 10**20, 2, 4.0, 1e300, 0.01, 0.01),
+             "B NaN": ProtocolParams(31, 10**20, 2, 4.0, 1e300, 0.5, 0.5),
+             }[case]
+        ks = []
+
+        def counted(k, params):
+            ks.append(k)
+            return backlog_drift(k, params)
+
+        monkeypatch.setattr(analytic, "backlog_drift", counted)
+        assert instability_threshold(p) == k0
+        assert all(type(k) is int for k in ks)
+        assert len(ks) <= 3 + math.ceil(math.log2(10 * p.pool_size))
 
     def test_threshold_huge_pool(self, fig_params):
         # a tail case, where an array scan of K = 0..10 L held 8 GB per
