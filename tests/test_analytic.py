@@ -404,8 +404,10 @@ class TestBacklogDrift:
                        "K* < 0" if k_star < 0 else "falls first")
         assert shapes == {"p_md = 1", "K* < 0", "falls first"}
 
-    def test_threshold_matches_scan_on_every_branch(self):
-        rng = np.random.default_rng(12)
+    @pytest.mark.parametrize("seed", [1, 3, 65536])
+    def test_threshold_matches_scan_on_every_branch(self, seed):
+        # three independent draws of 1000 cases, each reaching every branch
+        rng = np.random.default_rng(seed)
         branches = set()
         for _ in range(1000):
             p = edge_params(rng, int(rng.integers(2, 40)))
