@@ -154,7 +154,6 @@ _SETTINGS = {
     "snr": ((0.0, 1.0, 4.0, 16.0), [float], 0),
     "trials": (1_000_000, int, 1), "pool_symbols": (31, int, 1),
     "horizon": (10_000, int), "initial_backlog": (0, int),
-    "stop_backlog": (None, int),   # None: run the whole horizon
 }
 
 _TYPE_NAMES = {int: "an integer within float range",
@@ -165,7 +164,7 @@ _SIM_KEYS = ("scheme", "mode", "n_sessions", "warmup_sessions", "seed")
 _SWEEP_KEYS = ("swept_variable", "grid", "outputs", "replicate_seeds",
                "n_sessions", "warmup_sessions")
 _SIGNAL_KEYS = ("snr", "trials", "pool_symbols", "pool_size", "seed")
-_STABILITY_KEYS = ("horizon", "initial_backlog", "stop_backlog")
+_STABILITY_KEYS = ("horizon", "initial_backlog")
 # keys each settings file may hold
 _FILE_KEYS = {"config": (*_PROTOCOL_KEYS, *_SIM_KEYS),
               "spec": (*_PROTOCOL_KEYS, *_SWEEP_KEYS)}
@@ -337,6 +336,17 @@ def run_sweep(spec, workers=1):
 # subcommands: each takes the settings and the parsed flags, prints its
 # summary and returns its result rows and provenance
 
+def _report_divergence(params, seed, backlog):
+    """A stderr line if a fast-retrial run ended with its backlog at or above
+    the instability threshold: the drift is positive for good there, so the
+    backlog was still growing when the run ended."""
+    k0 = analytic.instability_threshold(params)
+    if k0 is not None and backlog >= k0:
+        print(f"seed {seed}: transient, not a steady state: final backlog "
+              f"{backlog} is at or above the instability threshold {k0}",
+              file=sys.stderr)
+
+
 def _cmd_analytic(s, args):
     params = _params(s)
     point = analytic_point(params)
@@ -359,6 +369,8 @@ def _cmd_simulate(s, args):
           f"+/- {row['std_error']:.3g}")
     for key in ("mean_active", "mean_detected", "mean_session_len"):
         print(f"{key} = {getattr(est, key):.6g}")
+    if est.final_backlog is not None:
+        _report_divergence(cfg.params, cfg.seed, est.final_backlog)
     return [row], {**asdict(cfg.params), "pool_size": cfg.pool_size,
                    **{k: s[k] for k in _SIM_KEYS}}
 
@@ -410,18 +422,10 @@ def _cmd_stability(s, args):
         cfg = SimConfig(params=params, scheme=Scheme.CRA2,
                         mode=Mode.FAST_RETRIAL, warmup_sessions=0, seed=seed)
         traj = simulate_stability(cfg, s["horizon"],
-                                  initial_backlog=s["initial_backlog"],
-                                  stop_backlog=s["stop_backlog"])
+                                  initial_backlog=s["initial_backlog"])
         print(f"seed {seed}: {traj.size} sessions, final backlog {traj[-1]}")
+        _report_divergence(params, seed, traj[-1])
         runs.append((seed, traj))
-    # at or above the threshold the drift is positive for good, so the
-    # backlog was still growing when the run ended
-    k0 = analytic.instability_threshold(params)
-    for seed, traj in runs:
-        if k0 is not None and traj[-1] >= k0:
-            print(f"seed {seed}: transient, not a steady state: final "
-                  f"backlog {traj[-1]} is at or above the instability "
-                  f"threshold {k0}", file=sys.stderr)
     # rows are made as they are written; the runs hold 8 bytes per session
     rows = (_row("session", t, "backlog", "sim", float(z), None, traj.size,
                  seed) for seed, traj in runs for t, z in enumerate(traj))

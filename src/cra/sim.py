@@ -39,9 +39,9 @@ Each scheme's ``_session_rule`` gives every path its session length, and
 ``_iid_sessions`` its pool and success cap: ALOHA's pool is its N channels
 whatever ``pool_size`` says.  Each per-session number is held once: a
 drop-mode kernel allocates its (successes, detected) arrays, 16 bytes per
-session, before its first draw (``_walk`` adds K), and drop mode reports
-``mean_active`` as lambda times the mean session length, E[K] at
-stationarity.  ``estimate_throughput`` times each batch from its detected
+session, before its first draw (``_walk`` adds its backlog), and drop
+mode reports ``mean_active`` as lambda times the mean session length, E[K]
+at stationarity.  ``estimate_throughput`` times each batch from its detected
 sum, so nothing else grows with the run and a run too long to allocate
 fails at once (``cra`` prints one ``error:`` line).  The variate pools of
 ``_cra2_sessions`` hold at most ``_POOL_STATES`` x ``_POOL_CHUNK`` variates
@@ -187,7 +187,8 @@ class ThroughputEstimate:
     standard error; ``detected_std_error`` is the batch-means standard error
     of ``mean_detected``.  In drop mode ``mean_active`` is lambda times
     ``mean_session_len``, unbiased for E[K] = lambda E[length] at
-    stationarity; in fast retrial it is the mean of the drawn K."""
+    stationarity, and ``final_backlog`` is None; in fast retrial they are
+    the mean of the drawn K and the users the last session left waiting."""
 
     mean_throughput: float
     std_error: float
@@ -196,6 +197,7 @@ class ThroughputEstimate:
     mean_detected: float
     mean_session_len: float
     detected_std_error: float
+    final_backlog: int | None
 
 
 def stage1_outcome(n_active, params, rng):
@@ -265,20 +267,20 @@ def _occupancy(n_active, L, rng):
     return f1 + f2, s1 + s2
 
 
-def _walk(cfg, horizon, backlog=0, stop_backlog=None):
-    """Walk CRA-2's fast-retrial session chain for up to ``horizon``
-    sessions, drawing each session's K and then its occupancy counts given
-    K: fast-retrial ``estimate_throughput`` and ``simulate_stability``.
+def _walk(cfg, horizon, backlog=0):
+    """Walk CRA-2's fast-retrial session chain for ``horizon`` sessions,
+    drawing each session's K and then its occupancy counts given K:
+    fast-retrial ``estimate_throughput`` and ``simulate_stability``.
 
     Session t+1's arrival mean is the arrival rate times session t's length,
     N + tau + M D.  Each session books its detected singletons, and session
-    t+1 adds the K - successes users session t left.
-    ``backlog`` holds the users waiting before the first session.  The walk
-    stops early once the backlog after a session exceeds ``stop_backlog``,
-    and raises ValueError, naming the new users and the backlog carried in,
-    once a session's active count exceeds 2**62, near the int64 limit.
+    t+1 adds the K - successes users session t left, ``backlog`` before the
+    first.  The walk raises ValueError, naming the new users and the backlog
+    carried in, once a session's active count exceeds 2**62.
 
-    Returns the (successes, active, detected) arrays of the sessions run.
+    Returns the (successes, detected, backlog) of each session, a session's
+    backlog being the users it leaves waiting, as three arrays, so that a
+    caller keeping one frees the others (``simulate_stability`` does).
     """
     p = cfg.params
     rng = np.random.default_rng(cfg.seed)
@@ -287,9 +289,8 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
     _, base, per_detected, _ = _session_rule(Scheme.CRA2, p)
     detected = _startup_detected(p)
     succ_out = np.empty(horizon, dtype=np.int64)
-    active_out = np.empty(horizon, dtype=np.int64)
     detected_out = np.empty(horizon, dtype=np.int64)
-    run = horizon
+    backlog_out = np.empty(horizon, dtype=np.int64)
     for t in range(horizon):
         k = int(poisson(rate * (base + per_detected * detected))) + backlog
         if k > _MAX_MEAN_ACTIVE:
@@ -302,12 +303,9 @@ def _walk(cfg, horizon, backlog=0, stop_backlog=None):
         detected = d1 + d2 + d3
         backlog = k - d1
         succ_out[t] = d1
-        active_out[t] = k
         detected_out[t] = detected
-        if stop_backlog is not None and backlog > stop_backlog:
-            run = t + 1
-            break
-    return succ_out[:run], active_out[:run], detected_out[:run]
+        backlog_out[t] = backlog
+    return succ_out, detected_out, backlog_out
 
 
 def _iid_sessions(cfg, total):
@@ -447,15 +445,15 @@ def _cra2_sessions(cfg, total):
     return succ_out, detected_out
 
 
-def _ratio_estimate(succ, detected, base, per_detected, rate, active=None):
+def _ratio_estimate(succ, detected, base, per_detected, rate, backlog=None):
     """Ratio estimator sum(succ)/sum(session length) over the measured
     sessions, a session lasting base + per_detected * D symbols, with the
     standard error of the means of min(_BATCHES, n) contiguous batch ratios;
     the mean detected count gets the standard error of its means over the
-    same batches.  ``mean_active`` is the mean of ``active`` (fast retrial's
-    K) where given, else ``rate`` times the mean session length.  A batch's
-    time is base * size + per_detected * sum(D), so nothing is built per
-    session (5 KB traced on 10^6 sessions)."""
+    same batches.  ``mean_active`` is the mean of successes + ``backlog``
+    (fast retrial's K) where given, else ``rate`` times the mean session
+    length.  A batch's time is base * size + per_detected * sum(D), so
+    nothing is built per session (5 KB traced on 10^6 sessions)."""
     n = succ.size
     n_batches = min(_BATCHES, n)
     edges = [round(i * n / n_batches) for i in range(n_batches)]
@@ -477,17 +475,19 @@ def _ratio_estimate(succ, detected, base, per_detected, rate, active=None):
         return float(means.std(ddof=1) / math.sqrt(n_batches)) \
             if n_batches > 1 else 0.0
 
+    succ_total = float(succ.sum(dtype=float))
     det_total = float(detected.sum(dtype=float))
     tot_time = base * n + per_detected * det_total
     return ThroughputEstimate(
-        mean_throughput=float(succ.sum(dtype=float)) / tot_time,
+        mean_throughput=succ_total / tot_time,
         std_error=batch_se(rates),
         sessions_run=n,
-        mean_active=rate * tot_time / n if active is None
-        else float(active.sum(dtype=float)) / n,
+        mean_active=rate * tot_time / n if backlog is None
+        else (succ_total + float(backlog.sum(dtype=float))) / n,
         mean_detected=det_total / n,
         mean_session_len=tot_time / n,
         detected_std_error=batch_se(det_means),
+        final_backlog=None if backlog is None else int(backlog[-1]),
     )
 
 
@@ -501,23 +501,20 @@ def estimate_throughput(cfg):
     """
     w = cfg.warmup_sessions
     if cfg.mode is Mode.FAST_RETRIAL:
-        succ, active, detected = _walk(cfg, w + cfg.n_sessions)
-        active = active[w:]
+        succ, detected, backlog = _walk(cfg, w + cfg.n_sessions)
+        backlog = backlog[w:]
     else:
         kernel = _cra2_sessions if cfg.scheme is Scheme.CRA2 else _iid_sessions
-        (succ, detected), active = kernel(cfg, w + cfg.n_sessions), None
+        (succ, detected), backlog = kernel(cfg, w + cfg.n_sessions), None
     _, base, per_detected, _ = _session_rule(cfg.scheme, cfg.params)
     return _ratio_estimate(succ[w:], detected[w:], base, per_detected,
-                           cfg.params.arrival_rate, active)
+                           cfg.params.arrival_rate, backlog)
 
 
-def simulate_stability(cfg, horizon, initial_backlog=0, stop_backlog=None):
-    """Backlog trajectory Z(t) = active(t) - successes(t) under fast
-    retrial; no packets are dropped.
-
-    Stops early once the backlog exceeds ``stop_backlog`` (trajectory is
-    truncated there), which keeps diverging runs cheap.  ``horizon`` sets the
-    number of sessions; ``cfg.n_sessions`` is not used.
+def simulate_stability(cfg, horizon, initial_backlog=0):
+    """Backlog trajectory Z(t), the users session t leaves waiting, over
+    ``horizon`` sessions of fast retrial; no packets are dropped.
+    ``cfg.n_sessions`` is not used.
     """
     if cfg.mode is not Mode.FAST_RETRIAL:
         raise ValueError("simulate_stability requires fast_retrial mode")
@@ -525,7 +522,4 @@ def simulate_stability(cfg, horizon, initial_backlog=0, stop_backlog=None):
         raise ValueError("horizon must be >= 1")
     if not 0 <= initial_backlog <= _MAX_MEAN_ACTIVE:
         raise ValueError("initial_backlog must be in [0, 2**62]")
-    if stop_backlog is not None and stop_backlog < 0:
-        raise ValueError("stop_backlog must be >= 0 or None")
-    succ, active, _ = _walk(cfg, horizon, initial_backlog, stop_backlog)
-    return active - succ
+    return _walk(cfg, horizon, initial_backlog)[2]

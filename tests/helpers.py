@@ -98,13 +98,19 @@ def exact_occupancy_means(n_active, pool_size):
 def occupancy_pmf_dp(n_active, pool_size):
     """Exact law of (singleton count, collided count) of ``n_active`` users
     that each pick one of ``pool_size`` preambles uniformly, as a dict
-    {(singleton, collided): Fraction}, adding one user at a time: the next
-    user lands on a free preamble, a singleton (which then collides) or a
-    collided one with probabilities free / L, singleton / L and
-    collided / L."""
+    {(singleton, collided): Fraction}; see ``occupancy_laws``."""
+    return next(itertools.islice(occupancy_laws(pool_size), n_active, None))
+
+
+def occupancy_laws(pool_size):
+    """The laws of ``occupancy_pmf_dp`` for 0, 1, 2, ... users, adding one
+    user at a time: the next user lands on a free preamble, a singleton
+    (which then collides) or a collided one with probabilities free / L,
+    singleton / L and collided / L."""
     L = pool_size
     law = {(0, 0): Fraction(1)}
-    for _ in range(n_active):
+    while True:
+        yield law
         nxt = {}
         for (s, c), prob in law.items():
             for cell, ways in (((s + 1, c), L - s - c), ((s - 1, c + 1), s),
@@ -112,7 +118,6 @@ def occupancy_pmf_dp(n_active, pool_size):
                 if ways:
                     nxt[cell] = nxt.get(cell, 0) + prob * Fraction(ways, L)
         law = nxt
-    return law
 
 
 class PickedOccupancy:
@@ -328,6 +333,68 @@ def drop_walk(params, n_sessions, seed, first_active=None):
         detected = d1 + d2 + d3
         out[:, t] = d1, k, detected
     return tuple(out)
+
+
+def retrial_chain_moments(params, backlog, detected, n_sessions, z_max,
+                          tol=1e-12):
+    """Exact moments of CRA-2's fast-retrial session chain over its first
+    ``n_sessions`` sessions, from ``backlog`` users waiting and ``detected``
+    preambles detected before the first: (E[Z], Var[Z], the fourth central
+    moment of Z, E[D], Var[D]), each an array over the sessions, where Z_t
+    is the backlog session t leaves and D_t its detected count.
+
+    The law of (Z, D) is iterated forward.  A session holds
+    K = Z + Poisson(lambda (N + tau + M D)) users; given K, its (singleton,
+    collided) counts have the law of ``occupancy_laws``, the rest of the L
+    preambles being free, and d1 ~ Bin(singletons, 1 - p_md),
+    d2 ~ Bin(collided, 1 - p_md) and d3 ~ Bin(free, p_fa).  Then
+    D' = d1 + d2 + d3 and Z' = K - d1.  Z is truncated at ``z_max``, so K
+    at z_max + L; the mass lost past either bound is carried and asserted
+    below ``tol``.  Both transitions are built once as arrays: P(K | Z, D)
+    and P(Z', D' | K).
+    """
+    L, q, p_fa = params.pool_size, 1.0 - params.p_md, params.p_fa
+    k_max = z_max + L
+    ks, zs, cells = np.arange(k_max + 1), np.arange(z_max + 1), \
+        np.arange(L + 1)
+    # arrivals: P(K | Z, D) = Poisson(mu_D) at K - Z, as [D, Z, K]
+    mu = params.arrival_rate * (params.overhead_len
+                                + params.payload_len * cells)
+    new = ks[None, :] - zs[:, None]
+    to_k = np.where(new >= 0, stats.poisson.pmf(np.maximum(new, 0),
+                                                mu[:, None, None]), 0.0)
+    # given (singletons s, collided c): the law of (d1, D'), as [s, c, d1, D']
+    thin = np.zeros((L + 1, L + 1, L + 1, L + 1))
+    for s in cells:
+        for c in range(L + 1 - s):
+            rest = np.convolve(stats.binom.pmf(cells, c, q),
+                               stats.binom.pmf(cells, L - s - c, p_fa))
+            for d1, prob in enumerate(stats.binom.pmf(cells[:s + 1], s, q)):
+                thin[s, c, d1, d1:] = prob * rest[:L + 1 - d1]
+    occupancy = np.zeros((k_max + 1, L + 1, L + 1))
+    for k, law in zip(ks, occupancy_laws(L)):
+        for (s, c), prob in law.items():
+            occupancy[k, s, c] = prob
+    outcome = np.einsum("ksc,scad->kad", occupancy, thin)
+    # P(Z', D' | K) as [K, Z', D'], Z' = K - d1
+    from_k = np.zeros((k_max + 1, z_max + 1, L + 1))
+    for d1 in cells:
+        keep = (ks >= d1) & (ks - d1 <= z_max)
+        from_k[ks[keep], ks[keep] - d1] += outcome[keep, d1]
+
+    law = np.zeros((z_max + 1, L + 1))
+    law[backlog, detected] = 1.0
+    moments = []
+    for _ in range(n_sessions):
+        law = np.einsum("k,kzd->zd", np.einsum("zd,dzk->k", law, to_k), from_k)
+        mass = law.sum()
+        pz, pd = law.sum(axis=1) / mass, law.sum(axis=0) / mass
+        mean_z, mean_d = pz @ zs, pd @ cells
+        moments.append((mean_z, pz @ (zs - mean_z) ** 2,
+                        pz @ (zs - mean_z) ** 4, mean_d,
+                        pd @ (cells - mean_d) ** 2))
+    assert 1.0 - mass < tol, f"lost mass {1.0 - mass:.3g} above {tol:.3g}"
+    return tuple(np.array(m) for m in zip(*moments))
 
 
 def threshold_scan(params, k_max):

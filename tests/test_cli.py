@@ -2,8 +2,11 @@ import argparse
 import contextlib
 import io
 import json
+import re
+import shlex
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from cra.cli import (
     run_sweep,
 )
 from cra.analytic import ProtocolParams, throughput_cra1
-from cra.sim import Scheme, SimConfig, estimate_throughput
+from cra.sim import Mode, Scheme, SimConfig, estimate_throughput
 
 from helpers import read_results
 
@@ -281,8 +284,8 @@ class TestCommands:
           "--horizon", "3", "--seeds", "0"], None, "initial_backlog"),
         (["stability", "--initial-backlog", "-5", "--horizon", "3",
           "--seeds", "0"], None, "initial_backlog"),
-        (["stability", "--stop-backlog", "-1", "--horizon", "3",
-          "--seeds", "0"], None, "stop_backlog"),
+        (["stability", "--horizon", "-1", "--seeds", "0"], None,
+         "horizon must be >= 1"),
         (["stability", "--horizon", "0", "--seeds", "0"], None, "horizon"),
         (["signal", "--snr", "nan", "--trials", "10"], None, "snr"),
         (["signal", "--snr", "4,-1", "--trials", "10"], None, "snr"),
@@ -601,10 +604,28 @@ class TestCommands:
         if not diverged:
             assert captured.err == ""
 
+    @pytest.mark.parametrize("load, diverged", [
+        # the threshold is 0 at load 1, so every run ends at or above it;
+        # 446 at load 0.5
+        ("1.0", True), ("0.5", False)])
+    def test_simulate_says_when_a_run_diverged(self, capsys, fig_params,
+                                                load, diverged):
+        argv = ["--traffic", load, "--n-sessions", "2000", "--warmup", "100"]
+        assert main(["simulate", "--mode", "fast_retrial", *argv]) == 0
+        captured = capsys.readouterr()
+        est = estimate_throughput(SimConfig(
+            params=fig_params.with_traffic(float(load)),
+            mode=Mode.FAST_RETRIAL, n_sessions=2000, warmup_sessions=100))
+        line = (f"seed 0: transient, not a steady state: final backlog "
+                f"{est.final_backlog} is at or above the instability "
+                f"threshold 0\n")
+        assert captured.err == (line if diverged else "")
+        assert "transient" not in captured.out
+
     def test_stability_rows_written_as_made(self, tmp_path, capsys):
         # the rows are made as they are written, so a run holds its walk's
-        # arrays and trajectory, 32 bytes per session; a list of row dicts
-        # took about 370
+        # three arrays, 24 bytes per session; a list of row dicts took about
+        # 370
         argv = ["stability", "--traffic", "0", "--seeds", "0",
                 "--output", str(tmp_path / "stab.csv")]
         assert main(argv + ["--horizon", "10"]) == 0   # warm-up
@@ -648,12 +669,47 @@ CLI_OPTIONS = {
                "--seed": "seed", "--output": "output"},
     "stability": {**PROTOCOL_OPTIONS, "--horizon": "horizon",
                   "--initial-backlog": "initial_backlog",
-                  "--stop-backlog": "stop_backlog",
                   "--seeds": "replicate_seeds", "--output": "output"},
 }
 
 
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+def console_script_commands():
+    """The arguments of each `cra` line in the workflow's console-script
+    step, up to its first redirection or shell operator."""
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    step = next(i for i, line in enumerate(lines)
+                if line.strip() == "- name: Console script")
+    run = next(i for i in range(step, len(lines))
+               if lines[i].strip() == "run: |")
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    commands = []
+    for line in lines[run + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        words = shlex.split(line)
+        if words[:1] == ["cra"]:
+            end = next((i for i, w in enumerate(words)
+                        if re.match(r"\d*[<>|&;]", w)), len(words))
+            commands.append(words[1:end])
+    return commands
+
+
 class TestCliSurface:
+    def test_workflow_commands_parse(self, capsys):
+        # a flag renamed or dropped fails here, not first in CI; nothing
+        # is run
+        commands = console_script_commands()
+        assert {argv[0] for argv in commands} == {"--help", *CLI_OPTIONS}
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit as exc:   # --help exits 0, a bad flag 2
+                assert (argv, exc.code) == (["--help"], 0)
+
     def subparsers(self):
         [sub] = [a for a in cli.build_parser()._actions
                  if isinstance(a, argparse._SubParsersAction)]
@@ -698,14 +754,14 @@ class TestCliSurface:
          {"arrival_rate": 0.003484320557491289, "feedback_len": 4.0,
           "horizon": 5, "initial_backlog": 0, "p_fa": 0.01, "p_md": 0.01,
           "payload_len": 256, "pool_size": 310, "preamble_len": 31,
-          "seeds": [0], "stop_backlog": None}),
+          "seeds": [0]}),
         (["stability", "--preamble-len", "8", "--payload-len", "16",
           "--pool-size", "24", "--traffic", "2", "--horizon", "20",
-          "--initial-backlog", "4", "--stop-backlog", "30", "--seeds", "1,2"],
+          "--initial-backlog", "4", "--seeds", "1,2"],
          {"arrival_rate": 0.08333333333333333, "feedback_len": 4.0,
           "horizon": 20, "initial_backlog": 4, "p_fa": 0.01, "p_md": 0.01,
           "payload_len": 16, "pool_size": 24, "preamble_len": 8,
-          "seeds": [1, 2], "stop_backlog": 30}),
+          "seeds": [1, 2]}),
     ])
     def test_provenance_pinned(self, tmp_path, capsys, argv, provenance):
         out = tmp_path / "o.csv"
