@@ -12,9 +12,9 @@ one normal.
 The spark search tests the largest column subsets first: by Cauchy
 interlacing a subset's sigma_min / sigma_max is at least that of any
 superset, so if every min(L, N)-column subset is independent, so is every
-smaller one.  A square subset is certified independent by its determinant,
-|det A_S| > 1e-6 ||A_S||_F^N, and only the rest go to batched SVDs; a
-random full-spark pool takes none.
+smaller one.  A square subset of unit-norm columns is certified independent
+by its determinant, |det A_S| > 1e-6 N^(N/2), and only the rest go to
+batched SVDs; a random full-spark pool takes none.
 """
 
 import functools
@@ -40,7 +40,7 @@ __all__ = [
 _NOISE_CHUNK = 1 << 16
 _RANK_TOL = 1e-10
 _SVD_BATCH = 1 << 20  # matrix entries per stacked SVD in spark_bruteforce
-# a square subset is independent when |det| > _DET_MARGIN ||A_S||_F^N: its
+# a square subset is independent when |det| > _DET_MARGIN N^(N/2): its
 # sigma_min / sigma_max is then 10^4 times _RANK_TOL, far past det's rounding
 _DET_MARGIN = 1e-6
 _UNIT_NORM_TOL = 1e-12
@@ -48,17 +48,21 @@ _UNIT_NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PreamblePool:
-    """N x L matrix of unit-norm complex preamble columns."""
+    """N x L matrix of unit-norm complex preamble columns, marked read-only
+    (the caller's array too) so that they stay as checked."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = self.matrix
-        if m.ndim != 2:
-            raise ValueError("preamble pool must be a 2-D matrix")
-        norms = np.linalg.norm(m, axis=0)
+        if m.ndim != 2 or m.size == 0:
+            raise ValueError("preamble pool must be a nonempty 2-D matrix, "
+                             f"got shape {m.shape}")
+        with np.errstate(invalid="ignore"):  # inf * 0 in a complex inf's norm
+            norms = np.linalg.norm(m, axis=0)
         if not np.max(np.abs(norms - 1.0)) <= _UNIT_NORM_TOL:  # NaN fails
             raise ValueError("preamble columns must have unit norm")
+        m.flags.writeable = False
 
     @property
     def n_symbols(self):
@@ -225,18 +229,14 @@ def _subset_stacks(n_columns, size, per_stack):
         yield np.array(chunk, dtype=np.intp)
 
 
-def _some_dependent(m, scaled, size):
-    """Whether some ``size``-column subset of m fails the rank test.  The
-    det certificate of a square subset reads ``scaled``, m times a power of
-    two that puts every real and imaginary part below 1, so neither det nor
-    the Frobenius power can overflow; the SVD takes only the subsets it
-    does not certify."""
+def _some_dependent(m, size):
+    """Whether some ``size``-column subset of the unit-norm m fails the rank
+    test; the SVD takes only the subsets the det certificate leaves."""
     n, n_columns = m.shape
     for idx in _subset_stacks(n_columns, size, _per_stack(n, size)):
         if size == n:
-            fro_sq = np.sum(np.abs(scaled) ** 2, axis=0)[idx].sum(axis=1)
-            det = np.abs(np.linalg.det(scaled.T[idx]))
-            idx = idx[det <= _DET_MARGIN * fro_sq ** (n / 2)]
+            det = np.abs(np.linalg.det(m.T[idx]))
+            idx = idx[det <= _DET_MARGIN * n ** (n / 2)]
         if len(idx):
             s = np.linalg.svd(m.T[idx].transpose(0, 2, 1), compute_uv=False)
             tol = _RANK_TOL * s.max(axis=-1, keepdims=True, initial=0.0)
@@ -260,32 +260,27 @@ def spark_bruteforce(pool):
     tested first; if one fails, sizes 1..r-1 are searched upward in stacks,
     smallest first, and the spark is r if none fails.  So no input does
     more than one stack of work beyond a plain upward search, and none holds
-    more than one stack at a time.  A square subset A_S (size n_symbols)
-    passes without an SVD when |det A_S| > 1e-6 ||A_S||_F^n: since |det A_S|
-    <= sigma_min sigma_max^(n-1) and sigma_max <= ||A_S||_F, its
-    sigma_min / sigma_max then exceeds 1e-6, 10^4 times ``_RANK_TOL``.  A
-    random full-spark pool takes no SVD.  Accepts a PreamblePool or a raw
-    finite 2-D matrix (degenerate columns allowed in the latter).
+    more than one stack at a time.  A square subset A_S (size n = n_symbols)
+    passes without an SVD when |det A_S| > 1e-6 n^(n/2): its columns have
+    norm within 1e-12 of 1, so sigma_max <= ||A_S||_F <= sqrt(n) (1 + 1e-12)
+    and |det A_S| <= sigma_min sigma_max^(n-1) give sigma_min / sigma_max >
+    1e-6 (1 - n 1e-12), 10^4 times ``_RANK_TOL``.  A random full-spark pool
+    takes no SVD.  Scaling a column by a nonzero factor leaves the spark
+    unchanged: a matrix with a zero column has spark 1, any other the spark
+    of its column-normalized pool.
     """
-    m = pool.matrix if isinstance(pool, PreamblePool) else np.asarray(pool)
-    if m.ndim != 2:
-        raise ValueError(f"spark_bruteforce needs a 2-D matrix, got {m.ndim}-D")
+    m = pool.matrix
     n, L = m.shape
     if L > 24:
         raise ValueError("spark_bruteforce limited to pool_size <= 24")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("spark_bruteforce needs a finite matrix")
-    peak = max(np.abs(m.real).max(initial=0.0),
-               np.abs(m.imag).max(initial=0.0))
-    scaled = m * math.ldexp(1.0, -max(math.frexp(peak)[1], 0))
     r = min(L, n)
     sizes = range(1, r + 1)
-    if r and math.comb(L, r) <= _per_stack(n, r):
-        if not _some_dependent(m, scaled, r):
+    if math.comb(L, r) <= _per_stack(n, r):
+        if not _some_dependent(m, r):
             return r + 1
         sizes = range(1, r)  # a dependent r-subset: the spark is at most r
     for size in sizes:
-        if _some_dependent(m, scaled, size):
+        if _some_dependent(m, size):
             return size
     return sizes.stop
 

@@ -6,7 +6,6 @@ import re
 import shlex
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from cra.cli import (
 from cra.analytic import ProtocolParams, throughput_cra1
 from cra.sim import Mode, Scheme, SimConfig, estimate_throughput
 
+from ci_steps import step_lines
 from helpers import read_results
 
 TINY_PARAMS = {"preamble_len": 8, "payload_len": 16, "pool_size": 24}
@@ -73,6 +73,13 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="outputs"):
             SweepSpec(base=self.base(), swept_variable="lambda_T",
                       grid=(1.0,), outputs=("eta9",))
+
+    def test_empty_seeds_rejected(self):
+        # the CLI refuses an empty seed list before a SweepSpec is built
+        with pytest.raises(ValueError,
+                           match="replicate_seeds: must be nonempty"):
+            SweepSpec(base=self.base(), swept_variable="lambda_T",
+                      grid=(1.0,), replicate_seeds=())
 
     def test_apply_sweep_value(self):
         p = self.base().params
@@ -673,22 +680,11 @@ CLI_OPTIONS = {
 }
 
 
-WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
-
-
 def console_script_commands():
     """The arguments of each `cra` line in the workflow's console-script
     step, up to its first redirection or shell operator."""
-    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
-    step = next(i for i, line in enumerate(lines)
-                if line.strip() == "- name: Console script")
-    run = next(i for i in range(step, len(lines))
-               if lines[i].strip() == "run: |")
-    indent = len(lines[run]) - len(lines[run].lstrip())
     commands = []
-    for line in lines[run + 1:]:
-        if line.strip() and len(line) - len(line.lstrip()) <= indent:
-            break
+    for line in step_lines("Console script"):
         words = shlex.split(line)
         if words[:1] == ["cra"]:
             end = next((i for i, w in enumerate(words)
