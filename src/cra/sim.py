@@ -26,14 +26,16 @@ and the mode:
   grows with neither K nor L.
 - CRA-2 in fast retrial (whose backlog carries over) walks the session
   chain in one loop, ``_walk``, which ``simulate_stability`` also runs.
-  Per session it makes one scalar Poisson draw of K and one
-  ``stage1_outcome`` call, which draws the free and singleton preamble
-  counts of the K users' uniform picks exactly (``_occupancy``).  A heavy
+  Per session it takes K's new users from a pool of Poisson variates kept
+  for the previous detected count, draws the free and singleton preamble
+  counts of the K users' uniform picks exactly (``_occupancy``), and
+  thins them by binomial variates from pools kept per count, as
+  ``stage1_outcome`` does with scalar draws (``_outcome``).  A heavy
   session, one whose chance of any preamble with at most one user is
   small, takes the union-of-events sampler of Karp, Luby & Madras (1989)
-  at O(1) expected cost; a light one draws one pick per user, in O(L)
-  memory whatever K is.  The K - successes users it leaves are the next
-  session's backlog.
+  at O(1) expected cost, its uniforms drawn 64 at a time; a light one
+  draws one pick per user, in O(L) memory whatever K is.  The
+  K - successes users it leaves are the next session's backlog.
 
 Each scheme's ``_session_rule`` gives every path its session length, and
 ``_iid_sessions`` its pool and success cap: ALOHA's pool is its N channels
@@ -43,11 +45,12 @@ session, before its first draw (``_walk`` adds its backlog), and drop
 mode reports ``mean_active`` as lambda times the mean session length, E[K]
 at stationarity.  ``estimate_throughput`` times each batch from its detected
 sum, so nothing else grows with the run and a run too long to allocate
-fails at once (``cra`` prints one ``error:`` line).  The variate pools of
-``_cra2_sessions`` hold at most ``_POOL_STATES`` x ``_POOL_CHUNK`` variates
-and its theta temporaries ``_THETA_BLOCK`` sessions, whatever the run
-length and L.  An occupancy draw (``stage1_outcome``) too large to
-allocate raises a ValueError naming ``pool_size``.
+fails at once (``cra`` prints one ``error:`` line).  Each dict of variate
+pools (``_refill``) holds at most ``_POOL_STATES`` x ``_POOL_CHUNK``
+variates and the theta temporaries of ``_cra2_sessions`` ``_THETA_BLOCK``
+sessions, whatever the run length and L.  An occupancy draw
+(``_outcome``) too large to allocate raises a ValueError naming
+``pool_size``.
 
 Each run seeds numpy's default PCG64 bit generator through
 ``numpy.random.SeedSequence(cfg.seed)``, so a fixed (seed, config) pair
@@ -59,6 +62,7 @@ reproduces its stream bit-exactly.  A sweep hashes each task's seed from
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -77,9 +81,9 @@ _BLOCK_CELLS = 1 << 20
 _MAX_POOL_SIZE = np.iinfo(np.int64).max
 _MAX_MEAN_ACTIVE = 2.0 ** 62
 
-# CRA-2 drop-mode chain: the variates of Bin(L, s(D)) that one refill of a
-# state's pool draws, and the number of states that may hold pools before
-# all are emptied.  Together they bound the pools at _POOL_STATES *
+# Variate pools (_refill): the variates that one refill of a key's pool
+# draws, and the number of keys that may hold pools before all are
+# emptied.  Together they bound each dict of pools at _POOL_STATES *
 # _POOL_CHUNK Python ints (under 1 MB) whatever L is.  theta is computed in
 # blocks of _THETA_BLOCK sessions, so its temporaries take a few MB at most.
 _POOL_CHUNK = 16
@@ -206,8 +210,22 @@ def stage1_outcome(n_active, params, rng):
 
     The free and singleton preamble counts of the K users' uniform picks
     come from ``_occupancy``, exact in law, at O(1) expected cost in a
-    heavy session and in O(L) memory whatever K is.
+    heavy session and in O(L) memory whatever K is; each count is then
+    thinned by one ``rng.binomial`` draw (``_outcome``).
     """
+    p_det, p_fa = 1.0 - params.p_md, params.p_fa
+    d1, d2, d3 = _outcome(n_active, params, rng,
+                          lambda n: rng.binomial(n, p_det),
+                          lambda n: rng.binomial(n, p_fa))
+    return int(d1), int(d2), int(d3)
+
+
+def _outcome(n_active, params, rng, detect, false_alarm):
+    """(d1, d2, d3) given K: ``_occupancy`` draws the free and singleton
+    counts from ``rng``, then detect(n) ~ Bin(n, 1 - p_md) of the n
+    singleton and of the n collided preambles are detected, and
+    false_alarm(n) ~ Bin(n, p_fa) of the n free ones raise a false alarm.
+    A count of 0, or p_fa = 0, draws nothing."""
     L = params.pool_size
     try:
         free, singleton = _occupancy(n_active, L, rng)
@@ -216,12 +234,10 @@ def stage1_outcome(n_active, params, rng):
                          f"of {n_active} users over {L} preambles does not "
                          f"fit in memory ({exc})") from None
     collided = L - free - singleton
-
-    p_det = 1.0 - params.p_md
-    d1 = rng.binomial(singleton, p_det) if singleton else 0
-    d2 = rng.binomial(collided, p_det) if collided else 0
-    d3 = rng.binomial(free, params.p_fa) if (free and params.p_fa > 0.0) else 0
-    return int(d1), int(d2), int(d3)
+    d1 = detect(singleton) if singleton else 0
+    d2 = detect(collided) if collided else 0
+    d3 = false_alarm(free) if (free and params.p_fa > 0.0) else 0
+    return d1, d2, d3
 
 
 def _occupancy(n_active, L, rng):
@@ -278,6 +294,17 @@ def _walk(cfg, horizon, backlog=0):
     first.  The walk raises ValueError, naming the new users and the backlog
     carried in, once a session's active count exceeds 2**62.
 
+    The scalar draws come from pools (``_refill``), as in
+    ``_cra2_sessions``: a session's new users from a pool of Poisson
+    variates kept for the detected count D before it, which alone sets
+    their mean, its detected counts (``_outcome``) from pools of
+    Bin(n, 1 - p_md) variates and its false alarms from pools of
+    Bin(n, p_fa) variates, each kept for the count n thinned, and the
+    uniforms of ``_occupancy``'s proposal from blocks of 64.  Every
+    variate is drawn independently of the path and used once, so the law
+    is exact (the random-mapping construction).  The pools are freed on
+    return.
+
     Returns the (successes, detected, backlog) of each session, a session's
     backlog being the users it leaves waiting, as three arrays, so that a
     caller keeping one frees the others (``simulate_stability`` does).
@@ -287,25 +314,78 @@ def _walk(cfg, horizon, backlog=0):
     poisson = rng.poisson
     rate = p.arrival_rate
     _, base, per_detected, _ = _session_rule(Scheme.CRA2, p)
+    uniforms = _BlockUniforms(rng)
+    detect = _pooled_binomial(rng, 1.0 - p.p_md)
+    false_alarm = _pooled_binomial(rng, p.p_fa)
+    arrivals = {}
+    arrivals_of = arrivals.get
     detected = _startup_detected(p)
     succ_out = np.empty(horizon, dtype=np.int64)
     detected_out = np.empty(horizon, dtype=np.int64)
     backlog_out = np.empty(horizon, dtype=np.int64)
     for t in range(horizon):
-        k = int(poisson(rate * (base + per_detected * detected))) + backlog
+        pool = arrivals_of(detected)
+        new = pool.pop() if pool else _refill(
+            arrivals, detected,
+            partial(poisson, rate * (base + per_detected * detected)))
+        k = new + backlog
         if k > _MAX_MEAN_ACTIVE:
             raise ValueError(
                 f"session {t} has {k:.3g} active users, above 2**62: "
-                f"{k - backlog:.3g} new at arrival_rate {rate:.3g} (traffic "
+                f"{new:.3g} new at arrival_rate {rate:.3g} (traffic "
                 f"{p.traffic_intensity:.3g}) plus "
                 f"{'initial_backlog' if t == 0 else 'backlog'} {backlog:.3g}")
-        d1, d2, d3 = stage1_outcome(k, p, rng)
+        d1, d2, d3 = _outcome(k, p, uniforms, detect, false_alarm)
         detected = d1 + d2 + d3
         backlog = k - d1
         succ_out[t] = d1
         detected_out[t] = detected
         backlog_out[t] = backlog
     return succ_out, detected_out, backlog_out
+
+
+def _refill(pools, key, draw):
+    """The next variate of ``key``'s pool in ``pools``, which is empty:
+    ``key``'s first visit draws one scalar, ``draw()``, and a later one
+    refills its pool with ``draw(_POOL_CHUNK)``.  Once ``_POOL_STATES``
+    keys hold pools, all are emptied first, which bounds the pooled memory
+    and keeps the law exact, unused variates being independent of the
+    path drawn so far."""
+    pool = pools.get(key)
+    if pool is None:
+        if len(pools) >= _POOL_STATES:
+            pools.clear()
+        pools[key] = []
+        return draw()
+    pool += draw(_POOL_CHUNK).tolist()
+    return pool.pop()
+
+
+def _pooled_binomial(rng, prob):
+    """n -> a Bin(n, prob) variate from a pool kept for n (``_refill``)."""
+    pools = {}
+    pool_of = pools.get
+    binomial = rng.binomial
+
+    def draw(n):
+        pool = pool_of(n)
+        return pool.pop() if pool else _refill(
+            pools, n, partial(binomial, n, prob))
+    return draw
+
+
+class _BlockUniforms:
+    """The Generator calls of ``_occupancy``, its scalar ``random()`` taken
+    from blocks of 64 uniforms, each drawn by one ``random(64)`` call."""
+
+    def __init__(self, rng):
+        self.integers, self.binomial = rng.integers, rng.binomial
+        self._random, self._block = rng.random, []
+
+    def random(self):
+        if not self._block:
+            self._block = self._random(64).tolist()
+        return self._block.pop()
 
 
 def _iid_sessions(cfg, total):
@@ -421,14 +501,7 @@ def _cra2_sessions(cfg, total):
             m = rate * (overhead + payload * detected) / L
             # a convex combination of q and p_fa: in [0, 1] with no clamp
             s = math.exp(-m) * p_fa - keep * math.expm1(-m)
-            if pool is None:
-                if len(pools) >= _POOL_STATES:
-                    pools.clear()
-                pools[detected] = []
-                detected = binomial(L, s)
-            else:
-                pool += binomial(L, s, _POOL_CHUNK).tolist()
-                detected = pool.pop()
+            detected = _refill(pools, detected, partial(binomial, L, s))
         detected_out[t] = detected
     for start in range(0, total, _THETA_BLOCK):
         block = slice(start, start + _THETA_BLOCK)
@@ -497,7 +570,8 @@ def estimate_throughput(cfg):
 
     In drop mode CRA-1 and ALOHA take the block path for i.i.d. sessions
     and CRA-2 its chain of pooled Bin(L, s(D)) transitions; CRA-2's fast
-    retrial walks the session chain with one occupancy draw per session.
+    retrial walks the session chain with one occupancy draw per session
+    and pooled scalar draws.
     """
     w = cfg.warmup_sessions
     if cfg.mode is Mode.FAST_RETRIAL:

@@ -386,12 +386,29 @@ class TestSpark:
         with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
             PreamblePool(np.zeros(shape, dtype=complex))
 
-    @pytest.mark.parametrize("n, L", [(4, 8), (6, 16)])
-    def test_full_spark_pool_takes_no_svd(self, n, L, monkeypatch):
+    @staticmethod
+    def forbid_svd(monkeypatch):
         def no_svd(*args, **kwargs):
             raise AssertionError("a det-certified pool reached the SVD")
         monkeypatch.setattr(np.linalg, "svd", no_svd)
+
+    @pytest.mark.parametrize("n, L", [(4, 8), (6, 16)])
+    def test_full_spark_pool_takes_no_svd(self, n, L, monkeypatch):
+        self.forbid_svd(monkeypatch)
         assert spark_bruteforce(gen_pool(n, L, seed=1)) == n + 1
+
+    def test_near_dependent_subset_takes_no_svd(self, monkeypatch):
+        # column 3 of a full-spark 4 x 8 pool set to columns 0 + 1 + 2 plus
+        # 0.0028 times column 4, normalized: the subset (0, 1, 2, 3) has
+        # |det| 6.4e-5, which the certificate's margin 1e-6 n^(n/2) =
+        # 1.6e-5 certifies and a margin of 1e-6 n^n = 2.56e-4 would not;
+        # every other 4-column subset has |det| above 9e-3
+        m = gen_pool(4, 8, seed=1).matrix.copy()
+        column = m[:, 0] + m[:, 1] + m[:, 2] + 0.0028 * m[:, 4]
+        m[:, 3] = column / np.linalg.norm(column)
+        assert 1.6e-5 < abs(np.linalg.det(m[:, :4])) <= 2.56e-4
+        self.forbid_svd(monkeypatch)
+        assert spark_bruteforce(PreamblePool(m)) == 5
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-11, 1e-13])
     @pytest.mark.parametrize("direction", ["column 1", "fresh"])

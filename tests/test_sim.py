@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -315,32 +316,45 @@ class TestRunSession:
         active = succ + backlog
         assert active[0] == 3
         assert np.array_equal(active[1:], backlog[:-1])
-        # over a 2000-session walk at load 0.8, the users waiting at the end
-        # are those waiting at the start plus the Poisson arrivals minus the
-        # successes: none leaves unserved and none is made up
+        # over a 2000-session walk at load 0.8, each session's new users,
+        # K_t - Z_(t-1), are one of the Poisson variates drawn for its mean,
+        # lambda (N + tau + M D_(t-1)), and no variate serves two sessions;
+        # the users waiting at the end are those waiting at the start plus
+        # the arrivals minus the successes: none leaves unserved and none
+        # is made up
         default_rng = np.random.default_rng
-        arrivals = []
+        drawn = {}
 
         class Counting:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
 
             def poisson(self, lam, size=None):
-                arrivals.append(self.rng.poisson(lam, size))
-                return arrivals[-1]
+                out = self.rng.poisson(lam, size)
+                drawn.setdefault(lam, []).extend(np.atleast_1d(out).tolist())
+                return out
 
             def __getattr__(self, name):
                 return getattr(self.rng, name)
 
-        cfg = SimConfig(params=fig_params.with_traffic(0.8),
-                        mode=Mode.FAST_RETRIAL, n_sessions=10,
+        p = fig_params.with_traffic(0.8)
+        cfg = SimConfig(params=p, mode=Mode.FAST_RETRIAL, n_sessions=10,
                         warmup_sessions=0, seed=3)
-        succ = _walk(cfg, 2_000, backlog=5)[0]
+        succ, detected, _ = _walk(cfg, 2_000, backlog=5)
         monkeypatch.setattr("cra.sim.np.random.default_rng", Counting)
         backlog = simulate_stability(cfg, 2_000, initial_backlog=5)
-        assert backlog.size == 2_000 == len(arrivals)
-        assert 5 + sum(int(a) for a in arrivals) - int(succ.sum()) \
-            == backlog[-1]
+        arrivals = succ + backlog - np.concatenate(([5], backlog[:-1]))
+        before = np.concatenate(([_startup_detected(p)], detected[:-1]))
+        unused = {lam: Counter(values) for lam, values in drawn.items()}
+        for new, d in zip(arrivals.tolist(), before.tolist()):
+            lam = p.arrival_rate * (p.overhead_len + p.payload_len * d)
+            left = unused.setdefault(lam, Counter())
+            left[new] -= 1
+            assert left[new] >= 0, (d, new)
+        used = sum(map(sum, drawn.values())) \
+            - sum(sum(c.elements()) for c in unused.values())
+        assert backlog.size == 2_000
+        assert 5 + used - int(succ.sum()) == backlog[-1]
 
 
 class TestSimConfig:
@@ -1014,39 +1028,92 @@ class TestStability:
         assert (peaks[1] - peaks[0]) / (2 * 10 ** 4) <= 24.5
 
 
-# 25 sessions, three statistics each: two-sided z held within the bound of
-# Q(k) = 0.001 / (2 * 75), a family-wise false-alarm rate of 0.1%
-RETRIAL_SESSIONS = 25
-RETRIAL_K = stats.norm.isf(0.001 / (2 * 3 * RETRIAL_SESSIONS))
+def retrial_law_z(params, start, n_sessions, z_max, n_seeds=2_000):
+    """z of the walk's first ``n_sessions`` sessions from backlog ``start``
+    over seeds 0 to ``n_seeds`` - 1 against the exact law of its (backlog,
+    detected) chain (``retrial_chain_moments``): per session, the mean and
+    variance of the backlog and the mean detected count."""
+    mean_z, var_z, m4_z, mean_d, var_d = retrial_chain_moments(
+        params, start, _startup_detected(params), n_sessions, z_max=z_max)
+    cfg = SimConfig(params=params, mode=Mode.FAST_RETRIAL, n_sessions=10,
+                    warmup_sessions=0)
+    walks = [_walk(replace(cfg, seed=s), n_sessions, start)
+             for s in range(n_seeds)]
+    backlog = np.array([w[2] for w in walks])
+    detected = np.array([w[1] for w in walks])
+    # Var of a sample variance: (m4 - var^2 (n - 3) / (n - 1)) / n
+    var_se = np.sqrt((m4_z - var_z ** 2 * (n_seeds - 3) / (n_seeds - 1))
+                     / n_seeds)
+    return np.concatenate([
+        (backlog.mean(axis=0) - mean_z) / np.sqrt(var_z / n_seeds),
+        (backlog.var(axis=0, ddof=1) - var_z) / var_se,
+        (detected.mean(axis=0) - mean_d) / np.sqrt(var_d / n_seeds)])
+
+
+def retrial_law_bound(n_sessions):
+    """Two-sided bound on the 3 n z of ``retrial_law_z``: Q(k) = 0.001 /
+    (2 * 3 n), a family-wise false-alarm rate of 0.1%."""
+    return stats.norm.isf(0.001 / (2 * 3 * n_sessions))
 
 
 class TestFastRetrialLaw:
+    """The walk against the exact law of its chain on a 6-preamble pool,
+    N = 4, M = 8, tau = 1, p_md = 0.05 != p_fa = 0.1, over 2000 seeds."""
+
+    params = perfect_params(feedback_len=1.0, p_md=0.05, p_fa=0.1)
+
     def test_walk_matches_exact_chain(self):
-        # the walk's first 25 sessions from backlog 4 against the exact law
-        # of its (backlog, detected) chain on a 6-preamble pool at load
-        # 0.6 (instability threshold 9), p_md != p_fa: per session, the
-        # mean and variance of the backlog and the mean detected count over
-        # 2000 seeds.  At seeds 0-1999 the largest |z| reads 2.06; a walk
-        # whose detected count drops its false alarms reads 27.4, one
-        # whose arrival mean takes the detected count two sessions back
-        # 18.9.  Over 300 other sets of 200 seeds the z had SD 0.98-1.00.
-        p = perfect_params(feedback_len=1.0, p_md=0.05, p_fa=0.1) \
-            .with_traffic(0.6)
-        start, n_seeds, n = 4, 2_000, RETRIAL_SESSIONS
-        mean_z, var_z, m4_z, mean_d, var_d = retrial_chain_moments(
-            p, start, _startup_detected(p), n, z_max=120)
+        # light sessions: 25 sessions from backlog 4 at load 0.6
+        # (instability threshold 9), bound 4.35.  At seeds 0-1999 the
+        # largest |z| reads 2.23; a walk whose detected count drops its
+        # false alarms reads 28.6, one whose arrival mean takes the
+        # detected count two sessions back 18.5, one whose false alarms
+        # share the detected counts' pools 33.0.  Over 300 other sets of
+        # 200 seeds each z had SD 0.96-1.07.
+        n = 25
+        z = retrial_law_z(self.params.with_traffic(0.6), 4, n, z_max=120)
+        assert np.abs(z).max() <= retrial_law_bound(n), np.round(z, 2)
+
+    def test_heavy_walk_matches_exact_chain(self):
+        # heavy sessions, which take _occupancy's proposal: 10 sessions
+        # from backlog 30 at load 1.0 (threshold 0, overloaded), where
+        # every K >= 24 has u <= 1/2 (u = 0.18 at K = 30), bound 4.15.  The
+        # backlog grows about 4.2 a session, so z_max = 130 leaves lost
+        # mass 1e-12 or less (120 leaves 1.8e-12).  At seeds 0-1999 the
+        # largest |z| reads 1.76; a walk whose arrival mean takes the
+        # detected count two sessions back reads 58.8, one that reuses a
+        # proposal uniform 6.37.  Over 300 other sets of 200 seeds each z
+        # had SD 0.93-1.05.  The oracle takes 0.06 s and the walks 0.1 s.
+        n = 10
+        z = retrial_law_z(self.params.with_traffic(1.0), 30, n, z_max=130)
+        assert np.abs(z).max() <= retrial_law_bound(n), np.round(z, 2)
+
+
+    def test_saturated_walk_draws_fresh_counts(self):
+        # from backlog 10^6, u = 0 to double precision: every session
+        # leaves its 6 preambles collided and books nothing, so its
+        # detected count is a fresh Bin(6, 1 - p_md) and its new users,
+        # K_t - Z_(t-1), a fresh Poisson(lambda (N + tau + M D_(t-1))).
+        # One 4000-session walk: a chi-square test of the detected counts
+        # against Bin(6, 0.7), cells 0-3 merged, and z of the sum and of
+        # the Pearson dispersion of the new users, each at 0.1% / 3.  A
+        # walk that reads a pooled variate without popping it repeats it
+        # on every later visit of its key.
+        p = replace(self.params, p_md=0.3).with_traffic(1.0)
         cfg = SimConfig(params=p, mode=Mode.FAST_RETRIAL, n_sessions=10,
                         warmup_sessions=0)
-        walks = [_walk(replace(cfg, seed=s), n, start)
-                 for s in range(n_seeds)]
-        backlog = np.array([w[2] for w in walks])
-        detected = np.array([w[1] for w in walks])
-        # Var of a sample variance: (m4 - var^2 (n - 3) / (n - 1)) / n
-        var_se = np.sqrt((m4_z - var_z ** 2 * (n_seeds - 3) / (n_seeds - 1))
-                         / n_seeds)
-        z = np.concatenate([
-            (backlog.mean(axis=0) - mean_z) / np.sqrt(var_z / n_seeds),
-            (backlog.var(axis=0, ddof=1) - var_z) / var_se,
-            (detected.mean(axis=0) - mean_d) / np.sqrt(var_d / n_seeds)])
-        assert np.abs(z).max() <= RETRIAL_K, np.round(z, 2)
-
+        n, start = 4_000, 10 ** 6
+        succ, detected, backlog = _walk(cfg, n, start)
+        assert not succ.any()
+        expected = n * stats.binom.pmf(np.arange(7), 6, 0.7)
+        observed = np.bincount(detected, minlength=7)
+        fit = stats.chisquare([observed[:4].sum(), *observed[4:]],
+                              [expected[:4].sum(), *expected[4:]])
+        assert fit.pvalue > 0.001 / 3, (observed, np.round(expected))
+        new = np.diff(backlog, prepend=start)
+        before = np.concatenate(([_startup_detected(p)], detected[:-1]))
+        mu = p.arrival_rate * (p.overhead_len + p.payload_len * before)
+        z = [(new - mu).sum() / math.sqrt(mu.sum()),
+             (((new - mu) ** 2 / mu).sum() - n)
+             / math.sqrt((2.0 + 1.0 / mu).sum())]
+        assert np.abs(z).max() <= stats.norm.isf(0.001 / 6), np.round(z, 2)
