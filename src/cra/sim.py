@@ -62,7 +62,6 @@ reproduces its stream bit-exactly.  A sweep hashes each task's seed from
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -326,8 +325,8 @@ def _walk(cfg, horizon, backlog=0):
     for t in range(horizon):
         pool = arrivals_of(detected)
         new = pool.pop() if pool else _refill(
-            arrivals, detected,
-            partial(poisson, rate * (base + per_detected * detected)))
+            arrivals, detected, poisson,
+            rate * (base + per_detected * detected))
         k = new + backlog
         if k > _MAX_MEAN_ACTIVE:
             raise ValueError(
@@ -344,20 +343,20 @@ def _walk(cfg, horizon, backlog=0):
     return succ_out, detected_out, backlog_out
 
 
-def _refill(pools, key, draw):
+def _refill(pools, key, draw, *args):
     """The next variate of ``key``'s pool in ``pools``, which is empty:
-    ``key``'s first visit draws one scalar, ``draw()``, and a later one
-    refills its pool with ``draw(_POOL_CHUNK)``.  Once ``_POOL_STATES``
-    keys hold pools, all are emptied first, which bounds the pooled memory
-    and keeps the law exact, unused variates being independent of the
-    path drawn so far."""
+    ``key``'s first visit draws one scalar, ``draw(*args)``, and a later
+    one refills its pool with ``draw(*args, _POOL_CHUNK)``.  Once
+    ``_POOL_STATES`` keys hold pools, all are emptied first, which bounds
+    the pooled memory and keeps the law exact, unused variates being
+    independent of the path drawn so far."""
     pool = pools.get(key)
     if pool is None:
         if len(pools) >= _POOL_STATES:
             pools.clear()
         pools[key] = []
-        return draw()
-    pool += draw(_POOL_CHUNK).tolist()
+        return draw(*args)
+    pool += draw(*args, _POOL_CHUNK).tolist()
     return pool.pop()
 
 
@@ -369,8 +368,7 @@ def _pooled_binomial(rng, prob):
 
     def draw(n):
         pool = pool_of(n)
-        return pool.pop() if pool else _refill(
-            pools, n, partial(binomial, n, prob))
+        return pool.pop() if pool else _refill(pools, n, binomial, n, prob)
     return draw
 
 
@@ -501,7 +499,7 @@ def _cra2_sessions(cfg, total):
             m = rate * (overhead + payload * detected) / L
             # a convex combination of q and p_fa: in [0, 1] with no clamp
             s = math.exp(-m) * p_fa - keep * math.expm1(-m)
-            detected = _refill(pools, detected, partial(binomial, L, s))
+            detected = _refill(pools, detected, binomial, L, s)
         detected_out[t] = detected
     for start in range(0, total, _THETA_BLOCK):
         block = slice(start, start + _THETA_BLOCK)

@@ -1,6 +1,6 @@
 import pytest
 
-from pairs import better_sides, summarise
+from pairs import benchmark_spec, summarise
 
 
 def test_summary_of_fixed_runs():
@@ -33,8 +33,9 @@ def test_summary_needs_paired_runs():
         summarise([{"wall_s": 1.0}], [], {"wall_s": "lower"})
 
 
-def test_better_sides_follow_the_benchmark():
-    sides = better_sides()
+def test_spec_follows_the_benchmark():
+    seconds, sides = benchmark_spec()
+    assert seconds == 20
     assert sides["wall_s"] == "lower"
     assert sides["primary_per_s"] == "higher"
     assert set(sides) == {"setup_s", "wall_s", "peak_rss_mb",

@@ -12,6 +12,7 @@ from cra.analytic import ProtocolParams, backlog_drift, mean_detected_split, \
     prob_singleton, steady_state_cra2, throughput_cra1, throughput_maloha
 from cra.sim import (
     _BLOCK_CELLS,
+    _POOL_CHUNK,
     _POOL_STATES,
     Mode,
     Scheme,
@@ -316,12 +317,14 @@ class TestRunSession:
         active = succ + backlog
         assert active[0] == 3
         assert np.array_equal(active[1:], backlog[:-1])
-        # over a 2000-session walk at load 0.8, each session's new users,
-        # K_t - Z_(t-1), are one of the Poisson variates drawn for its mean,
-        # lambda (N + tau + M D_(t-1)), and no variate serves two sessions;
-        # the users waiting at the end are those waiting at the start plus
-        # the arrivals minus the successes: none leaves unserved and none
-        # is made up
+        # over a 2000-session walk at load 0.8, the sessions whose arrival
+        # mean is lambda (N + tau + M D_(t-1)) take, as their new users
+        # K_t - Z_(t-1), in order, the first scalar Poisson variate drawn
+        # for that mean and then each refill of _POOL_CHUNK variates from
+        # its end (no pool is emptied: L + 1 = 311 keys), and leave unused
+        # only the tail of the last refill; the users waiting at the end
+        # are those waiting at the start plus the variates used minus the
+        # successes: none leaves unserved and none is made up
         default_rng = np.random.default_rng
         drawn = {}
 
@@ -343,18 +346,28 @@ class TestRunSession:
         succ, detected, _ = _walk(cfg, 2_000, backlog=5)
         monkeypatch.setattr("cra.sim.np.random.default_rng", Counting)
         backlog = simulate_stability(cfg, 2_000, initial_backlog=5)
-        arrivals = succ + backlog - np.concatenate(([5], backlog[:-1]))
-        before = np.concatenate(([_startup_detected(p)], detected[:-1]))
-        unused = {lam: Counter(values) for lam, values in drawn.items()}
-        for new, d in zip(arrivals.tolist(), before.tolist()):
-            lam = p.arrival_rate * (p.overhead_len + p.payload_len * d)
-            left = unused.setdefault(lam, Counter())
-            left[new] -= 1
-            assert left[new] >= 0, (d, new)
-        used = sum(map(sum, drawn.values())) \
-            - sum(sum(c.elements()) for c in unused.values())
         assert backlog.size == 2_000
+        before = np.concatenate(([_startup_detected(p)], detected[:-1]))
+        visits = Counter(before.tolist())
+        order = {}
+        for lam, values in drawn.items():
+            first, refills = values[:1], values[1:]
+            assert len(refills) % _POOL_CHUNK == 0
+            order[lam] = first + [
+                v for i in range(0, len(refills), _POOL_CHUNK)
+                for v in reversed(refills[i:i + _POOL_CHUNK])]
+        rates = {d: p.arrival_rate * (p.overhead_len + p.payload_len * d)
+                 for d in visits}
+        assert set(rates.values()) == drawn.keys()
+        used = sum(sum(order[rates[d]][:n]) for d, n in visits.items())
         assert 5 + used - int(succ.sum()) == backlog[-1]
+        arrivals = succ + backlog - np.concatenate(([5], backlog[:-1]))
+        taken = {}
+        for new, d in zip(arrivals.tolist(), before.tolist()):
+            taken.setdefault(rates[d], []).append(new)
+        for lam, values in taken.items():
+            assert values == order[lam][:len(values)], lam
+            assert len(order[lam]) - len(values) < _POOL_CHUNK, lam
 
 
 class TestSimConfig:

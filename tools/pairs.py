@@ -2,18 +2,18 @@
 summarise each end-to-end metric.
 
     python tools/pairs.py --workload retrial_backlog --rev HEAD --pairs 10 \\
-        --seed 3800 [--seconds 20] [--out pairs.json]
+        --seed 3800 [--out pairs.json]
 
 REV is extracted with ``git archive`` into a temporary directory (the
 parent side); this tree, as it stands on disk, is the change side.  Pair i
-runs ``python3 perfbench/run.py --workload W --seed S+i --seconds T``
-once in each, from each side's own root, the parent first in even pairs
-and the change first in odd ones.  The JSON written to ``--out`` (or
-printed) has one fixed layout: the settings, both sides' per-run metrics
-and failed-check counts, and per metric (``summarise``) both sides'
-median and quartiles, the IQR, the change's wins, and the ratio of the
-medians, change over parent.  A run that exits non-zero stops the script
-with its stderr.
+runs ``python3 perfbench/run.py --workload W --seed S+i --seconds T``,
+T being BENCHMARK.json's ``run_seconds``, once in each, from each side's
+own root, the parent first in even pairs and the change first in odd
+ones.  The JSON written to ``--out`` (or printed) has one fixed layout:
+the settings, both sides' per-run metrics and failed-check counts, and
+per metric (``summarise``) both sides' median and quartiles, the IQR,
+the change's wins, and the ratio of the medians, change over parent.  A
+run that exits non-zero stops the script with its stderr.
 """
 
 import argparse
@@ -28,10 +28,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def better_sides():
-    """{metric: "higher" or "lower"} of BENCHMARK.json's end-to-end list."""
+def benchmark_spec():
+    """BENCHMARK.json's run length in seconds and {metric: "higher" or
+    "lower"} of its end-to-end list."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return (spec["run_seconds"],
+            {m["name"]: m["better"] for m in spec["end_to_end"]})
 
 
 def summarise(parent, change, better):
@@ -78,9 +80,9 @@ def main(argv=None):
     ap.add_argument("--rev", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out")
     args = ap.parse_args(argv)
+    seconds, better = benchmark_spec()
     commit = subprocess.run(["git", "rev-parse", args.rev], cwd=ROOT,
                             capture_output=True, text=True, check=True)
     runs = {"parent": [], "change": []}
@@ -94,7 +96,7 @@ def main(argv=None):
                 ("change", "parent")
             for side in order:
                 metrics, n_failed = run_once(roots[side], args.workload,
-                                             args.seed + i, args.seconds)
+                                             args.seed + i, seconds)
                 runs[side].append(metrics)
                 failed[side].append(n_failed)
                 print(f"pair {i} {side}: {metrics} failed {n_failed}",
@@ -103,13 +105,13 @@ def main(argv=None):
         "workload": args.workload,
         "rev": args.rev,
         "rev_commit": commit.stdout.strip(),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": [args.seed + i for i in range(args.pairs)],
         "first": ["parent" if i % 2 == 0 else "change"
                   for i in range(args.pairs)],
         "failed_checks": failed,
         "runs": runs,
-        "metrics": summarise(runs["parent"], runs["change"], better_sides()),
+        "metrics": summarise(runs["parent"], runs["change"], better),
     }
     text = json.dumps(report, indent=1)
     if args.out:
