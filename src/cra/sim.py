@@ -13,10 +13,10 @@ and the mode:
 
 - CRA-1 and multichannel ALOHA sessions in drop mode are i.i.d.: their
   length is fixed, so every session's active count is Poisson with the same
-  mean and nothing carries over.  By Poisson splitting a preamble's users
-  are i.i.d. Poisson(lambda T / L), so ``_iid_sessions`` draws no picks:
-  one six-way multinomial per session, and its collided preambles' users
-  only where its cap can still hold them.
+  mean and nothing carries over: they run no warm-up.  By Poisson splitting
+  a preamble's users are i.i.d. Poisson(lambda T / L), so ``_iid_sessions``
+  draws no picks: one six-way multinomial per session, and its collided
+  preambles' users only where its cap can still hold them.
 - CRA-2 in drop mode is a chain: a session's arrival mean mu is the arrival
   rate times the previous session's length.  By Poisson splitting its
   detected count is D' ~ Bin(L, s(D)), s depending on the previous detected
@@ -527,8 +527,10 @@ def _ratio_estimate(succ, detected, base, per_detected, rate, backlog=None):
     nothing is built per session (5 KB traced on 10^6 sessions)."""
     n = succ.size
     n_batches = min(_BATCHES, n)
-    edges = [round(i * n / n_batches) for i in range(n_batches)]
-    sizes = np.diff([*edges, n])
+    # batch i starts at round(i n / n_batches), halves to even as round() does
+    bounds = np.rint(np.arange(n_batches + 1) * n / n_batches).astype(np.int64)
+    edges = bounds[:-1]
+    sizes = bounds[1:] - edges
     # two forks: reduceat(x, edges, dtype=float) copies all of x to float,
     # a per-session array that fails test_drop_mode_holds_16_bytes_per_session
     # and test_ratio_estimate_builds_nothing_per_session (tests/test_sim.py)
@@ -536,15 +538,19 @@ def _ratio_estimate(succ, detected, base, per_detected, rate, backlog=None):
         sums = lambda x: np.add.reduceat(x, edges)
     else:   # an int64 batch sum could wrap (pools near 2^62): sum in float
         sums = lambda x: np.array([x[a:b].sum(dtype=float)
-                                   for a, b in zip(edges, [*edges[1:], n])])
+                                   for a, b in zip(edges, bounds[1:])])
     det_sums = sums(detected)
     times = base * sizes + float(per_detected) * det_sums
     rates = sums(succ) / times
     det_means = det_sums / sizes
 
     def batch_se(means):
-        return float(means.std(ddof=1) / math.sqrt(n_batches)) \
-            if n_batches > 1 else 0.0
+        # means.std(ddof=1)'s ufuncs, bit for bit, without its call overhead
+        if n_batches == 1:
+            return 0.0
+        dev = means - np.add.reduce(means) / n_batches
+        var = np.add.reduce(dev * dev) / (n_batches - 1)
+        return math.sqrt(var) / math.sqrt(n_batches)
 
     succ_total = float(succ.sum(dtype=float))
     det_total = float(detected.sum(dtype=float))
@@ -566,20 +572,22 @@ def estimate_throughput(cfg):
     """Warm up, then measure: ratio estimator over the measured sessions
     with a batch-means standard error over min(30, n) batches.
 
-    In drop mode CRA-1 and ALOHA take the block path for i.i.d. sessions
-    and CRA-2 its chain of pooled Bin(L, s(D)) transitions; CRA-2's fast
-    retrial walks the session chain with one occupancy draw per session
-    and pooled scalar draws.
+    In drop mode CRA-1 and ALOHA take the block path for i.i.d. sessions,
+    which start at stationarity and so run no warm-up, and CRA-2 its chain
+    of pooled Bin(L, s(D)) transitions; CRA-2's fast retrial walks the
+    session chain with one occupancy draw per session and pooled scalar
+    draws.
     """
-    w = cfg.warmup_sessions
+    n, w = cfg.n_sessions, cfg.warmup_sessions
+    backlog = None
     if cfg.mode is Mode.FAST_RETRIAL:
-        succ, detected, backlog = _walk(cfg, w + cfg.n_sessions)
-        backlog = backlog[w:]
+        succ, detected, backlog = (x[w:] for x in _walk(cfg, w + n))
+    elif cfg.scheme is Scheme.CRA2:
+        succ, detected = (x[w:] for x in _cra2_sessions(cfg, w + n))
     else:
-        kernel = _cra2_sessions if cfg.scheme is Scheme.CRA2 else _iid_sessions
-        (succ, detected), backlog = kernel(cfg, w + cfg.n_sessions), None
+        succ, detected = _iid_sessions(cfg, n)
     _, base, per_detected, _ = _session_rule(cfg.scheme, cfg.params)
-    return _ratio_estimate(succ[w:], detected[w:], base, per_detected,
+    return _ratio_estimate(succ, detected, base, per_detected,
                            cfg.params.arrival_rate, backlog)
 
 

@@ -5,14 +5,15 @@ scipy's Lambert W, direct log-space summation instead of incomplete-gamma,
 exhaustive enumeration and a one-user-at-a-time recursion instead of closed
 forms and of the occupancy draw, damped fixed-point iteration instead of
 Lambert W, stationary solves of the session Markov chain (over K, and by
-Poisson splitting) instead of the simulator, a drop-mode session walk
-that draws each session's K and its occupancy given K instead of the pooled
-chain, a per-K scan of scalar drift calls instead of the threshold's
-turning point and bisection, literal ML residual norms instead of the
-projected noise score, and one SVD per column subset instead of batched
-SVDs.  It also reads the CLI's result CSVs back into rows, and stands in
-for a Generator whose occupancy draw a test forces or whose draws it
-counts.
+Poisson splitting) instead of the simulator, sliced batch sums and
+``np.std`` instead of the batch-means standard error's own reductions, a
+drop-mode session walk that draws each session's K and its occupancy given
+K instead of the pooled chain, a per-K scan of scalar drift calls instead
+of the threshold's turning point and bisection, literal ML residual norms
+instead of the projected noise score, and one SVD per column subset
+instead of batched SVDs.  It also reads the CLI's result CSVs back into
+rows, and stands in for a Generator whose occupancy draw a test forces or
+whose draws it counts.
 """
 
 import csv
@@ -307,6 +308,30 @@ def split_chain_std_error(params, n_sessions):
     g = np.linalg.solve(fundamental, h)
     var = pi @ (trans * r2).sum(axis=1) + 2.0 * pi @ (trans * r) @ g
     return math.sqrt(var / n_sessions) / mean_len
+
+
+def batch_means_std_errors(succ, detected, base, per_detected):
+    """(std_error, detected_std_error) of ``sim._ratio_estimate`` taken the
+    plain way: b = min(30, n) batches starting at round(i n / b), each
+    summed by slicing (in float where an int64 sum could wrap), and
+    ``np.std(ddof=1) / sqrt(b)`` of the batch rates, successes over
+    base * size + per_detected * sum(D), and of the batch mean D; 0 for a
+    single batch."""
+    n = succ.size
+    b = min(30, n)
+    if b == 1:
+        return 0.0, 0.0
+    edges = [round(i * n / b) for i in range(b)] + [n]
+    dtype = None if detected.max() < 2.0 ** 63 / n else float
+    sizes = np.diff(edges)
+
+    def sums(x):
+        return np.array([x[lo:hi].sum(dtype=dtype)
+                         for lo, hi in zip(edges, edges[1:])])
+    det_sums = sums(detected)
+    rates = sums(succ) / (base * sizes + float(per_detected) * det_sums)
+    return (float(np.std(rates, ddof=1) / math.sqrt(b)),
+            float(np.std(det_sums / sizes, ddof=1) / math.sqrt(b)))
 
 
 def drop_walk(params, n_sessions, seed, first_active=None):

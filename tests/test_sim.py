@@ -28,10 +28,10 @@ from cra.sim import (
     stage1_outcome,
 )
 
-from helpers import CountedDraws, PickedOccupancy, capped_success_moments, \
-    drop_walk, exact_chain_means, exact_chain_throughput, \
-    exact_occupancy_pmf, occupancy_pmf_dp, retrial_chain_moments, \
-    split_chain, split_detect_prob
+from helpers import CountedDraws, PickedOccupancy, batch_means_std_errors, \
+    capped_success_moments, drop_walk, exact_chain_means, \
+    exact_chain_throughput, exact_occupancy_pmf, occupancy_pmf_dp, \
+    retrial_chain_moments, split_chain, split_detect_prob
 
 
 def perfect_params(**over):
@@ -529,6 +529,25 @@ class TestEstimateThroughput:
         assert est.mean_throughput == 1 / (35.0 + 256 * 3)
         assert est.mean_active == 0.5 * (35.0 + 256 * 3)
 
+    @pytest.mark.parametrize("wide", [False, True], ids=["int", "float"])
+    @pytest.mark.parametrize("n", [1, 2, 29, 30, 31, 45, 600, 10 ** 5])
+    def test_ratio_estimate_se_matches_np_std(self, n, wide):
+        # both batch-means SEs equal np.std(ddof=1) of the batch rates and
+        # batch mean D bit for bit, with int64 batch sums and, for D near
+        # 2^63 / n, float ones; at n = 45 batch edges fall on halves,
+        # which round to even (4.5 -> 4)
+        rng = np.random.default_rng(n)
+        if wide:
+            detected = rng.integers(2 ** 62 // n, 2 ** 63 // n, n)
+            detected[-1] = 2 ** 63 - 1
+        else:
+            detected = rng.integers(0, 310, n)
+        assert (detected.max() >= 2.0 ** 63 / n) == wide
+        succ = detected // rng.integers(1, 5, n)
+        est = _ratio_estimate(succ, detected, 35.0, 256, 0.5)
+        assert (est.std_error, est.detected_std_error) == \
+            batch_means_std_errors(succ, detected, 35.0, 256)
+
     def test_short_run_se_has_one_batch_per_session(self, fig_params):
         # fewer than 30 measured sessions: each session is its own batch
         n = 10
@@ -597,9 +616,12 @@ class TestEstimateThroughput:
         cfg = SimConfig(params=fig_params, scheme=scheme, n_sessions=10_000,
                         warmup_sessions=500, seed=21)
         est = estimate_throughput(cfg)
+        # i.i.d. sessions start at stationarity: the 500 warm-up sessions
+        # are not drawn, and the estimate equals the one without them
         assert len(set(sizes[:-1])) == 1 and len(sizes) > 3
-        assert 0 < sizes[-1] < sizes[0] and sum(sizes) == 10_500
+        assert 0 < sizes[-1] < sizes[0] and sum(sizes) == 10_000
         assert est == estimate_throughput(cfg)
+        assert est == estimate_throughput(replace(cfg, warmup_sessions=0))
         # lambda T, the mean of every session's Poisson K
         mean = fig_params.arrival_rate * fig_params.fixed_session_len
         assert est.mean_active == pytest.approx(mean, rel=1e-15)
@@ -1023,22 +1045,27 @@ class TestStability:
             drift = backlog_drift(start, p)
             assert slope == pytest.approx(drift, rel=0.05), start
 
-    def test_holds_24_bytes_per_session(self):
+    def test_holds_24_bytes_per_session(self, fig_params):
         # the traced peak grows by the walk's three arrays alone, 24 bytes
         # per session, from 10^4 to 3 * 10^4 sessions (32 when the
         # trajectory was computed as active - successes); a first run
-        # takes the one-off allocations out of the measured ones
-        cfg = self.fast_cfg(perfect_params(arrival_rate=0.0))
-        simulate_stability(cfg, 10)
-        peaks = []
-        for n in (10 ** 4, 3 * 10 ** 4):
-            tracemalloc.start()
-            try:
-                simulate_stability(cfg, n)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / (2 * 10 ** 4) <= 24.5
+        # takes the one-off allocations out of the measured ones.  With no
+        # arrivals no session has a user; from backlog 5000 at load 3 on
+        # the fig3 pool every session is heavy, so the variate pools and
+        # the proposal run too
+        for params, start in ((perfect_params(arrival_rate=0.0), 0),
+                              (fig_params.with_traffic(3.0), 5_000)):
+            cfg = self.fast_cfg(params)
+            simulate_stability(cfg, 10, start)
+            peaks = []
+            for n in (10 ** 4, 3 * 10 ** 4):
+                tracemalloc.start()
+                try:
+                    simulate_stability(cfg, n, start)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert (peaks[1] - peaks[0]) / (2 * 10 ** 4) <= 24.5, start
 
 
 def retrial_law_z(params, start, n_sessions, z_max, n_seeds=2_000):
