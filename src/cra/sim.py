@@ -516,6 +516,17 @@ def _cra2_sessions(cfg, total):
     return succ_out, detected_out
 
 
+def _batch_se(means):
+    """Batch-means standard error ``means.std(ddof=1) / sqrt(b)`` of b batch
+    means, by the ufuncs that ``std`` runs, bit for bit, without its call
+    overhead; 0 for a single batch."""
+    b = means.size
+    if b == 1:
+        return 0.0
+    dev = means - np.add.reduce(means) / b
+    return math.sqrt(np.add.reduce(dev * dev) / (b - 1)) / math.sqrt(b)
+
+
 def _ratio_estimate(succ, detected, base, per_detected, rate, backlog=None):
     """Ratio estimator sum(succ)/sum(session length) over the measured
     sessions, a session lasting base + per_detected * D symbols, with the
@@ -528,42 +539,33 @@ def _ratio_estimate(succ, detected, base, per_detected, rate, backlog=None):
     n = succ.size
     n_batches = min(_BATCHES, n)
     # batch i starts at round(i n / n_batches), halves to even as round() does
-    bounds = np.rint(np.arange(n_batches + 1) * n / n_batches).astype(np.int64)
+    bounds = np.rint(np.arange(0, (n_batches + 1) * n, n) / n_batches) \
+        .astype(np.int64)
     edges = bounds[:-1]
     sizes = bounds[1:] - edges
     # two forks: reduceat(x, edges, dtype=float) copies all of x to float,
     # a per-session array that fails test_drop_mode_holds_16_bytes_per_session
     # and test_ratio_estimate_builds_nothing_per_session (tests/test_sim.py)
     if detected.max() < 2.0 ** 63 / n:
-        sums = lambda x: np.add.reduceat(x, edges)
+        det_sums = np.add.reduceat(detected, edges)
+        succ_sums = np.add.reduceat(succ, edges)
     else:   # an int64 batch sum could wrap (pools near 2^62): sum in float
-        sums = lambda x: np.array([x[a:b].sum(dtype=float)
-                                   for a, b in zip(edges, bounds[1:])])
-    det_sums = sums(detected)
+        det_sums, succ_sums = (np.array([x[a:b].sum(dtype=float)
+                                         for a, b in zip(edges, bounds[1:])])
+                               for x in (detected, succ))
     times = base * sizes + float(per_detected) * det_sums
-    rates = sums(succ) / times
-    det_means = det_sums / sizes
-
-    def batch_se(means):
-        # means.std(ddof=1)'s ufuncs, bit for bit, without its call overhead
-        if n_batches == 1:
-            return 0.0
-        dev = means - np.add.reduce(means) / n_batches
-        var = np.add.reduce(dev * dev) / (n_batches - 1)
-        return math.sqrt(var) / math.sqrt(n_batches)
-
     succ_total = float(succ.sum(dtype=float))
     det_total = float(detected.sum(dtype=float))
     tot_time = base * n + per_detected * det_total
     return ThroughputEstimate(
         mean_throughput=succ_total / tot_time,
-        std_error=batch_se(rates),
+        std_error=_batch_se(succ_sums / times),
         sessions_run=n,
         mean_active=rate * tot_time / n if backlog is None
         else (succ_total + float(backlog.sum(dtype=float))) / n,
         mean_detected=det_total / n,
         mean_session_len=tot_time / n,
-        detected_std_error=batch_se(det_means),
+        detected_std_error=_batch_se(det_sums / sizes),
         final_backlog=None if backlog is None else int(backlog[-1]),
     )
 
