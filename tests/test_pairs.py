@@ -1,8 +1,5 @@
-import json
-
 import pytest
 
-import pairs
 from pairs import benchmark_spec, summarise
 
 
@@ -43,30 +40,3 @@ def test_spec_follows_the_benchmark():
     assert sides["primary_per_s"] == "higher"
     assert set(sides) == {"setup_s", "wall_s", "peak_rss_mb",
                           "primary_per_s", "secondary_per_s"}
-
-
-def test_seconds_reach_every_run_and_the_report(monkeypatch, tmp_path):
-    # no benchmark runs: git and perfbench/run.py are stood in for
-    class Done:
-        stdout = "0123abc\n"
-
-    calls = []
-
-    def run_once(root, workload, seed, seconds):
-        calls.append(seconds)
-        return {"wall_s": 1.0}, 0
-
-    monkeypatch.setattr(pairs.subprocess, "run", lambda *a, **k: Done())
-    monkeypatch.setattr(pairs, "run_once", run_once)
-    monkeypatch.setattr(pairs, "benchmark_spec",
-                        lambda: (20, {"wall_s": "lower"}))
-    base = ["--workload", "fig3_sweep", "--rev", "HEAD", "--pairs", "2",
-            "--seed", "5", "--out"]
-    for extra, seconds in (([], 20), (["--seconds", "2.5"], 2.5)):
-        out = tmp_path / "pairs.json"
-        calls.clear()
-        assert pairs.main([*base, str(out), *extra]) == 0
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["seconds"] == seconds
-        assert calls == [seconds] * 4
-        assert report["metrics"]["wall_s"]["pairs"] == 2

@@ -2,19 +2,18 @@
 summarise each end-to-end metric.
 
     python tools/pairs.py --workload retrial_backlog --rev HEAD --pairs 10 \\
-        --seed 3800 [--seconds 3] [--out pairs.json]
+        --seed 3800 [--out pairs.json]
 
 REV is extracted with ``git archive`` into a temporary directory (the
 parent side); this tree, as it stands on disk, is the change side.  Pair i
 runs ``python3 perfbench/run.py --workload W --seed S+i --seconds T``,
-T being ``--seconds`` (default BENCHMARK.json's ``run_seconds``: a claim
-uses the default, a shorter T makes quick iteration pairs), once in each,
-from each side's own root, the parent first in even pairs and the change
-first in odd ones.  The JSON written to ``--out`` (or printed) has one
-fixed layout: the settings, both sides' per-run metrics and failed-check
-counts, and per metric (``summarise``) both sides' median and quartiles,
-the IQR, the change's wins, and the ratio of the medians, change over
-parent.  A run that exits non-zero stops the script with its stderr.
+T being BENCHMARK.json's ``run_seconds``, once in each, from each side's
+own root, the parent first in even pairs and the change first in odd
+ones.  The JSON written to ``--out`` (or printed) has one fixed layout:
+the settings, both sides' per-run metrics and failed-check counts, and
+per metric (``summarise``) both sides' median and quartiles, the IQR,
+the change's wins, and the ratio of the medians, change over parent.  A
+run that exits non-zero stops the script with its stderr.
 """
 
 import argparse
@@ -76,15 +75,14 @@ def run_once(root, workload, seed, seconds):
 
 
 def main(argv=None):
-    seconds, better = benchmark_spec()
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--rev", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=seconds)
     ap.add_argument("--out")
     args = ap.parse_args(argv)
+    seconds, better = benchmark_spec()
     commit = subprocess.run(["git", "rev-parse", args.rev], cwd=ROOT,
                             capture_output=True, text=True, check=True)
     runs = {"parent": [], "change": []}
@@ -98,7 +96,7 @@ def main(argv=None):
                 ("change", "parent")
             for side in order:
                 metrics, n_failed = run_once(roots[side], args.workload,
-                                             args.seed + i, args.seconds)
+                                             args.seed + i, seconds)
                 runs[side].append(metrics)
                 failed[side].append(n_failed)
                 print(f"pair {i} {side}: {metrics} failed {n_failed}",
@@ -107,7 +105,7 @@ def main(argv=None):
         "workload": args.workload,
         "rev": args.rev,
         "rev_commit": commit.stdout.strip(),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": [args.seed + i for i in range(args.pairs)],
         "first": ["parent" if i % 2 == 0 else "change"
                   for i in range(args.pairs)],
