@@ -76,6 +76,10 @@ class SweepSpec:
             raise ValueError(f"outputs: unknown metric(s) {bad}")
         if not self.replicate_seeds:
             raise ValueError("replicate_seeds: must be nonempty")
+        # every row, analytic or simulated, is a drop-mode figure
+        if self.base.mode is not Mode.DROP:
+            raise ValueError(f"mode: a sweep runs drop mode only, got "
+                             f"{self.base.mode.value!r}")
 
 
 def derive_seed(base_seed, *indices):

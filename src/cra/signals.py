@@ -141,7 +141,8 @@ def _pairwise_rate(d, noise_var, rng, n_trials):
     hypothesis, d being the true one minus it: the score |d|^2 + 2 Re(d^H n)
     is negative.  2 Re(d^H n) is exactly N(0, 2 noise_var |d|^2), so a
     trial draws one standard normal and scales it."""
-    if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
+    if (isinstance(n_trials, bool)
+            or not isinstance(n_trials, (int, np.integer)) or n_trials < 1):
         raise ValueError(f"n_trials must be an integer >= 1: {n_trials!r}")
     d_sq = float(np.vdot(d, d).real)
     spread = math.sqrt(2.0 * noise_var * d_sq)

@@ -29,13 +29,14 @@ and the mode:
   Per session it takes K's new users from a pool of Poisson variates kept
   for the previous detected count, draws the free and singleton preamble
   counts of the K users' uniform picks exactly (``_occupancy``), and
-  thins them by binomial variates from pools kept per count, as
-  ``stage1_outcome`` does with scalar draws (``_outcome``).  A heavy
-  session, one whose chance of any preamble with at most one user is
-  small, takes the union-of-events sampler of Karp, Luby & Madras (1989)
-  at O(1) expected cost, its uniforms drawn 64 at a time; a light one
-  draws one pick per user, in O(L) memory whatever K is.  The
-  K - successes users it leaves are the next session's backlog.
+  thins them by binomial variates from pools kept per count; the tests'
+  conditional-on-K reference, ``tests/helpers.stage1_outcome``, draws the
+  same law with scalar binomials.  A heavy session, one whose chance of
+  any preamble with at most one user is small, takes the union-of-events
+  sampler of Karp, Luby & Madras (1989) at O(1) expected cost, its
+  uniforms drawn 64 at a time; a light one draws one pick per user, in
+  O(L) memory whatever K is.  The K - successes users it leaves are the
+  next session's backlog.
 
 Each scheme's ``_session_rule`` gives every path its session length, and
 ``_iid_sessions`` its pool and success cap: ALOHA's pool is its N channels
@@ -48,9 +49,8 @@ sum, so nothing else grows with the run and a run too long to allocate
 fails at once (``cra`` prints one ``error:`` line).  Each dict of variate
 pools (``_refill``) holds at most ``_POOL_STATES`` x ``_POOL_CHUNK``
 variates and the theta temporaries of ``_cra2_sessions`` ``_THETA_BLOCK``
-sessions, whatever the run length and L.  An occupancy draw
-(``_outcome``) too large to allocate raises a ValueError naming
-``pool_size``.
+sessions, whatever the run length and L.  An occupancy draw of
+``_walk`` too large to allocate raises a ValueError naming ``pool_size``.
 
 Each run seeds numpy's default PCG64 bit generator through
 ``numpy.random.SeedSequence(cfg.seed)``, so a fixed (seed, config) pair
@@ -106,7 +106,6 @@ __all__ = [
     "Mode",
     "SimConfig",
     "ThroughputEstimate",
-    "stage1_outcome",
     "estimate_throughput",
     "simulate_stability",
 ]
@@ -203,42 +202,6 @@ class ThroughputEstimate:
     final_backlog: int | None
 
 
-def stage1_outcome(n_active, params, rng):
-    """One preamble round given K: the detected singleton, detected
-    collided and false-alarm preamble counts (d1, d2, d3).
-
-    The free and singleton preamble counts of the K users' uniform picks
-    come from ``_occupancy``, exact in law, at O(1) expected cost in a
-    heavy session and in O(L) memory whatever K is; each count is then
-    thinned by one ``rng.binomial`` draw (``_outcome``).
-    """
-    p_det, p_fa = 1.0 - params.p_md, params.p_fa
-    d1, d2, d3 = _outcome(n_active, params, rng,
-                          lambda n: rng.binomial(n, p_det),
-                          lambda n: rng.binomial(n, p_fa))
-    return int(d1), int(d2), int(d3)
-
-
-def _outcome(n_active, params, rng, detect, false_alarm):
-    """(d1, d2, d3) given K: ``_occupancy`` draws the free and singleton
-    counts from ``rng``, then detect(n) ~ Bin(n, 1 - p_md) of the n
-    singleton and of the n collided preambles are detected, and
-    false_alarm(n) ~ Bin(n, p_fa) of the n free ones raise a false alarm.
-    A count of 0, or p_fa = 0, draws nothing."""
-    L = params.pool_size
-    try:
-        free, singleton = _occupancy(n_active, L, rng)
-    except MemoryError as exc:   # the drop-mode paths draw no occupancy
-        raise ValueError(f"pool_size {L} is too large: the occupancy draw "
-                         f"of {n_active} users over {L} preambles does not "
-                         f"fit in memory ({exc})") from None
-    collided = L - free - singleton
-    d1 = detect(singleton) if singleton else 0
-    d2 = detect(collided) if collided else 0
-    d3 = false_alarm(free) if (free and params.p_fa > 0.0) else 0
-    return d1, d2, d3
-
-
 def _occupancy(n_active, L, rng):
     """(free, singleton): the numbers of the L preambles that K users, each
     picking one uniformly, leave empty and hold exactly one user.
@@ -296,13 +259,13 @@ def _walk(cfg, horizon, backlog=0):
     The scalar draws come from pools (``_refill``), as in
     ``_cra2_sessions``: a session's new users from a pool of Poisson
     variates kept for the detected count D before it, which alone sets
-    their mean, its detected counts (``_outcome``) from pools of
+    their mean, its detected singleton and collided counts from pools of
     Bin(n, 1 - p_md) variates and its false alarms from pools of
-    Bin(n, p_fa) variates, each kept for the count n thinned, and the
-    uniforms of ``_occupancy``'s proposal from blocks of 64.  Every
-    variate is drawn independently of the path and used once, so the law
-    is exact (the random-mapping construction).  The pools are freed on
-    return.
+    Bin(n, p_fa) variates, each kept for the count n thinned (a count of
+    0, or p_fa = 0, draws nothing), and the uniforms of ``_occupancy``'s
+    proposal from blocks of 64.  Every variate is drawn independently of
+    the path and used once, so the law is exact (the random-mapping
+    construction).  The pools are freed on return.
 
     Returns the (successes, detected, backlog) of each session, a session's
     backlog being the users it leaves waiting, as three arrays, so that a
@@ -311,7 +274,7 @@ def _walk(cfg, horizon, backlog=0):
     p = cfg.params
     rng = np.random.default_rng(cfg.seed)
     poisson = rng.poisson
-    rate = p.arrival_rate
+    rate, L = p.arrival_rate, p.pool_size
     _, base, per_detected, _ = _session_rule(Scheme.CRA2, p)
     uniforms = _BlockUniforms(rng)
     detect = _pooled_binomial(rng, 1.0 - p.p_md)
@@ -334,7 +297,16 @@ def _walk(cfg, horizon, backlog=0):
                 f"{new:.3g} new at arrival_rate {rate:.3g} (traffic "
                 f"{p.traffic_intensity:.3g}) plus "
                 f"{'initial_backlog' if t == 0 else 'backlog'} {backlog:.3g}")
-        d1, d2, d3 = _outcome(k, p, uniforms, detect, false_alarm)
+        try:
+            free, singleton = _occupancy(k, L, uniforms)
+        except MemoryError as exc:   # the drop-mode paths draw no occupancy
+            raise ValueError(f"pool_size {L} is too large: the occupancy "
+                             f"draw of {k} users over {L} preambles does "
+                             f"not fit in memory ({exc})") from None
+        collided = L - free - singleton
+        d1 = detect(singleton) if singleton else 0
+        d2 = detect(collided) if collided else 0
+        d3 = false_alarm(free) if (free and p.p_fa > 0.0) else 0
         detected = d1 + d2 + d3
         backlog = k - d1
         succ_out[t] = d1

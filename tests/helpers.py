@@ -6,9 +6,10 @@ exhaustive enumeration and a one-user-at-a-time recursion instead of closed
 forms and of the occupancy draw, damped fixed-point iteration instead of
 Lambert W, stationary solves of the session Markov chain (over K, and by
 Poisson splitting) instead of the simulator, sliced batch sums and
-``np.std`` instead of the batch-means standard error's own reductions, a
-drop-mode session walk that draws each session's K and its occupancy given
-K instead of the pooled chain, a per-K scan of scalar drift calls instead
+``np.std`` instead of the batch-means standard error's own reductions,
+scalar binomial thinning of the occupancy draw given K instead of the
+walk's pooled variates, a drop-mode session walk that draws each session's
+K and its occupancy given K instead of the pooled chain, a per-K scan of scalar drift calls instead
 of the threshold's turning point and bisection, literal ML residual norms
 instead of the projected noise score, and one SVD per column subset
 instead of batched SVDs.  It also reads the CLI's result CSVs back into
@@ -25,7 +26,7 @@ import numpy as np
 from scipy import stats
 
 from cra.analytic import backlog_drift
-from cra.sim import stage1_outcome
+from cra.sim import _occupancy
 
 # largest Poisson tail mass exact_chain_means may cut off above K_max
 CHAIN_TAIL_TOL = 1e-12
@@ -332,6 +333,25 @@ def batch_means_std_errors(succ, detected, base, per_detected):
     rates = sums(succ) / (base * sizes + float(per_detected) * det_sums)
     return (float(np.std(rates, ddof=1) / math.sqrt(b)),
             float(np.std(det_sums / sizes, ddof=1) / math.sqrt(b)))
+
+
+def stage1_outcome(n_active, params, rng):
+    """One preamble round given K: the detected singleton, detected
+    collided and false-alarm preamble counts (d1, d2, d3).
+
+    ``_occupancy`` draws the free and singleton counts of the K users'
+    uniform picks; then one scalar ``rng.binomial`` each detects
+    Bin(n, 1 - p_md) of the n singleton and of the n collided preambles
+    and raises Bin(n, p_fa) false alarms on the n free ones.  A count of
+    0, or p_fa = 0, draws nothing.
+    """
+    L, p_det, p_fa = params.pool_size, 1.0 - params.p_md, params.p_fa
+    free, singleton = _occupancy(n_active, L, rng)
+    collided = L - free - singleton
+    d1 = int(rng.binomial(singleton, p_det)) if singleton else 0
+    d2 = int(rng.binomial(collided, p_det)) if collided else 0
+    d3 = int(rng.binomial(free, p_fa)) if (free and p_fa > 0.0) else 0
+    return d1, d2, d3
 
 
 def drop_walk(params, n_sessions, seed, first_active=None):

@@ -81,6 +81,17 @@ class TestSweepSpec:
             SweepSpec(base=self.base(), swept_variable="lambda_T",
                       grid=(1.0,), replicate_seeds=())
 
+    @pytest.mark.parametrize("outputs", [("eta2",), METRICS])
+    def test_fast_retrial_base_rejected(self, outputs):
+        # the rows would mix fast-retrial simulations with drop-mode closed
+        # forms, and no row records the mode
+        base = replace(self.base(), mode=Mode.FAST_RETRIAL)
+        with pytest.raises(ValueError) as err:
+            SweepSpec(base=base, swept_variable="lambda_T", grid=(1.0,),
+                      outputs=outputs)
+        assert str(err.value) == \
+            "mode: a sweep runs drop mode only, got 'fast_retrial'"
+
     def test_apply_sweep_value(self):
         p = self.base().params
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cra
-from cra import sim
+from cra import analytic, signals, sim, specfun
 
 # the package's src directory, for fresh interpreters
 SRC = str(Path(cra.__file__).resolve().parents[1])
@@ -32,8 +32,10 @@ def test_public_names_pinned():
         "throughput_cra1", "throughput_maloha",
     ]
     assert all(hasattr(cra, name) for name in cra.__all__)
-    # the benchmark's tracer finds stage1_outcome through sim.__all__
-    assert "stage1_outcome" in sim.__all__
+    # the package re-exports every module's public names, with no exception
+    modules = (analytic, signals, sim, specfun)
+    assert sorted(cra.__all__) == sorted(
+        name for module in modules for name in module.__all__)
 
 
 @pytest.mark.parametrize(

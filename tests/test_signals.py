@@ -280,7 +280,7 @@ class TestPairwiseMlTrials:
             ml_fa_trial(pool, scene_with_snr(1.0), 4, virtual_snr,
                         np.random.default_rng(0), 10)
 
-    @pytest.mark.parametrize("n_trials", [0, 2.5, "10"])
+    @pytest.mark.parametrize("n_trials", [0, 2.5, "10", True])
     def test_rejects_bad_trial_count(self, n_trials):
         pool = gen_pool(8, 16, seed=9)
         scene = scene_with_snr(1.0)

@@ -25,13 +25,12 @@ from cra.sim import (
     _walk,
     estimate_throughput,
     simulate_stability,
-    stage1_outcome,
 )
 
 from helpers import CountedDraws, PickedOccupancy, batch_means_std_errors, \
     capped_success_moments, drop_walk, exact_chain_means, \
     exact_chain_throughput, exact_occupancy_pmf, occupancy_pmf_dp, \
-    retrial_chain_moments, split_chain, split_detect_prob
+    retrial_chain_moments, split_chain, split_detect_prob, stage1_outcome
 
 
 def perfect_params(**over):
@@ -146,16 +145,20 @@ class TestStage1Outcome:
         assert rng.calls.get("integers", 0) == (20_000 if picks else 0)
         assert "multinomial" not in rng.calls
 
-    def test_occupancy_beyond_memory_names_the_draw(self):
-        # 5 users on 6 preambles draw one pick each; a stand-in generator
-        # refuses the draw, so nothing is allocated, and the error names
-        # the draw and pool_size
-        class Refusing:
-            def integers(self, *args, **kwargs):
-                raise MemoryError("no room for the picks")
+    def test_occupancy_beyond_memory_names_the_draw(self, monkeypatch):
+        # the walk's first session holds its backlog of 5 users on 6
+        # preambles; an occupancy draw that finds no room refuses it, so
+        # nothing is allocated, and the walk's error names the draw and
+        # pool_size
+        def refusing(n_active, L, rng):
+            raise MemoryError("no room for the picks")
 
+        monkeypatch.setattr("cra.sim._occupancy", refusing)
+        cfg = SimConfig(params=perfect_params(arrival_rate=0.0),
+                        mode=Mode.FAST_RETRIAL, n_sessions=10,
+                        warmup_sessions=0)
         with pytest.raises(ValueError) as err:
-            stage1_outcome(5, perfect_params(), Refusing())
+            _walk(cfg, 1, backlog=5)
         assert str(err.value) == (
             "pool_size 6 is too large: the occupancy draw of 5 users over "
             "6 preambles does not fit in memory (no room for the picks)")
